@@ -216,13 +216,6 @@ def in_semigroup(w: Word, gs: GeneratorSet) -> bool:
     return all(s in gs.sigma for s in w.letters)
 
 
-def factorization(w: Word, gs: GeneratorSet) -> tuple[Symbol, ...]:
-    """A witness product of Sigma-letters equal to w."""
-    if not in_semigroup(w, gs):
-        raise MembershipError(f"{w or 'the empty word'} is not in <Sigma>+")
-    return w.letters
-
-
 def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
     """All elements of S reachable from the identity in at most r steps."""
     if r < 0:

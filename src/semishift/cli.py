@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -47,13 +46,13 @@ from .orbit import (
     theorem_a_point,
     transformation_monoid,
 )
-from .reversible import LatticeBernoulli, LatticeMarkov, LatticeTable, window_measure
+from .reversible import window_measure
 from .serialize import (
+    MEASURE_KINDS,
     automaton_in,
     automaton_out,
     block_alphabet_out,
     chain_in,
-    chain_out,
     lattice_pattern_in,
     measure_in,
     measure_out,
@@ -66,20 +65,6 @@ from .serialize import (
 )
 
 Row = tuple[str, Any]
-LATTICE_KINDS = (LatticeBernoulli, LatticeMarkov, LatticeTable)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: command, file roles, scalar parameters."""
-
-    command: str
-    inputs: dict[str, Path] = field(default_factory=dict)
-    params: dict[str, Any] = field(default_factory=dict)
-    out: Path | None = None
-    fmt: str = "text"
-    human: bool = False
-    threads: int = 1
 
 
 def _value_text(v: Any) -> str:
@@ -96,42 +81,41 @@ def _approx_text(v: Any) -> str:
     return ""
 
 
-def _render(rows: list[Row], config: RunConfig) -> str:
-    if config.fmt == "csv":
+def _render(rows: list[Row], args: argparse.Namespace) -> str:
+    if args.fmt == "csv":
         sink = io.StringIO()
         writer = csv.writer(sink, lineterminator="\n")
-        header = ["key", "value"] + (["approx"] if config.human else [])
+        header = ["key", "value"] + (["approx"] if args.human else [])
         writer.writerow(header)
         for key, value in rows:
             record = [key, _value_text(value)]
-            if config.human:
+            if args.human:
                 record.append(_approx_text(value))
             writer.writerow(record)
         return sink.getvalue().rstrip("\n")
     lines = []
     for key, value in rows:
         line = f"{key}: {_value_text(value)}"
-        if config.human and _approx_text(value):
+        if args.human and _approx_text(value):
             line += f" (~ {_approx_text(value)})"
         lines.append(line)
     return "\n".join(lines)
 
 
-def _read_measure(config: RunConfig, role: str = "measure"):
-    return measure_in(read_json(config.inputs[role]), where=str(config.inputs[role]))
-
-
-def _semigroup_measure(config: RunConfig, role: str = "measure"):
-    measure = _read_measure(config, role)
-    if isinstance(measure, LATTICE_KINDS):
-        raise ValidationError(
-            f"{config.inputs[role]}: lattice measures go with window-eval"
-        )
+def _read_measure(path: Path, lattice: bool = False):
+    """Read a measure file; a semigroup command refuses lattice kinds and vice versa."""
+    data = read_json(path)
+    measure = measure_in(data, where=str(path))
+    if MEASURE_KINDS[data["kind"]].lattice != lattice:
+        if lattice:
+            raise ValidationError(f"{path}: window-eval needs a lattice measure")
+        raise ValidationError(f"{path}: lattice measures go with window-eval")
     return measure
 
 
-def _cmd_validate_chain(config: RunConfig) -> tuple[int, list[Row]]:
-    chain = chain_in(read_json(config.inputs["chain"]), str(config.inputs["chain"]))
+def _cmd_validate_chain(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """structural checks plus the invariance certificate for a chain"""
+    chain = chain_in(read_json(args.chain), str(args.chain))
     diag = validate_chain(chain)
     rows: list[Row] = [("valid", diag.ok)]
     for i, problem in enumerate(diag.problems):
@@ -145,9 +129,9 @@ def _cmd_validate_chain(config: RunConfig) -> tuple[int, list[Row]]:
     return (0 if res.ok else 1), rows
 
 
-def _cmd_invariance_check(config: RunConfig) -> tuple[int, list[Row]]:
-    measure = _semigroup_measure(config)
-    radius = config.params["radius"]
+def _cmd_invariance_check(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """is the measure shift-invariant (algebraic for chains, ball scan else)"""
+    measure = _read_measure(args.measure)
     rows: list[Row] = []
     if isinstance(measure, MarkovTreeChain):
         rows.append(("method", "algebraic"))
@@ -157,9 +141,9 @@ def _cmd_invariance_check(config: RunConfig) -> tuple[int, list[Row]]:
             rows.append(("witness", res.witness))
         return (0 if res.ok else 1), rows
     rows.append(("method", "ball"))
-    rows.append(("radius", radius))
+    rows.append(("radius", args.radius))
     for sym in measure.gs.symbols():
-        res = shift_invariance_check(measure, sym, radius)
+        res = shift_invariance_check(measure, sym, args.radius)
         if not res.ok:
             rows.append(("invariant", False))
             rows.append(("witness", f"generator {sym}: {res.witness}"))
@@ -168,15 +152,17 @@ def _cmd_invariance_check(config: RunConfig) -> tuple[int, list[Row]]:
     return 0, rows
 
 
-def _cmd_eval(config: RunConfig) -> tuple[int, list[Row]]:
-    measure = _semigroup_measure(config)
-    pattern = pattern_in(read_json(config.inputs["pattern"]))
+def _cmd_eval(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """exact mass of one cylinder pattern"""
+    measure = _read_measure(args.measure)
+    pattern = pattern_in(read_json(args.pattern))
     mass = measure.eval(pattern)
     return 0, [("sites", len(pattern)), ("mass", mass)]
 
 
-def _cmd_extend(config: RunConfig) -> tuple[int, list[Row]]:
-    chain = chain_in(read_json(config.inputs["chain"]), str(config.inputs["chain"]))
+def _cmd_extend(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """extend an invariant chain to the full signed generator set"""
+    chain = chain_in(read_json(args.chain), str(args.chain))
     extended = extend_chain(chain)
     res = is_invariant_chain(extended)
     rows: list[Row] = [
@@ -184,32 +170,30 @@ def _cmd_extend(config: RunConfig) -> tuple[int, list[Row]]:
         ("symbols", len(extended.gs.sigma)),
         ("invariant", res.ok),
     ]
-    if config.out is not None:
-        write_json(config.out, measure_out(extended))
-        rows.append(("out", config.out))
+    if args.out is not None:
+        write_json(args.out, measure_out(extended))
+        rows.append(("out", args.out))
     return (0 if res.ok else 1), rows
 
 
-def _cmd_pushforward_check(config: RunConfig) -> tuple[int, list[Row]]:
-    extended = chain_in(
-        read_json(config.inputs["extended"]), str(config.inputs["extended"])
-    )
-    original = chain_in(read_json(config.inputs["chain"]), str(config.inputs["chain"]))
-    radius = config.params["radius"]
-    res = pushforward_check(extended, original, radius)
-    rows: list[Row] = [("radius", radius), ("agree", res.ok)]
+def _cmd_pushforward_check(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """does the extended chain restrict back to the original"""
+    extended = chain_in(read_json(args.extended), str(args.extended))
+    original = chain_in(read_json(args.chain), str(args.chain))
+    res = pushforward_check(extended, original, args.radius)
+    rows: list[Row] = [("radius", args.radius), ("agree", res.ok)]
     if not res.ok:
         rows.append(("witness", res.witness))
     return (0 if res.ok else 1), rows
 
 
-def _cmd_markovize(config: RunConfig) -> tuple[int, list[Row]]:
-    measure = _semigroup_measure(config)
-    order = config.params["order"]
-    result = markovize(measure, order)
+def _cmd_markovize(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """recode a measure as a Markov chain over order-m blocks"""
+    measure = _read_measure(args.measure)
+    result = markovize(measure, args.order)
     ok = result.diagnostics.ok and result.invariance.ok
     rows: list[Row] = [
-        ("order", order),
+        ("order", args.order),
         ("blocks", len(result.blocks.blocks)),
         ("valid", result.diagnostics.ok),
         ("invariant", result.invariance.ok),
@@ -218,30 +202,29 @@ def _cmd_markovize(config: RunConfig) -> tuple[int, list[Row]]:
         rows.append((f"problem[{i}]", problem))
     if not result.invariance.ok:
         rows.append(("witness", result.invariance.witness))
-    if config.out is not None:
+    if args.out is not None:
         chain = result.chain
         names = tuple(f"B{i}" for i in range(len(chain.alphabet)))
         renamed = MarkovTreeChain.make(
             chain.gs, names, chain.p, dict(chain.transitions)
         )
         payload = {
-            "kind": "chain",
-            **chain_out(renamed),
+            **measure_out(renamed),
             "blocks": block_alphabet_out(result.blocks, measure.gs.d),
         }
-        write_json(config.out, payload)
-        rows.append(("out", config.out))
+        write_json(args.out, payload)
+        rows.append(("out", args.out))
     return (0 if ok else 1), rows
 
 
-def _cmd_consistency(config: RunConfig) -> tuple[int, list[Row]]:
-    measure = _semigroup_measure(config)
-    order = config.params["order"]
-    pattern = pattern_in(read_json(config.inputs["pattern"]))
-    result = markovize(measure, order)
-    consistent = markovization_consistency(measure, order, pattern, result)
+def _cmd_consistency(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """does the markovization reproduce the measure on a ball pattern"""
+    measure = _read_measure(args.measure)
+    pattern = pattern_in(read_json(args.pattern))
+    result = markovize(measure, args.order)
+    consistent = markovization_consistency(measure, args.order, pattern, result)
     rows: list[Row] = [
-        ("order", order),
+        ("order", args.order),
         ("oracle_mass", measure.eval(pattern)),
         ("chain_mass", MarkovizedMeasure(result).eval(pattern)),
         ("consistent", consistent),
@@ -249,10 +232,9 @@ def _cmd_consistency(config: RunConfig) -> tuple[int, list[Row]]:
     return (0 if consistent else 1), rows
 
 
-def _cmd_orbit_analyze(config: RunConfig) -> tuple[int, list[Row]]:
-    automaton = automaton_in(
-        read_json(config.inputs["automaton"]), str(config.inputs["automaton"])
-    )
+def _cmd_orbit_analyze(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """periodicity, transitivity, orbit size, transformation monoid"""
+    automaton = automaton_in(read_json(args.automaton), str(args.automaton))
     small = minimized(automaton)
     size, group = transformation_monoid(automaton)
     rows: list[Row] = [
@@ -276,15 +258,13 @@ def _scalar(text: str) -> Any:
     return tuple(value) if isinstance(value, list) else value
 
 
-def _cmd_thm_a_construct(config: RunConfig) -> tuple[int, list[Row]]:
-    pattern = pattern_in(read_json(config.inputs["pattern"]))
-    theta = morphism_in(
-        read_json(config.inputs["morphism"]), str(config.inputs["morphism"])
-    )
+def _cmd_thm_a_construct(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """periodic point through a pattern, via a permutation morphism"""
+    pattern = pattern_in(read_json(args.pattern))
+    theta = morphism_in(read_json(args.morphism), str(args.morphism))
     gs = GeneratorSet.from_signed([s.signed for s in theta])
-    alphabet_arg = config.params.get("alphabet")
-    if alphabet_arg:
-        alphabet = tuple(_scalar(x) for x in alphabet_arg.split(","))
+    if args.alphabet:
+        alphabet = tuple(_scalar(x) for x in args.alphabet.split(","))
     else:
         values = {c for _, c in pattern.items()}
         if not values:
@@ -293,8 +273,7 @@ def _cmd_thm_a_construct(config: RunConfig) -> tuple[int, list[Row]]:
             alphabet = tuple(sorted(values))
         except TypeError:
             alphabet = tuple(sorted(values, key=repr))
-    fill_arg = config.params.get("fill")
-    fill = _scalar(fill_arg) if fill_arg is not None else None
+    fill = _scalar(args.fill) if args.fill is not None else None
     automaton = theorem_a_point(pattern, theta, gs, alphabet, fill)
     matches = all(readout(automaton, w) == c for w, c in pattern.items())
     periodic = is_periodic(automaton)
@@ -303,65 +282,62 @@ def _cmd_thm_a_construct(config: RunConfig) -> tuple[int, list[Row]]:
         ("periodic", periodic),
         ("readout_matches", matches),
     ]
-    if config.out is not None:
-        write_json(config.out, automaton_out(automaton))
-        rows.append(("out", config.out))
+    if args.out is not None:
+        write_json(args.out, automaton_out(automaton))
+        rows.append(("out", args.out))
     return (0 if matches and periodic else 1), rows
 
 
-def _cmd_find_morphism(config: RunConfig) -> tuple[int, list[Row]]:
+def _cmd_find_morphism(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """seeded search for a permutation morphism injective on a ball"""
     try:
-        signed = [int(x) for x in config.params["sigma"].split(",")]
+        gs = GeneratorSet.from_signed([int(x) for x in args.sigma.split(",")])
     except ValueError as exc:
         raise ParseError(f"--sigma: {exc}") from exc
-    gs = GeneratorSet.from_signed(signed)
-    radius = config.params["radius"]
-    degree = config.params["degree"]
     rows: list[Row] = [
-        ("degree", degree),
-        ("ball_size", len(ball(gs, radius))),
+        ("degree", args.degree),
+        ("ball_size", len(ball(gs, args.radius))),
     ]
     try:
         theta = find_separating_morphism(
             gs,
-            radius,
-            degree,
-            seed=config.params["seed"],
-            budget=config.params["budget"],
+            args.radius,
+            args.degree,
+            seed=args.seed,
+            budget=args.budget,
         )
     except BudgetExhausted as exc:
         rows.append(("found", False))
         rows.append(("reason", str(exc)))
         return 1, rows
     rows.append(("found", True))
-    if config.out is not None:
-        write_json(config.out, morphism_out(theta))
-        rows.append(("out", config.out))
+    if args.out is not None:
+        write_json(args.out, morphism_out(theta))
+        rows.append(("out", args.out))
     return 0, rows
 
 
-def _cmd_lift(config: RunConfig) -> tuple[int, list[Row]]:
-    automaton = automaton_in(
-        read_json(config.inputs["automaton"]), str(config.inputs["automaton"])
-    )
+def _cmd_lift(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """lift a periodic automaton to a group orbit automaton"""
+    automaton = automaton_in(read_json(args.automaton), str(args.automaton))
     lifted = lift_to_group(automaton)
     rows: list[Row] = [
         ("states", lifted.n_states()),
         ("sigma", ",".join(str(s.signed) for s in lifted.gs.symbols())),
         ("periodic", is_periodic(lifted)),
     ]
-    if config.out is not None:
-        write_json(config.out, automaton_out(lifted))
-        rows.append(("out", config.out))
+    if args.out is not None:
+        write_json(args.out, automaton_out(lifted))
+        rows.append(("out", args.out))
     return 0, rows
 
 
-def _cmd_distance(config: RunConfig) -> tuple[int, list[Row]]:
-    first = _semigroup_measure(config, "first")
-    second = _semigroup_measure(config, "second")
-    radius = config.params["radius"]
-    value = weak_star_distance(first, second, radius)
-    return 0, [("radius", radius), ("distance", value)]
+def _cmd_distance(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """total variation of two measures over full ball patterns"""
+    first = _read_measure(args.first)
+    second = _read_measure(args.second)
+    value = weak_star_distance(first, second, args.radius)
+    return 0, [("radius", args.radius), ("distance", value)]
 
 
 def _load_matrices(source: str) -> list:
@@ -382,10 +358,11 @@ def _load_matrices(source: str) -> list:
     return data
 
 
-def _cmd_counterexample(config: RunConfig) -> tuple[int, list[Row]]:
-    matrices = _load_matrices(config.params["matrices"])
-    word = parse_word(config.params["word"])
-    prime = config.params["prime"]
+def _cmd_counterexample(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """non-extensible chain from linear maps and a kernel word"""
+    matrices = _load_matrices(args.matrices)
+    word = parse_word(args.word)
+    prime = args.prime
     report = counterexample_analyze(matrices, word, prime)
     compact = json.dumps(
         [list(row) for row in report.matrix_mod_p], separators=(",", ":")
@@ -402,65 +379,97 @@ def _cmd_counterexample(config: RunConfig) -> tuple[int, list[Row]]:
         ("bound_coefficient", report.bound_coefficient),
     ]
     code = 0
-    delta_arg = config.params.get("delta")
-    if delta_arg is not None:
-        delta = parse_fraction(delta_arg, "--delta")
+    if args.delta is not None:
+        delta = parse_fraction(args.delta, "--delta")
         chain = counterexample_chain(matrices, prime, delta)
         violated = report.violated_by(delta)
         rows.append(("delta", delta))
         rows.append(("violates_bound", violated))
         rows.append(("chain_symbols", len(chain.alphabet)))
         rows.append(("chain_invariant", is_invariant_chain(chain).ok))
-        if config.out is not None:
-            write_json(config.out, measure_out(chain))
-            rows.append(("out", config.out))
+        if args.out is not None:
+            write_json(args.out, measure_out(chain))
+            rows.append(("out", args.out))
         code = 0 if violated else 1
     return code, rows
 
 
-def _cmd_window_eval(config: RunConfig) -> tuple[int, list[Row]]:
-    measure = _read_measure(config)
-    if not isinstance(measure, LATTICE_KINDS):
-        raise ValidationError(
-            f"{config.inputs['measure']}: window-eval needs a lattice measure"
-        )
-    pattern = lattice_pattern_in(read_json(config.inputs["pattern"]))
+def _cmd_window_eval(args: argparse.Namespace) -> tuple[int, list[Row]]:
+    """mass of a lattice-window pattern under an orthant oracle"""
+    measure = _read_measure(args.measure, lattice=True)
+    pattern = lattice_pattern_in(read_json(args.pattern))
     mass = window_measure(measure, pattern)
     return 0, [("sites", len(pattern)), ("mass", mass)]
 
 
-_HANDLERS: dict[str, Callable[[RunConfig], tuple[int, list[Row]]]] = {
-    "validate-chain": _cmd_validate_chain,
-    "invariance-check": _cmd_invariance_check,
-    "eval": _cmd_eval,
-    "extend": _cmd_extend,
-    "pushforward-check": _cmd_pushforward_check,
-    "markovize": _cmd_markovize,
-    "consistency": _cmd_consistency,
-    "orbit-analyze": _cmd_orbit_analyze,
-    "thm-a-construct": _cmd_thm_a_construct,
-    "find-morphism": _cmd_find_morphism,
-    "lift": _cmd_lift,
-    "distance": _cmd_distance,
-    "counterexample": _cmd_counterexample,
-    "window-eval": _cmd_window_eval,
-}
-
-
-def run(config: RunConfig) -> tuple[int, str]:
-    """Dispatch one command; return (exit code, report text)."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        return 2, _render([("error", f"unknown command {config.command!r}")], config)
+def _non_negative_int(text: str) -> int:
     try:
-        code, rows = handler(config)
-    except (ParseError, ValidationError) as exc:
-        return 2, _render([("error", f"{type(exc).__name__}: {exc}")], config)
-    except SemishiftError as exc:
-        return 1, _render([("error", f"{type(exc).__name__}: {exc}")], config)
-    except OSError as exc:
-        return 2, _render([("error", str(exc))], config)
-    return code, _render(rows, config)
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+_FILE = {"type": Path, "required": True}
+_INT = {"type": int, "required": True}
+_CHAIN = ("--chain", _FILE)
+_MEASURE = ("--measure", _FILE)
+_PATTERN = ("--pattern", _FILE)
+_AUTOMATON = ("--automaton", _FILE)
+_OUT = ("--out", {"type": Path})
+_RADIUS = ("--radius", {"type": _non_negative_int, "default": 2})
+_ORDER = ("--order", {"type": _non_negative_int, "required": True})
+
+Handler = Callable[[argparse.Namespace], tuple[int, list[Row]]]
+
+# subcommand -> (handler, argument specs); a handler's docstring is its help
+COMMANDS: dict[str, tuple[Handler, tuple]] = {
+    "validate-chain": (_cmd_validate_chain, (_CHAIN,)),
+    "invariance-check": (_cmd_invariance_check, (_MEASURE, _RADIUS)),
+    "eval": (_cmd_eval, (_MEASURE, _PATTERN)),
+    "extend": (_cmd_extend, (_CHAIN, _OUT)),
+    "pushforward-check": (_cmd_pushforward_check, (("--extended", _FILE), _CHAIN, _RADIUS)),
+    "markovize": (_cmd_markovize, (_MEASURE, _ORDER, _OUT)),
+    "consistency": (_cmd_consistency, (_MEASURE, _ORDER, _PATTERN)),
+    "orbit-analyze": (_cmd_orbit_analyze, (_AUTOMATON,)),
+    "thm-a-construct": (
+        _cmd_thm_a_construct,
+        (
+            _PATTERN,
+            ("--morphism", _FILE),
+            ("--alphabet", {"help": "comma-separated symbols (default: from pattern)"}),
+            ("--fill", {"help": "label for states off the pattern"}),
+            _OUT,
+        ),
+    ),
+    "find-morphism": (
+        _cmd_find_morphism,
+        (
+            ("--sigma", {"required": True, "help": "signed generator indices, e.g. 1,2"}),
+            ("--radius", {"type": _non_negative_int, "required": True}),
+            ("--degree", _INT),
+            ("--seed", _INT),
+            ("--budget", {"type": _non_negative_int, "default": 10000}),
+            _OUT,
+        ),
+    ),
+    "lift": (_cmd_lift, (_AUTOMATON, _OUT)),
+    "distance": (_cmd_distance, (("--first", _FILE), ("--second", _FILE), _RADIUS)),
+    "counterexample": (
+        _cmd_counterexample,
+        (
+            ("--matrices", {"required": True,
+                            "help": "JSON list of integer matrices, inline or a file path"}),
+            ("--word", {"required": True, "help": "kernel word, e.g. a1a2A1A2"}),
+            ("--prime", _INT),
+            ("--delta", {"help": "off-map probability, e.g. 1/100"}),
+            _OUT,
+        ),
+    ),
+    "window-eval": (_cmd_window_eval, (_MEASURE, _PATTERN)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,172 +497,27 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append non-authoritative decimal approximations",
     )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads to use (evaluations run sequentially)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "validate-chain",
-        parents=[common],
-        help="structural checks plus the invariance certificate for a chain",
-    )
-    p.add_argument("--chain", type=Path, required=True)
-
-    p = sub.add_parser(
-        "invariance-check",
-        parents=[common],
-        help="is the measure shift-invariant (algebraic for chains, ball scan else)",
-    )
-    p.add_argument("--measure", type=Path, required=True)
-    p.add_argument("--radius", type=int, default=2)
-
-    p = sub.add_parser(
-        "eval", parents=[common], help="exact mass of one cylinder pattern"
-    )
-    p.add_argument("--measure", type=Path, required=True)
-    p.add_argument("--pattern", type=Path, required=True)
-
-    p = sub.add_parser(
-        "extend",
-        parents=[common],
-        help="extend an invariant chain to the full signed generator set",
-    )
-    p.add_argument("--chain", type=Path, required=True)
-    p.add_argument("--out", type=Path)
-
-    p = sub.add_parser(
-        "pushforward-check",
-        parents=[common],
-        help="does the extended chain restrict back to the original",
-    )
-    p.add_argument("--extended", type=Path, required=True)
-    p.add_argument("--chain", type=Path, required=True)
-    p.add_argument("--radius", type=int, default=2)
-
-    p = sub.add_parser(
-        "markovize",
-        parents=[common],
-        help="recode a measure as a Markov chain over order-m blocks",
-    )
-    p.add_argument("--measure", type=Path, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--out", type=Path)
-
-    p = sub.add_parser(
-        "consistency",
-        parents=[common],
-        help="does the markovization reproduce the measure on a ball pattern",
-    )
-    p.add_argument("--measure", type=Path, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--pattern", type=Path, required=True)
-
-    p = sub.add_parser(
-        "orbit-analyze",
-        parents=[common],
-        help="periodicity, transitivity, orbit size, transformation monoid",
-    )
-    p.add_argument("--automaton", type=Path, required=True)
-
-    p = sub.add_parser(
-        "thm-a-construct",
-        parents=[common],
-        help="periodic point through a pattern, via a permutation morphism",
-    )
-    p.add_argument("--pattern", type=Path, required=True)
-    p.add_argument("--morphism", type=Path, required=True)
-    p.add_argument("--alphabet", help="comma-separated symbols (default: from pattern)")
-    p.add_argument("--fill", help="label for states off the pattern")
-    p.add_argument("--out", type=Path)
-
-    p = sub.add_parser(
-        "find-morphism",
-        parents=[common],
-        help="seeded search for a permutation morphism injective on a ball",
-    )
-    p.add_argument("--sigma", required=True, help="signed generator indices, e.g. 1,2")
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--out", type=Path)
-
-    p = sub.add_parser(
-        "lift",
-        parents=[common],
-        help="lift a periodic automaton to a group orbit automaton",
-    )
-    p.add_argument("--automaton", type=Path, required=True)
-    p.add_argument("--out", type=Path)
-
-    p = sub.add_parser(
-        "distance",
-        parents=[common],
-        help="total variation of two measures over full ball patterns",
-    )
-    p.add_argument("--first", type=Path, required=True)
-    p.add_argument("--second", type=Path, required=True)
-    p.add_argument("--radius", type=int, default=2)
-
-    p = sub.add_parser(
-        "counterexample",
-        parents=[common],
-        help="non-extensible chain from linear maps and a kernel word",
-    )
-    p.add_argument(
-        "--matrices",
-        required=True,
-        help="JSON list of integer matrices, inline or a file path",
-    )
-    p.add_argument("--word", required=True, help="kernel word, e.g. a1a2A1A2")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--delta", help="off-map probability, e.g. 1/100")
-    p.add_argument("--out", type=Path)
-
-    p = sub.add_parser(
-        "window-eval",
-        parents=[common],
-        help="mass of a lattice-window pattern under an orthant oracle",
-    )
-    p.add_argument("--measure", type=Path, required=True)
-    p.add_argument("--pattern", type=Path, required=True)
-
+    for name, (handler, specs) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=handler.__doc__)
+        for flag, options in specs:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
-_FILE_ROLES = ("chain", "measure", "pattern", "automaton", "morphism",
-               "extended", "first", "second")
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    inputs = {}
-    params = {}
-    for key, value in vars(args).items():
-        if key in ("command", "fmt", "human", "threads", "out"):
-            continue
-        if key in _FILE_ROLES:
-            inputs[key] = value
-        else:
-            params[key] = value
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        params=params,
-        out=getattr(args, "out", None),
-        fmt=args.fmt,
-        human=args.human,
-        threads=args.threads,
-    )
-
-
 def execute(argv: Sequence[str] | None = None) -> tuple[int, str]:
-    """Parse arguments and run; returns (exit code, report text)."""
+    """Parse arguments and run one command; returns (exit code, report text)."""
     args = build_parser().parse_args(argv)
-    return run(_config_from_args(args))
+    try:
+        code, rows = args.handler(args)
+    except (ParseError, ValidationError) as exc:
+        code, rows = 2, [("error", f"{type(exc).__name__}: {exc}")]
+    except SemishiftError as exc:
+        code, rows = 1, [("error", f"{type(exc).__name__}: {exc}")]
+    except OSError as exc:
+        code, rows = 2, [("error", str(exc))]
+    return code, _render(rows, args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -26,7 +26,6 @@ from .algebra import (
     EPSILON,
     GeneratorSet,
     Symbol,
-    Tree,
     Word,
     ball,
     in_semigroup,
@@ -267,10 +266,6 @@ def _require_valid(chain: MarkovTreeChain) -> None:
         raise InvalidChain("; ".join(chain.diagnostics.problems))
 
 
-def _hull_of_sites(chain: MarkovTreeChain, sites: Iterable[Word]) -> Tree:
-    return tree_hull(sites, chain.gs)
-
-
 def _constraint_indices(
     chain: MarkovTreeChain, constraints: Mapping[Word, Collection]
 ) -> dict[Word, frozenset[int]]:
@@ -296,7 +291,7 @@ def eval_constrained(
     """
     _require_valid(chain)
     allowed = _constraint_indices(chain, constraints)
-    hull = _hull_of_sites(chain, allowed.keys())
+    hull = tree_hull(allowed.keys(), chain.gs)
     children = hull.children()
     n = len(chain.alphabet)
     full = frozenset(range(n))
@@ -319,33 +314,6 @@ def eval_constrained(
 def eval_cylinder(chain: MarkovTreeChain, pattern: Pattern) -> Fraction:
     """Exact measure of the cylinder fixing the pattern's sites."""
     return eval_constrained(chain, {w: (c,) for w, c in pattern.items()})
-
-
-def eval_cylinder_bruteforce(chain: MarkovTreeChain, pattern: Pattern) -> Fraction:
-    """Same value by enumerating every completion of the hull.
-
-    Kept alongside the dynamic-programming route so the two can be
-    compared on random inputs; never used by the other operations.
-    """
-    _require_valid(chain)
-    index = chain.symbol_index
-    for w, c in pattern.items():
-        if c not in index:
-            raise ValidationError(f"symbol {c!r} is not in the chain alphabet")
-    hull = _hull_of_sites(chain, pattern.domain())
-    fixed = {w: index[c] for w, c in pattern.items()}
-    free = [w for w in hull.sorted_vertices() if w not in fixed]
-    edges = sorted(hull.edges, key=lambda e: e[1].key())
-    n = len(chain.alphabet)
-    total = ZERO
-    for combo in itertools.product(range(n), repeat=len(free)):
-        site = dict(fixed)
-        site.update(zip(free, combo))
-        term = chain.p[site[EPSILON]]
-        for parent, child, g in edges:
-            term *= chain.matrix[g][site[parent]][site[child]]
-        total += term
-    return total
 
 
 def all_patterns(sites: Iterable[Word], alphabet: Sequence) -> Iterator[Pattern]:

@@ -13,7 +13,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 from .algebra import LatticeVector, vec_add, vec_min, vec_sub
@@ -101,21 +100,28 @@ class LatticeBernoulli:
         return out
 
 
-@lru_cache(maxsize=None)
-def _matrix_power(rows: tuple[tuple[Fraction, ...], ...], n: int) -> tuple[tuple[Fraction, ...], ...]:
-    size = len(rows)
-    if n == 0:
-        return tuple(
-            tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size)
-        )
-    prev = _matrix_power(rows, n - 1)
+Matrix = tuple[tuple[Fraction, ...], ...]
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    size = len(a)
     return tuple(
-        tuple(
-            sum((prev[i][k] * rows[k][j] for k in range(size)), ZERO)
-            for j in range(size)
-        )
+        tuple(sum((a[i][k] * b[k][j] for k in range(size)), ZERO) for j in range(size))
         for i in range(size)
     )
+
+
+def _matrix_power(rows: Matrix, n: int) -> Matrix:
+    """rows**n by repeated squaring: O(log n) products, no recursion."""
+    size = len(rows)
+    out = tuple(tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size))
+    while n:
+        if n & 1:
+            out = _matmul(out, rows)
+        n >>= 1
+        if n:
+            rows = _matmul(rows, rows)
+    return out
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,9 @@ class LatticeMarkov:
         if len(pattern) == 0:
             return ONE
         index = {c: i for i, c in enumerate(self.alphabet)}
+        for _, c in pattern.items():
+            if c not in index:
+                raise ValidationError(f"symbol {c!r} is not in the alphabet")
         sites = sorted((v[0], index[c]) for v, c in pattern.items())
         out = self.p[sites[0][1]]
         for (s, k), (t, l) in zip(sites, sites[1:]):
@@ -265,11 +274,8 @@ def window_translation_invariance(
     measure: LatticeMeasure, pattern: LatticePattern, g: LatticeVector
 ) -> CheckResult:
     """Compare a window pattern with its g-translate."""
-    moved = LatticePattern(
-        tuple((tuple(x + y for x, y in zip(v, g)), c) for v, c in pattern.items())
-    )
     lhs = window_measure(measure, pattern)
-    rhs = window_measure(measure, moved)
+    rhs = window_measure(measure, pattern.translated(g))
     if lhs != rhs:
         return CheckResult(
             False, f"{pattern.render()} has mass {lhs}, its {g}-translate {rhs}"

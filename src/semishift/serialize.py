@@ -4,17 +4,21 @@ Rationals are always written as ``num/den`` strings, never as decimals.
 Words use the letter syntax from ``algebra`` (empty string for the
 identity).  Alphabet symbols may be strings, integers, or integer pairs;
 pairs are written as two-element lists.  Measure files carry a ``kind``
-tag: chain, bernoulli, periodic, mixture, lattice-bernoulli,
-lattice-markov, or lattice-table.
+tag; ``MEASURE_KINDS`` maps each tag to its class and to the readers and
+writers of its fields.
+
+Every public ``*_in`` reader raises ``ParseError`` for malformed input,
+prefixed with the ``where`` it was given.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .algebra import GeneratorSet, Symbol, Word, parse_word, word_to_string
 from .errors import ParseError, SemishiftError
@@ -85,17 +89,46 @@ def _need(data: dict, key: str, where: str) -> Any:
     return data[key]
 
 
+_SIGNED = re.compile(r"-?[0-9]+")
+
+
+def _signed_key(key: str, what: str, where: str) -> int:
+    if not _SIGNED.fullmatch(str(key)):
+        raise ParseError(f"{where}: {what} {key!r}")
+    return int(key)
+
+
+def _reader(default_where: str):
+    """Make every error of a reader a ParseError prefixed with its ``where``.
+
+    A ParseError that already names ``where`` passes through unchanged, so
+    nested readers add no second prefix.
+    """
+
+    def wrap(read):
+        @functools.wraps(read)
+        def checked(data: Any, where: str = default_where):
+            try:
+                return read(data, where)
+            except (ValueError, TypeError, KeyError, AttributeError, SemishiftError) as exc:
+                if isinstance(exc, ParseError) and str(exc).startswith(f"{where}:"):
+                    raise
+                raise ParseError(f"{where}: {exc}") from exc
+
+        return checked
+
+    return wrap
+
+
 def generator_set_out(gs: GeneratorSet) -> dict:
     return {"d": gs.d, "sigma": [s.signed for s in gs.symbols()]}
 
 
+@_reader("generator set")
 def generator_set_in(data: dict, where: str) -> GeneratorSet:
-    try:
-        return GeneratorSet.from_signed(
-            _need(data, "sigma", where), d=int(_need(data, "d", where))
-        )
-    except (ValueError, SemishiftError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return GeneratorSet.from_signed(
+        _need(data, "sigma", where), d=int(_need(data, "d", where))
+    )
 
 
 def chain_out(chain: MarkovTreeChain) -> dict:
@@ -110,24 +143,18 @@ def chain_out(chain: MarkovTreeChain) -> dict:
     }
 
 
-def chain_in(data: dict, where: str = "chain") -> MarkovTreeChain:
+@_reader("chain")
+def chain_in(data: dict, where: str) -> MarkovTreeChain:
     gs = generator_set_in(data, where)
     alphabet = tuple(_symbol_in(c) for c in _need(data, "alphabet", where))
     p = [parse_fraction(x, f"{where}: p") for x in _need(data, "p", where)]
-    raw = _need(data, "P", where)
-    matrices = {}
-    for key, rows in raw.items():
-        try:
-            signed = int(key)
-        except ValueError as exc:
-            raise ParseError(f"{where}: bad generator key {key!r}") from exc
-        matrices[signed] = [
+    matrices = {
+        _signed_key(key, "bad generator key", where): [
             [parse_fraction(x, f"{where}: P[{key}]") for x in row] for row in rows
         ]
-    try:
-        return MarkovTreeChain.make(gs, alphabet, p, matrices)
-    except (ValueError, SemishiftError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        for key, rows in _need(data, "P", where).items()
+    }
+    return MarkovTreeChain.make(gs, alphabet, p, matrices)
 
 
 def pattern_out(pattern: Pattern, d: int) -> dict:
@@ -138,16 +165,14 @@ def pattern_out(pattern: Pattern, d: int) -> dict:
     }
 
 
-def pattern_in(data: dict, where: str = "pattern") -> Pattern:
+@_reader("pattern")
+def pattern_in(data: dict, where: str) -> Pattern:
     entries = _need(data, "entries", where)
     if isinstance(entries, dict):
         items = entries.items()
     else:
         items = ((k, v) for k, v in entries)
-    try:
-        return Pattern.of([(parse_word(k), _symbol_in(v)) for k, v in items])
-    except (ValueError, SemishiftError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return Pattern.of([(parse_word(k), _symbol_in(v)) for k, v in items])
 
 
 def automaton_out(o: OrbitAutomaton) -> dict:
@@ -162,32 +187,29 @@ def automaton_out(o: OrbitAutomaton) -> dict:
     }
 
 
-def automaton_in(data: dict, where: str = "automaton") -> OrbitAutomaton:
+@_reader("automaton")
+def automaton_in(data: dict, where: str) -> OrbitAutomaton:
     gs = generator_set_in(data, where)
     alphabet = tuple(_symbol_in(c) for c in _need(data, "alphabet", where))
     labels = tuple(_symbol_in(c) for c in _need(data, "labels", where))
-    raw = _need(data, "delta", where)
-    delta = {}
-    for key, row in raw.items():
-        try:
-            delta[Symbol.from_signed(int(key))] = tuple(int(q) for q in row)
-        except ValueError as exc:
-            raise ParseError(f"{where}: bad delta entry {key!r}") from exc
+    delta = {
+        Symbol.from_signed(_signed_key(key, "bad delta entry", where)): tuple(
+            int(q) for q in row
+        )
+        for key, row in _need(data, "delta", where).items()
+    }
     cls = (
         GroupOrbitAutomaton
         if gs.sigma == {s.inverse() for s in gs.sigma}
         else OrbitAutomaton
     )
-    try:
-        return cls(
-            gs=gs,
-            alphabet=alphabet,
-            labels=labels,
-            delta=delta,
-            base=int(_need(data, "base", where)),
-        )
-    except SemishiftError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return cls(
+        gs=gs,
+        alphabet=alphabet,
+        labels=labels,
+        delta=delta,
+        base=int(_need(data, "base", where)),
+    )
 
 
 def morphism_out(theta: dict[Symbol, tuple[int, ...]]) -> dict:
@@ -201,14 +223,14 @@ def morphism_out(theta: dict[Symbol, tuple[int, ...]]) -> dict:
     }
 
 
-def morphism_in(data: dict, where: str = "morphism") -> dict[Symbol, tuple[int, ...]]:
-    raw = _need(data, "theta", where)
-    out = {}
-    for key, p in raw.items():
-        try:
-            out[Symbol.from_signed(int(key))] = tuple(int(i) for i in p)
-        except ValueError as exc:
-            raise ParseError(f"{where}: bad permutation for {key!r}") from exc
+@_reader("morphism")
+def morphism_in(data: dict, where: str) -> dict[Symbol, tuple[int, ...]]:
+    out = {
+        Symbol.from_signed(_signed_key(key, "bad permutation for", where)): tuple(
+            int(i) for i in p
+        )
+        for key, p in _need(data, "theta", where).items()
+    }
     if not out:
         raise ParseError(f"{where}: empty morphism")
     return out
@@ -218,137 +240,129 @@ def lattice_pattern_out(pattern: LatticePattern) -> dict:
     return {"entries": [[list(v), _symbol_out(c)] for v, c in pattern.items()]}
 
 
-def lattice_pattern_in(data: dict, where: str = "lattice pattern") -> LatticePattern:
+@_reader("lattice pattern")
+def lattice_pattern_in(data: dict, where: str) -> LatticePattern:
     entries = _need(data, "entries", where)
-    try:
-        return LatticePattern.of(
-            [(tuple(int(x) for x in v), _symbol_in(c)) for v, c in entries]
-        )
-    except (ValueError, SemishiftError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return LatticePattern.of(
+        [(tuple(int(x) for x in v), _symbol_in(c)) for v, c in entries]
+    )
+
+
+class MeasureKind(NamedTuple):
+    """One ``kind`` tag of a measure file: its class, reader and writer.
+
+    ``read(data, where)`` builds the measure from the file's fields and
+    ``write(measure)`` returns them without the tag.  Lattice kinds live on
+    orthants of Z^d rather than on a semigroup.
+    """
+
+    cls: type
+    read: Callable[[dict, str], Any]
+    write: Callable[[Any], dict]
+    lattice: bool = False
+
+
+# (attribute, read(data, where), write(value) -> fields) for one attribute
+Field = tuple[str, Callable[[dict, str], Any], Callable[[Any], dict]]
+
+
+def _seq(key: str, read_item: Callable[[Any, str, int], Any], write_item) -> Field:
+    """A list field whose items read as read_item(item, where, index)."""
+
+    def read(data: dict, where: str) -> tuple:
+        return tuple(read_item(x, where, i) for i, x in enumerate(_need(data, key, where)))
+
+    return key, read, lambda values: {key: [write_item(x) for x in values]}
+
+
+def _fractions(key: str) -> Field:
+    return _seq(key, lambda x, where, i: parse_fraction(x, f"{where}: {key}"), fraction_to_str)
+
+
+def _table_entry_in(entry: Any, where: str, i: int) -> tuple[LatticePattern, Fraction]:
+    pat, mass = entry
+    return lattice_pattern_in(pat, f"{where}: table"), parse_fraction(mass)
+
+
+_GS: Field = ("gs", generator_set_in, generator_set_out)
+_D: Field = ("d", lambda data, where: int(_need(data, "d", where)), lambda d: {"d": d})
+_ALPHABET = _seq("alphabet", lambda c, where, i: _symbol_in(c), _symbol_out)
+
+
+def _record(cls: type, *fields: Field, lattice: bool = False) -> MeasureKind:
+    """Kind whose file holds the class's attributes field by field."""
+
+    def read(data: dict, where: str) -> Any:
+        return cls(**{attr: read_field(data, where) for attr, read_field, _ in fields})
+
+    def write(measure: Any) -> dict:
+        out: dict = {}
+        for attr, _, write_field in fields:
+            out.update(write_field(getattr(measure, attr)))
+        return out
+
+    return MeasureKind(cls, read, write, lattice)
 
 
 def measure_out(measure: Any) -> dict:
-    if isinstance(measure, MarkovTreeChain):
-        return {"kind": "chain", **chain_out(measure)}
-    if isinstance(measure, BernoulliMeasure):
-        return {
-            "kind": "bernoulli",
-            **generator_set_out(measure.gs),
-            "alphabet": [_symbol_out(c) for c in measure.alphabet],
-            "probs": [fraction_to_str(x) for x in measure.probs],
-        }
-    if isinstance(measure, PeriodicMeasure):
-        return {
-            "kind": "periodic",
-            "orbits": [automaton_out(o) for o in measure.orbits],
-            "weights": [fraction_to_str(w) for w in measure.weights],
-        }
-    if isinstance(measure, MixtureMeasure):
-        return {
-            "kind": "mixture",
-            "components": [measure_out(m) for m in measure.components],
-            "weights": [fraction_to_str(w) for w in measure.weights],
-        }
-    if isinstance(measure, LatticeBernoulli):
-        return {
-            "kind": "lattice-bernoulli",
-            "d": measure.d,
-            "alphabet": [_symbol_out(c) for c in measure.alphabet],
-            "probs": [fraction_to_str(x) for x in measure.probs],
-        }
-    if isinstance(measure, LatticeMarkov):
-        return {
-            "kind": "lattice-markov",
-            "alphabet": [_symbol_out(c) for c in measure.alphabet],
-            "p": [fraction_to_str(x) for x in measure.p],
-            "P": [[fraction_to_str(x) for x in row] for row in measure.P],
-        }
-    if isinstance(measure, LatticeTable):
-        return {
-            "kind": "lattice-table",
-            "d": measure.d,
-            "alphabet": [_symbol_out(c) for c in measure.alphabet],
-            "box": list(measure.box),
-            "table": [
-                [lattice_pattern_out(pat), fraction_to_str(mass)]
-                for pat, mass in measure.table
-            ],
-        }
+    for tag, kind in MEASURE_KINDS.items():
+        if isinstance(measure, kind.cls):
+            return {"kind": tag, **kind.write(measure)}
     raise ParseError(f"cannot serialize measure of type {type(measure).__name__}")
 
 
-def measure_in(data: dict, where: str = "measure") -> Any:
+@_reader("measure")
+def measure_in(data: dict, where: str) -> Any:
     kind = _need(data, "kind", where)
-    try:
-        if kind == "chain":
-            return chain_in(data, where)
-        if kind == "bernoulli":
-            return BernoulliMeasure(
-                gs=generator_set_in(data, where),
-                alphabet=tuple(_symbol_in(c) for c in _need(data, "alphabet", where)),
-                probs=tuple(
-                    parse_fraction(x, f"{where}: probs")
-                    for x in _need(data, "probs", where)
-                ),
-            )
-        if kind == "periodic":
-            return PeriodicMeasure(
-                orbits=tuple(
-                    automaton_in(o, f"{where}: orbit {i}")
-                    for i, o in enumerate(_need(data, "orbits", where))
-                ),
-                weights=tuple(
-                    parse_fraction(w, f"{where}: weights")
-                    for w in _need(data, "weights", where)
-                ),
-            )
-        if kind == "mixture":
-            return MixtureMeasure(
-                components=tuple(
-                    measure_in(m, f"{where}: component {i}")
-                    for i, m in enumerate(_need(data, "components", where))
-                ),
-                weights=tuple(
-                    parse_fraction(w, f"{where}: weights")
-                    for w in _need(data, "weights", where)
-                ),
-            )
-        if kind == "lattice-bernoulli":
-            return LatticeBernoulli(
-                d=int(_need(data, "d", where)),
-                alphabet=tuple(_symbol_in(c) for c in _need(data, "alphabet", where)),
-                probs=tuple(
-                    parse_fraction(x, f"{where}: probs")
-                    for x in _need(data, "probs", where)
-                ),
-            )
-        if kind == "lattice-markov":
-            return LatticeMarkov(
-                alphabet=tuple(_symbol_in(c) for c in _need(data, "alphabet", where)),
-                p=tuple(
-                    parse_fraction(x, f"{where}: p") for x in _need(data, "p", where)
-                ),
-                P=tuple(
-                    tuple(parse_fraction(x, f"{where}: P") for x in row)
-                    for row in _need(data, "P", where)
-                ),
-            )
-        if kind == "lattice-table":
-            return LatticeTable(
-                d=int(_need(data, "d", where)),
-                alphabet=tuple(_symbol_in(c) for c in _need(data, "alphabet", where)),
-                box=tuple(int(b) for b in _need(data, "box", where)),
-                table=tuple(
-                    (lattice_pattern_in(pat, f"{where}: table"), parse_fraction(mass))
-                    for pat, mass in _need(data, "table", where)
-                ),
-            )
-    except ParseError:
-        raise
-    except (ValueError, SemishiftError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-    raise ParseError(f"{where}: unknown measure kind {kind!r}")
+    if kind not in MEASURE_KINDS:
+        raise ParseError(f"{where}: unknown measure kind {kind!r}")
+    return MEASURE_KINDS[kind].read(data, where)
+
+
+MEASURE_KINDS: dict[str, MeasureKind] = {
+    "chain": MeasureKind(MarkovTreeChain, chain_in, chain_out),
+    "bernoulli": _record(BernoulliMeasure, _GS, _ALPHABET, _fractions("probs")),
+    "periodic": _record(
+        PeriodicMeasure,
+        _seq("orbits", lambda o, where, i: automaton_in(o, f"{where}: orbit {i}"), automaton_out),
+        _fractions("weights"),
+    ),
+    "mixture": _record(
+        MixtureMeasure,
+        _seq(
+            "components",
+            lambda m, where, i: measure_in(m, f"{where}: component {i}"),
+            measure_out,
+        ),
+        _fractions("weights"),
+    ),
+    "lattice-bernoulli": _record(
+        LatticeBernoulli, _D, _ALPHABET, _fractions("probs"), lattice=True
+    ),
+    "lattice-markov": _record(
+        LatticeMarkov,
+        _ALPHABET,
+        _fractions("p"),
+        _seq(
+            "P",
+            lambda row, where, i: tuple(parse_fraction(x, f"{where}: P") for x in row),
+            lambda row: [fraction_to_str(x) for x in row],
+        ),
+        lattice=True,
+    ),
+    "lattice-table": _record(
+        LatticeTable,
+        _D,
+        _ALPHABET,
+        _seq("box", lambda b, where, i: int(b), int),
+        _seq(
+            "table",
+            _table_entry_in,
+            lambda entry: [lattice_pattern_out(entry[0]), fraction_to_str(entry[1])],
+        ),
+        lattice=True,
+    ),
+}
 
 
 def block_alphabet_out(blocks: BlockAlphabet, d: int) -> dict:

@@ -2,7 +2,9 @@
 
 The evaluation oracles here deliberately repeat no library code: hulls
 are recomputed from scratch and masses obtained by enumerating every
-completion, so an agreement with the package is meaningful.
+completion, so an agreement with the package is meaningful.  The one
+exception, eval_cylinder_bruteforce, enumerates over the library's own
+hull.
 """
 
 import itertools
@@ -12,10 +14,13 @@ from fractions import Fraction
 from semishift import (
     EPSILON,
     GeneratorSet,
+    InvalidChain,
     MarkovTreeChain,
     OrbitAutomaton,
     Symbol,
+    ValidationError,
     Word,
+    tree_hull,
 )
 
 ZERO = Fraction(0)
@@ -157,6 +162,35 @@ def oracle_eval(chain: MarkovTreeChain, pattern) -> Fraction:
                 parent = Word(w.letters[1:])
                 weight *= chain.matrix[w.letters[0]][x[parent]][x[w]]
         total += weight
+    return total
+
+
+def eval_cylinder_bruteforce(chain: MarkovTreeChain, pattern) -> Fraction:
+    """Mass by enumerating every completion of the library's own hull.
+
+    Unlike oracle_eval it takes the hull from ``tree_hull`` and validates
+    its input as ``eval_cylinder`` does, so it isolates the sum-product
+    from hull construction.
+    """
+    if not chain.diagnostics:
+        raise InvalidChain("; ".join(chain.diagnostics.problems))
+    index = chain.symbol_index
+    for w, c in pattern.items():
+        if c not in index:
+            raise ValidationError(f"symbol {c!r} is not in the chain alphabet")
+    hull = tree_hull(pattern.domain(), chain.gs)
+    fixed = {w: index[c] for w, c in pattern.items()}
+    free = [w for w in hull.sorted_vertices() if w not in fixed]
+    edges = sorted(hull.edges, key=lambda e: e[1].key())
+    n = len(chain.alphabet)
+    total = ZERO
+    for combo in itertools.product(range(n), repeat=len(free)):
+        site = dict(fixed)
+        site.update(zip(free, combo))
+        term = chain.p[site[EPSILON]]
+        for parent, child, g in edges:
+            term *= chain.matrix[g][site[parent]][site[child]]
+        total += term
     return total
 
 

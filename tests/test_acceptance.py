@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from helpers import (
+    eval_cylinder_bruteforce,
     lattice_interval_eval,
     oracle_eval,
     positive_distribution,
@@ -41,7 +42,6 @@ from semishift import (
     counterexample_analyze,
     counterexample_chain,
     eval_cylinder,
-    eval_cylinder_bruteforce,
     extend_chain,
     find_separating_morphism,
     is_invariant_chain,

@@ -294,6 +294,15 @@ def test_find_morphism_budget_exhausted():
     assert "found: false" in text
 
 
+def test_find_morphism_zero_generator_exits_two():
+    code, text = execute(
+        ["find-morphism", "--sigma", "1,0", "--radius", "1", "--degree", "4",
+         "--seed", "9"]
+    )
+    assert code == 2
+    assert text == "error: ParseError: --sigma: signed generator value must be nonzero"
+
+
 def test_find_morphism_requires_seed():
     with pytest.raises(SystemExit) as exc:
         execute(["find-morphism", "--sigma", "1,2", "--radius", "1",
@@ -362,3 +371,76 @@ def test_main_prints_report(capsys, chain_file):
     assert code == 0
     out = capsys.readouterr().out
     assert "invariant: true" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariance-check", "--measure", "{chain}", "--radius", "-1"],
+        ["distance", "--first", "{chain}", "--second", "{chain}", "--radius", "-1"],
+        ["pushforward-check", "--extended", "{chain}", "--chain", "{chain}",
+         "--radius", "-1"],
+        ["find-morphism", "--sigma", "1,2", "--radius", "-1", "--degree", "4",
+         "--seed", "9"],
+        ["find-morphism", "--sigma", "1,2", "--radius", "1", "--degree", "4",
+         "--seed", "9", "--budget", "-1"],
+        ["markovize", "--measure", "{chain}", "--order", "-1"],
+        ["consistency", "--measure", "{chain}", "--order", "-1", "--pattern", "{chain}"],
+    ],
+)
+def test_negative_count_argument_exits_two(argv, chain_file):
+    with pytest.raises(SystemExit) as exc:
+        execute([a.format(chain=chain_file) for a in argv])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, role, data",
+    [
+        ("validate-chain", "--chain", {**measure_out(worked_chain(2)), "P": "oops"}),
+        ("orbit-analyze", "--automaton",
+         {**automaton_out(swap_orbit()), "delta": {"1": [[1], 0], "2": [1, 0]}}),
+        ("thm-a-construct", "--morphism", {"k": 2, "theta": {"1": [[1], 0], "2": [1, 0]}}),
+    ],
+)
+def test_malformed_shape_exits_two(tmp_path, command, role, data):
+    path = tmp_path / "input.json"
+    write_json(path, data)
+    argv = [command, role, str(path)]
+    if command == "thm-a-construct":
+        argv += ["--pattern", str(pattern_file(tmp_path, {"": 0}))]
+    code, text = execute(argv)
+    assert code == 2
+    assert text.startswith("error: ParseError: ")
+
+
+LATTICE_CHAIN = {
+    "kind": "lattice-markov", "alphabet": [0, 1],
+    "p": ["1/3", "2/3"], "P": [["1/2", "1/2"], ["1/4", "3/4"]],
+}
+
+
+def test_window_eval_far_apart_sites(tmp_path):
+    measure = tmp_path / "lattice.json"
+    write_json(measure, LATTICE_CHAIN)
+    pat = tmp_path / "win.json"
+    write_json(pat, {"entries": [[[0], 0], [[3000], 1]]})
+    code, text = execute(
+        ["window-eval", "--measure", str(measure), "--pattern", str(pat)]
+    )
+    assert code == 0
+    # P has eigenvalues 1 and 1/4, so P^n[0][1] = p[1] (1 - 4^-n).
+    mass = F(1, 3) * F(2, 3) * (1 - F(1, 4**3000))
+    assert f"mass: {mass.numerator}/{mass.denominator}" in text.splitlines()
+
+
+def test_window_eval_unknown_symbol_exits_two(tmp_path):
+    measure = tmp_path / "lattice.json"
+    write_json(measure, LATTICE_CHAIN)
+    pat = tmp_path / "win.json"
+    write_json(pat, {"entries": [[[0], 0], [[2], 7]]})
+    code, text = execute(
+        ["window-eval", "--measure", str(measure), "--pattern", str(pat)]
+    )
+    assert code == 2
+    assert text.startswith("error: ValidationError: symbol 7")

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     balance_transform,
+    eval_cylinder_bruteforce,
     oracle_eval,
     oracle_hull,
     random_balance_violation,
@@ -34,7 +35,6 @@ from semishift import (
     counterexample_analyze,
     counterexample_chain,
     eval_cylinder,
-    eval_cylinder_bruteforce,
     extend_chain,
     is_invariant_chain,
     parse_word,
