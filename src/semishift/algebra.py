@@ -213,7 +213,7 @@ def in_semigroup(w: Word, gs: GeneratorSet) -> bool:
     letters, so the reduced word consists of Sigma-letters; conversely
     the letters of w, read in order, are such a product.
     """
-    return all(s in gs.sigma for s in w.letters)
+    return gs.sigma.issuperset(w.letters)
 
 
 def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
@@ -247,14 +247,24 @@ class Tree:
     root: Word
     edges: frozenset[Edge]
 
-    def children(self) -> dict[Word, list[tuple[Word, Symbol]]]:
-        out: dict[Word, list[tuple[Word, Symbol]]] = {v: [] for v in self.vertices}
-        for parent, child, g in sorted(self.edges, key=lambda e: e[1].key()):
-            out[parent].append((child, g))
-        return out
-
     def sorted_vertices(self) -> tuple[Word, ...]:
         return sorted_words(self.vertices)
+
+
+def _ancestor_closure(words: Iterable[Word], gs: GeneratorSet) -> set[tuple[Symbol, ...]]:
+    """Letter tuples of the sites and every suffix of them, the identity included.
+
+    Raises MembershipError for the first site outside S.
+    """
+    closure: set[tuple[Symbol, ...]] = {()}
+    for w in words:
+        if not in_semigroup(w, gs):
+            raise MembershipError(f"site {w or 'the empty word'} is not in <Sigma>+")
+        letters = w.letters
+        while letters not in closure:
+            closure.add(letters)
+            letters = letters[1:]
+    return closure
 
 
 def tree_hull(words: Iterable[Word], gs: GeneratorSet) -> Tree:
@@ -264,15 +274,9 @@ def tree_hull(words: Iterable[Word], gs: GeneratorSet) -> Tree:
     letter.  It is the unique minimal connected superset because paths in
     a tree are unique.
     """
-    vertices = {EPSILON}
-    for w in words:
-        if not in_semigroup(w, gs):
-            raise MembershipError(f"site {w or 'the empty word'} is not in <Sigma>+")
-        while w not in vertices:
-            vertices.add(w)
-            w = w.tail()
+    vertices = frozenset(Word(t) for t in _ancestor_closure(words, gs))
     edges = frozenset((v.tail(), v, v.head()) for v in vertices if len(v) > 0)
-    return Tree(frozenset(vertices), EPSILON, edges)
+    return Tree(vertices, EPSILON, edges)
 
 
 @dataclass(frozen=True)

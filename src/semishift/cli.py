@@ -351,9 +351,15 @@ def _load_matrices(source: str) -> list:
     if not isinstance(data, list) or not data:
         raise ParseError("--matrices: expected a nonempty list of integer matrices")
     for m in data:
+        if not (
+            isinstance(m, list)
+            and len(m) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in m)
+        ):
+            raise ParseError(f"--matrices: {json.dumps(m)} is not a 2x2 matrix")
         for row in m:
             for x in row:
-                if not isinstance(x, int):
+                if type(x) is not int:
                     raise ParseError(f"--matrices: entry {x!r} is not an integer")
     return data
 

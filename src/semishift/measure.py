@@ -4,8 +4,11 @@ A chain is a positive probability vector p over a finite alphabet plus
 one stochastic matrix per generator.  The measure of a fully labelled
 tree rooted at the identity is p at the root times one transition factor
 per edge; partial patterns are evaluated by marginalizing the
-unconstrained hull sites, done exactly in rational arithmetic by dynamic
-programming from the leaves to the root.
+unconstrained hull sites, by dynamic programming from the leaves to the
+root.  The dynamic program runs in integers: every entry of p and of the
+matrices is scaled by D, the lcm of their denominators, and the result
+is divided by D to the number of hull vertices once at the end, so it
+stays exact.
 
 The invariance conditions are algebraic: p must be a left fixed vector
 of every transition matrix, and whenever Sigma contains a generator
@@ -17,20 +20,21 @@ invariance of the whole measure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .algebra import (
-    EPSILON,
     GeneratorSet,
     Symbol,
     Word,
+    _ancestor_closure,
     ball,
     in_semigroup,
     sorted_words,
-    tree_hull,
     word_mul,
 )
 from .errors import (
@@ -145,6 +149,7 @@ class ChainDiagnostics:
 
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+IntRows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -197,6 +202,21 @@ class MarkovTreeChain:
     @cached_property
     def symbol_index(self) -> dict[object, int]:
         return {c: i for i, c in enumerate(self.alphabet)}
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...], dict[Symbol, IntRows]]:
+        """(D, D*p, D*P[g] per generator), D the lcm of every denominator."""
+        entries = [*self.p, *(x for _, rows in self.transitions for row in rows for x in row)]
+        scale = math.lcm(*(Fraction(x).denominator for x in entries))
+
+        def scaled(xs) -> tuple[int, ...]:
+            return tuple(int(x * scale) for x in xs)
+
+        return (
+            scale,
+            scaled(self.p),
+            {s: tuple(scaled(row) for row in rows) for s, rows in self.transitions},
+        )
 
     @cached_property
     def diagnostics(self) -> ChainDiagnostics:
@@ -291,24 +311,24 @@ def eval_constrained(
     """
     _require_valid(chain)
     allowed = _constraint_indices(chain, constraints)
-    hull = tree_hull(allowed.keys(), chain.gs)
-    children = hull.children()
-    n = len(chain.alphabet)
-    full = frozenset(range(n))
-    table: dict[Word, list[Fraction]] = {}
-    # Leaves first: vertices in order of decreasing length.
-    for w in sorted(hull.vertices, key=lambda v: -len(v)):
-        ok = allowed.get(w, full)
-        row = [ONE if k in ok else ZERO for k in range(n)]
-        for child, g in children[w]:
-            rows = chain.matrix[g]
-            sub = table[child]
-            for k in range(n):
-                if row[k]:
-                    row[k] *= sum((rows[k][l] * sub[l] for l in range(n)), ZERO)
-        table[w] = row
-    root = table[EPSILON]
-    return sum((chain.p[k] * root[k] for k in range(n)), ZERO)
+    hull = _ancestor_closure(allowed, chain.gs)
+    scale, p, matrices = chain.integer_form
+    n = len(p)
+    # Each row is D^(size of its subtree - 1) times the exact row.
+    rows = {w.letters: [1 if k in ok else 0 for k in range(n)] for w, ok in allowed.items()}
+    # Leaves first, each vertex folding its finished row into its parent's;
+    # the identity sorts last and has no parent.
+    for t in sorted(hull, key=len, reverse=True)[:-1]:
+        sub = rows[t]
+        parent = rows.get(t[1:])
+        if parent is None:
+            parent = rows[t[1:]] = [1] * n
+        weights = matrices[t[0]]
+        for k, x in enumerate(parent):
+            if x:
+                parent[k] = x * sum(map(mul, weights[k], sub))
+    root = rows.get((), [1] * n)
+    return Fraction(sum(map(mul, p, root)), scale ** len(hull))
 
 
 def eval_cylinder(chain: MarkovTreeChain, pattern: Pattern) -> Fraction:

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .algebra import GeneratorSet, Symbol, Word, ball, in_semigroup, sorted_words
@@ -169,7 +170,10 @@ def orbit_size(o: OrbitAutomaton) -> int:
 
 def is_periodic(o: OrbitAutomaton) -> bool:
     """True iff every generator acts bijectively on the orbit."""
-    m = minimized(o)
+    return _acts_bijectively(minimized(o))
+
+
+def _acts_bijectively(m: OrbitAutomaton) -> bool:
     return all(_is_permutation(row) for row in m.delta.values())
 
 
@@ -378,8 +382,8 @@ class PeriodicMeasure:
         for o in self.orbits[1:]:
             if o.gs != first.gs or tuple(o.alphabet) != tuple(first.alphabet):
                 raise ValidationError("orbits must share S and alphabet")
-        for o in self.orbits:
-            if not is_periodic(o):
+        for m in self.minimized_orbits:
+            if not _acts_bijectively(m):
                 raise NotPeriodic("every orbit in a periodic measure must be periodic")
 
     @property
@@ -389,6 +393,10 @@ class PeriodicMeasure:
     @property
     def alphabet(self) -> tuple:
         return tuple(self.orbits[0].alphabet)
+
+    @cached_property
+    def minimized_orbits(self) -> tuple[OrbitAutomaton, ...]:
+        return tuple(minimized(o) for o in self.orbits)
 
     def eval(self, pattern: Pattern) -> Fraction:
         return periodic_measure_eval(self, pattern)
@@ -400,8 +408,7 @@ def periodic_measure_eval(pm: PeriodicMeasure, pattern: Pattern) -> Fraction:
         if not in_semigroup(w, pm.gs):
             raise MembershipError(f"site {w or 'the empty word'} is not in <Sigma>+")
     total = ZERO
-    for o, weight in zip(pm.orbits, pm.weights):
-        m = minimized(o)
+    for m, weight in zip(pm.minimized_orbits, pm.weights):
         hits = 0
         for q in range(m.n_states()):
             if all(m.labels[_walk(m, q, w)] == c for w, c in pattern.items()):

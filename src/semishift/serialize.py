@@ -98,6 +98,13 @@ def _signed_key(key: str, what: str, where: str) -> int:
     return int(key)
 
 
+def _int_in(value: Any, what: str, where: str) -> int:
+    """A JSON integer; a bool, a float or a string is refused, not converted."""
+    if type(value) is not int:
+        raise ParseError(f"{where}: {what} {value!r} is not an integer")
+    return value
+
+
 def _reader(default_where: str):
     """Make every error of a reader a ParseError prefixed with its ``where``.
 
@@ -194,7 +201,7 @@ def automaton_in(data: dict, where: str) -> OrbitAutomaton:
     labels = tuple(_symbol_in(c) for c in _need(data, "labels", where))
     delta = {
         Symbol.from_signed(_signed_key(key, "bad delta entry", where)): tuple(
-            int(q) for q in row
+            _int_in(q, f"delta[{key}] entry", where) for q in row
         )
         for key, row in _need(data, "delta", where).items()
     }
@@ -208,7 +215,7 @@ def automaton_in(data: dict, where: str) -> OrbitAutomaton:
         alphabet=alphabet,
         labels=labels,
         delta=delta,
-        base=int(_need(data, "base", where)),
+        base=_int_in(_need(data, "base", where), "base", where),
     )
 
 
@@ -227,7 +234,7 @@ def morphism_out(theta: dict[Symbol, tuple[int, ...]]) -> dict:
 def morphism_in(data: dict, where: str) -> dict[Symbol, tuple[int, ...]]:
     out = {
         Symbol.from_signed(_signed_key(key, "bad permutation for", where)): tuple(
-            int(i) for i in p
+            _int_in(i, f"theta[{key}] entry", where) for i in p
         )
         for key, p in _need(data, "theta", where).items()
     }

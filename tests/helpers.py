@@ -148,14 +148,22 @@ def oracle_hull(sites):
 
 def oracle_eval(chain: MarkovTreeChain, pattern) -> Fraction:
     """Mass by enumerating every completion of the hull, no DP."""
+    return oracle_eval_constrained(chain, {w: (c,) for w, c in pattern.items()})
+
+
+def oracle_eval_constrained(chain: MarkovTreeChain, constraints) -> Fraction:
+    """Mass of 'each site's symbol lies in its allowed set', by enumeration.
+
+    Every labelling of the hull that respects the constraints contributes
+    p at the root times one transition factor per edge; no DP.
+    """
     idx = {c: i for i, c in enumerate(chain.alphabet)}
-    fixed = {w: idx[c] for w, c in pattern.items()}
-    hull = oracle_hull(fixed)
-    free = [w for w in hull if w not in fixed]
+    allowed = {w: sorted(idx[c] for c in cs) for w, cs in constraints.items()}
+    hull = oracle_hull(allowed)
+    choices = [allowed.get(w, range(len(chain.alphabet))) for w in hull]
     total = ZERO
-    for combo in itertools.product(range(len(chain.alphabet)), repeat=len(free)):
-        x = dict(fixed)
-        x.update(zip(free, combo))
+    for combo in itertools.product(*choices):
+        x = dict(zip(hull, combo))
         weight = chain.p[x[EPSILON]]
         for w in hull:
             if len(w) > 0:

@@ -444,3 +444,38 @@ def test_window_eval_unknown_symbol_exits_two(tmp_path):
     )
     assert code == 2
     assert text.startswith("error: ValidationError: symbol 7")
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    ["[[[1]]]", "[[1,2],[0,1]]", "[[[1,2],[0,1],[1,1]]]", "[[[1,2],[0,true]]]"],
+)
+def test_counterexample_bad_matrix_shape_exits_two(matrices):
+    code, text = execute(
+        ["counterexample", "--matrices", matrices, "--word", "a1", "--prime", "5"]
+    )
+    assert code == 2
+    assert text.startswith("error: ParseError: --matrices: ")
+
+
+@pytest.mark.parametrize(
+    "command, role, data",
+    [
+        ("orbit-analyze", "--automaton",
+         {**automaton_out(swap_orbit()), "delta": {"1": [1.7, 0.2], "2": [1, 0]}}),
+        ("orbit-analyze", "--automaton", {**automaton_out(swap_orbit()), "base": 0.0}),
+        ("orbit-analyze", "--automaton", {**automaton_out(swap_orbit()), "base": False}),
+        ("thm-a-construct", "--morphism", {"k": 2, "theta": {"1": [1.0, 0], "2": [1, 0]}}),
+        ("thm-a-construct", "--morphism", {"k": 2, "theta": {"1": [True, 0], "2": [1, 0]}}),
+    ],
+)
+def test_non_integer_entry_exits_two(tmp_path, command, role, data):
+    path = tmp_path / "input.json"
+    write_json(path, data)
+    argv = [command, role, str(path)]
+    if command == "thm-a-construct":
+        argv += ["--pattern", str(pattern_file(tmp_path, {"": 0}))]
+    code, text = execute(argv)
+    assert code == 2
+    assert text.startswith(f"error: ParseError: {path}: ")
+    assert "is not an integer" in text

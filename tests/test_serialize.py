@@ -123,6 +123,21 @@ def test_morphism_round_trip():
         morphism_in({"theta": {}})
 
 
+def test_automaton_and_morphism_refuse_non_integers():
+    data = automaton_out(swap_orbit())
+    for bad in (
+        {"delta": {"1": [1.7, 0.2], "2": [1, 0]}},
+        {"delta": {"1": ["1", "0"], "2": [1, 0]}},
+        {"base": 1.0},
+        {"base": True},
+    ):
+        with pytest.raises(ParseError, match="is not an integer"):
+            automaton_in(through_json({**data, **bad}))
+    for bad in ([1.0, 0], [True, False], "10"):
+        with pytest.raises(ParseError, match="is not an integer"):
+            morphism_in({"k": 2, "theta": {"1": bad}})
+
+
 def test_lattice_pattern_round_trip():
     pattern = LatticePattern.of({(-1, 2): 0, (3, 0): 1})
     back = lattice_pattern_in(through_json(lattice_pattern_out(pattern)))
