@@ -216,6 +216,12 @@ def in_semigroup(w: Word, gs: GeneratorSet) -> bool:
     return gs.sigma.issuperset(w.letters)
 
 
+def require_in_semigroup(w: Word, gs: GeneratorSet) -> None:
+    """Raise MembershipError unless the site w lies in S = <Sigma>+."""
+    if not in_semigroup(w, gs):
+        raise MembershipError(f"site {w or 'the empty word'} is not in <Sigma>+")
+
+
 def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
     """All elements of S reachable from the identity in at most r steps."""
     if r < 0:
@@ -258,8 +264,7 @@ def _ancestor_closure(words: Iterable[Word], gs: GeneratorSet) -> set[tuple[Symb
     """
     closure: set[tuple[Symbol, ...]] = {()}
     for w in words:
-        if not in_semigroup(w, gs):
-            raise MembershipError(f"site {w or 'the empty word'} is not in <Sigma>+")
+        require_in_semigroup(w, gs)
         letters = w.letters
         while letters not in closure:
             closure.add(letters)

@@ -40,7 +40,6 @@ from .orbit import (
     is_periodic,
     is_transitive,
     lift_to_group,
-    minimized,
     orbit_size,
     readout,
     theorem_a_point,
@@ -235,11 +234,10 @@ def _cmd_consistency(args: argparse.Namespace) -> tuple[int, list[Row]]:
 def _cmd_orbit_analyze(args: argparse.Namespace) -> tuple[int, list[Row]]:
     """periodicity, transitivity, orbit size, transformation monoid"""
     automaton = automaton_in(read_json(args.automaton), str(args.automaton))
-    small = minimized(automaton)
     size, group = transformation_monoid(automaton)
     rows: list[Row] = [
         ("states", automaton.n_states()),
-        ("states_minimized", small.n_states()),
+        ("states_minimized", automaton.minimal.n_states()),
         ("pre_periodic", True),
         ("periodic", is_periodic(automaton)),
         ("transitive", is_transitive(automaton)),

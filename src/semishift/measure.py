@@ -33,7 +33,7 @@ from .algebra import (
     Word,
     _ancestor_closure,
     ball,
-    in_semigroup,
+    require_in_semigroup,
     sorted_words,
     word_mul,
 )
@@ -41,7 +41,6 @@ from .errors import (
     DeltaOutOfRange,
     EmptyWord,
     InvalidChain,
-    MembershipError,
     NonInvertibleModP,
     NotInvariant,
     NoWitness,
@@ -106,14 +105,8 @@ class Pattern:
             merged[w] = c
         return Pattern(tuple(merged.items()))
 
-    def restricted(self, sites: Collection[Word]) -> "Pattern":
-        return Pattern(tuple((w, c) for w, c in self.entries if w in sites))
-
     def render(self) -> str:
         return "{" + ", ".join(f"{w or 'e'}={c!r}" for w, c in self.entries) + "}"
-
-
-EMPTY_PATTERN = Pattern(())
 
 
 class CylinderMeasure(Protocol):
@@ -443,8 +436,7 @@ class BernoulliMeasure:
     def eval(self, pattern: Pattern) -> Fraction:
         out = ONE
         for w, c in pattern.items():
-            if not in_semigroup(w, self.gs):
-                raise MembershipError(f"site {w or 'the empty word'} is not in <Sigma>+")
+            require_in_semigroup(w, self.gs)
             if c not in self._index:
                 raise ValidationError(f"symbol {c!r} is not in the alphabet")
             out *= self.probs[self._index[c]]
@@ -517,6 +509,15 @@ def _mat_inv_mod(x: IntMatrix, p: int) -> IntMatrix:
     )
 
 
+def _invertible_mod(matrices: Sequence[Sequence[Sequence[int]]], p: int) -> list[IntMatrix]:
+    """Each matrix reduced mod p; raises NonInvertibleModP at the first singular one."""
+    mods = []
+    for m in matrices:
+        mods.append(_mat_mod(m, p))
+        _mat_inv_mod(mods[-1], p)
+    return mods
+
+
 def _apply_mod(m: IntMatrix, v: tuple[int, int], p: int) -> tuple[int, int]:
     return ((m[0][0] * v[0] + m[0][1] * v[1]) % p, (m[1][0] * v[0] + m[1][1] * v[1]) % p)
 
@@ -552,11 +553,7 @@ def counterexample_chain(
     hi = Fraction(1, prime * prime - 1)
     if not (0 < delta < hi):
         raise DeltaOutOfRange(f"delta must satisfy 0 < delta < {hi}, got {delta}")
-    mods = []
-    for m in matrices:
-        mm = _mat_mod(m, prime)
-        _mat_inv_mod(mm, prime)
-        mods.append(mm)
+    mods = _invertible_mod(matrices, prime)
     alphabet = tuple((i, j) for i in range(prime) for j in range(prime))
     n = len(alphabet)
     stay = 1 - (n - 1) * delta
@@ -609,11 +606,7 @@ def counterexample_analyze(
         raise ValidationError(f"{prime} is not prime")
     if len(kernel_word) == 0:
         raise EmptyWord("kernel word must be nonempty")
-    mods = []
-    for m in matrices:
-        mm = _mat_mod(m, prime)
-        _mat_inv_mod(mm, prime)
-        mods.append(mm)
+    mods = _invertible_mod(matrices, prime)
     for s in kernel_word.letters:
         if s.index > len(mods):
             raise ValidationError(f"letter {s} has no matrix (got {len(mods)})")

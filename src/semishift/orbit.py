@@ -6,7 +6,8 @@ configuration shows at the identity.  Reading a word right to left from
 the base state therefore recovers the base configuration's symbol at
 that word.  All semantic questions (orbit size, periodicity,
 transitivity, the transformation monoid) are asked of the minimized
-automaton, where distinct states are distinct configurations.
+automaton, where distinct states are distinct configurations; each
+automaton computes that form once and keeps it as ``minimal``.
 """
 
 from __future__ import annotations
@@ -16,16 +17,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
-from .algebra import GeneratorSet, Symbol, Word, ball, in_semigroup, sorted_words
-from .errors import (
-    BudgetExhausted,
-    FactorizationError,
-    MembershipError,
-    NotPeriodic,
-    ValidationError,
-)
+from .algebra import GeneratorSet, Symbol, Word, ball, require_in_semigroup, sorted_words
+from .errors import BudgetExhausted, FactorizationError, NotPeriodic, ValidationError
 from .measure import ZERO, Pattern
 
 Perm = tuple[int, ...]
@@ -33,7 +28,7 @@ Perm = tuple[int, ...]
 
 def compose(outer: Perm, inner: Perm) -> Perm:
     """Apply inner first, then outer."""
-    return tuple(outer[i] for i in inner)
+    return tuple(map(outer.__getitem__, inner))
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -45,6 +40,18 @@ def perm_inverse(p: Perm) -> Perm:
 
 def _is_permutation(row: Sequence[int]) -> bool:
     return sorted(row) == list(range(len(row)))
+
+
+def _closure(start: Hashable, step: Callable[[Any], Iterable[Hashable]]) -> set:
+    """Everything reachable from start by repeated steps, start included."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for nxt in step(frontier.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 @dataclass(frozen=True, eq=True)
@@ -81,33 +88,31 @@ class OrbitAutomaton:
                     raise ValidationError(
                         f"delta[{sym}] and delta[{inv}] are not inverse bijections"
                     )
-        reached = {self.base}
-        frontier = [self.base]
-        while frontier:
-            q = frontier.pop()
-            for row in self.delta.values():
-                nxt = row[q]
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        if len(reached) != n:
+        rows = self.delta.values()
+        if len(_closure(self.base, lambda q: [row[q] for row in rows])) != n:
             raise ValidationError("every state must be reachable from the base")
 
     def n_states(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def minimal(self) -> "OrbitAutomaton":
+        """The minimized form, computed on first use and kept."""
+        return minimized(self)
+
 
 @dataclass(frozen=True, eq=True)
 class GroupOrbitAutomaton(OrbitAutomaton):
-    """Orbit automaton with bijective moves for every signed generator."""
+    """Orbit automaton with bijective moves for every signed generator.
+
+    Once Sigma is closed under inverses, the base checks already make
+    every row a permutation whose partner row is its inverse.
+    """
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.gs.sigma != {s.inverse() for s in self.gs.sigma}:
             raise ValidationError("Sigma must be closed under inverses")
-        for sym, row in self.delta.items():
-            if not _is_permutation(row):
-                raise ValidationError(f"delta[{sym}] is not a bijection")
 
 
 def _walk(o: OrbitAutomaton, start: int, w: Word) -> int:
@@ -119,8 +124,7 @@ def _walk(o: OrbitAutomaton, start: int, w: Word) -> int:
 
 def readout(o: OrbitAutomaton, w: Word) -> object:
     """The base configuration's symbol at site w."""
-    if not in_semigroup(w, o.gs):
-        raise MembershipError(f"site {w or 'the empty word'} is not in <Sigma>+")
+    require_in_semigroup(w, o.gs)
     return o.labels[_walk(o, o.base, w)]
 
 
@@ -165,12 +169,12 @@ def minimized(o: OrbitAutomaton) -> OrbitAutomaton:
 
 def orbit_size(o: OrbitAutomaton) -> int:
     """Number of distinct configurations in the orbit of the base point."""
-    return minimized(o).n_states()
+    return o.minimal.n_states()
 
 
 def is_periodic(o: OrbitAutomaton) -> bool:
     """True iff every generator acts bijectively on the orbit."""
-    return _acts_bijectively(minimized(o))
+    return _acts_bijectively(o.minimal)
 
 
 def _acts_bijectively(m: OrbitAutomaton) -> bool:
@@ -179,7 +183,7 @@ def _acts_bijectively(m: OrbitAutomaton) -> bool:
 
 def is_transitive(o: OrbitAutomaton) -> bool:
     """True iff every configuration in the orbit reaches every other."""
-    m = minimized(o)
+    m = o.minimal
     n = m.n_states()
     # All states are reachable from the base, so strong connectivity is
     # equivalent to the base being reachable from every state.
@@ -187,34 +191,20 @@ def is_transitive(o: OrbitAutomaton) -> bool:
     for row in m.delta.values():
         for q, nxt in enumerate(row):
             reverse[nxt].add(q)
-    seen = {m.base}
-    frontier = [m.base]
-    while frontier:
-        q = frontier.pop()
-        for prev in reverse[q]:
-            if prev not in seen:
-                seen.add(prev)
-                frontier.append(prev)
-    return len(seen) == n
+    return len(_closure(m.base, reverse.__getitem__)) == n
 
 
 def transformation_monoid(o: OrbitAutomaton) -> tuple[int, bool]:
-    """Size of the monoid of orbit maps induced by S, and whether it is a group."""
-    m = minimized(o)
-    n = m.n_states()
-    syms = m.gs.symbols()
-    gens = [m.delta[s] for s in syms]
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        f = frontier.pop()
-        for g in gens:
-            h = tuple(f[g[q]] for q in range(n))
-            if h not in seen:
-                seen.add(h)
-                frontier.append(h)
-    return len(seen), all(_is_permutation(f) for f in seen)
+    """Size of the monoid of orbit maps induced by S, and whether it is a group.
+
+    The monoid is a group exactly when every generator is a bijection:
+    each generator lies in the monoid, and bijections of a finite set
+    compose to bijections whose inverses are positive powers.
+    """
+    m = o.minimal
+    gens = [m.delta[s] for s in m.gs.symbols()]
+    monoid = _closure(tuple(range(m.n_states())), lambda f: [compose(f, g) for g in gens])
+    return len(monoid), _acts_bijectively(m)
 
 
 def _morphism_image(theta: Mapping[Symbol, Perm], w: Word, degree: int) -> Perm:
@@ -272,8 +262,7 @@ def theorem_a_point(
         raise ValidationError(f"fill symbol {fill!r} is not in the alphabet")
     word_labels: dict[Perm, object] = {}
     for w, c in pattern.items():
-        if not in_semigroup(w, gs):
-            raise MembershipError(f"site {w or 'the empty word'} is not in <Sigma>+")
+        require_in_semigroup(w, gs)
         if c not in alphabet:
             raise ValidationError(f"pattern symbol {c!r} is not in the alphabet")
         img = _morphism_image(theta_map, w, degree)
@@ -284,17 +273,8 @@ def theorem_a_point(
             )
         word_labels[img] = c
     identity = tuple(range(degree))
-    group = {identity}
-    frontier = [identity]
     gens = [theta_map[s] for s in gs.symbols()]
-    while frontier:
-        f = frontier.pop()
-        for g in gens:
-            h = compose(g, f)
-            if h not in group:
-                group.add(h)
-                frontier.append(h)
-    states = sorted(group)
+    states = sorted(_closure(identity, lambda f: [compose(g, f) for g in gens]))
     index = {f: i for i, f in enumerate(states)}
     labels = tuple(word_labels.get(f, fill) for f in states)
     delta = {
@@ -348,9 +328,9 @@ def lift_to_group(o: OrbitAutomaton) -> GroupOrbitAutomaton:
     a configuration over the whole group whose restriction to S is the
     original configuration.
     """
-    m = minimized(o)
-    if not all(_is_permutation(row) for row in m.delta.values()):
-        bad = next(s for s in m.gs.symbols() if not _is_permutation(m.delta[s]))
+    m = o.minimal
+    bad = next((s for s in m.gs.symbols() if not _is_permutation(m.delta[s])), None)
+    if bad is not None:
         raise NotPeriodic(f"delta[{bad}] is not a bijection on the orbit")
     delta: dict[Symbol, tuple[int, ...]] = dict(m.delta)
     for sym in m.gs.sigma:
@@ -382,8 +362,8 @@ class PeriodicMeasure:
         for o in self.orbits[1:]:
             if o.gs != first.gs or tuple(o.alphabet) != tuple(first.alphabet):
                 raise ValidationError("orbits must share S and alphabet")
-        for m in self.minimized_orbits:
-            if not _acts_bijectively(m):
+        for o in self.orbits:
+            if not _acts_bijectively(o.minimal):
                 raise NotPeriodic("every orbit in a periodic measure must be periodic")
 
     @property
@@ -394,10 +374,6 @@ class PeriodicMeasure:
     def alphabet(self) -> tuple:
         return tuple(self.orbits[0].alphabet)
 
-    @cached_property
-    def minimized_orbits(self) -> tuple[OrbitAutomaton, ...]:
-        return tuple(minimized(o) for o in self.orbits)
-
     def eval(self, pattern: Pattern) -> Fraction:
         return periodic_measure_eval(self, pattern)
 
@@ -405,10 +381,10 @@ class PeriodicMeasure:
 def periodic_measure_eval(pm: PeriodicMeasure, pattern: Pattern) -> Fraction:
     """Weighted fraction of orbit points whose configuration shows the pattern."""
     for w, _ in pattern.items():
-        if not in_semigroup(w, pm.gs):
-            raise MembershipError(f"site {w or 'the empty word'} is not in <Sigma>+")
+        require_in_semigroup(w, pm.gs)
     total = ZERO
-    for m, weight in zip(pm.minimized_orbits, pm.weights):
+    for o, weight in zip(pm.orbits, pm.weights):
+        m = o.minimal
         hits = 0
         for q in range(m.n_states()):
             if all(m.labels[_walk(m, q, w)] == c for w, c in pattern.items()):

@@ -292,6 +292,47 @@ def random_automaton(
     )
 
 
+def oracle_monoid(o: OrbitAutomaton) -> tuple[int, bool]:
+    """Transformation monoid size and group flag, recomputed without minimized.
+
+    Two states are one configuration iff their labels agree after every
+    sequence of moves shorter than the number of states (Moore's bound).
+    The monoid is the closure of the generator maps on those classes,
+    and it is a group iff every one of its elements is a bijection.
+    """
+    n = o.n_states()
+    rows = list(o.delta.values())
+
+    def signature(q):
+        out = []
+        for length in range(n):
+            for moves in itertools.product(rows, repeat=length):
+                r = q
+                for row in moves:
+                    r = row[r]
+                out.append(o.labels[r])
+        return tuple(out)
+
+    signatures = [signature(q) for q in range(n)]
+    classes = {sig: i for i, sig in enumerate(dict.fromkeys(signatures))}
+    reps = {classes[sig]: q for q, sig in reversed(list(enumerate(signatures)))}
+    k = len(classes)
+    maps = [
+        tuple(classes[signatures[row[reps[c]]]] for c in range(k)) for row in rows
+    ]
+    identity = tuple(range(k))
+    monoid = {identity}
+    queue = [identity]
+    while queue:
+        f = queue.pop()
+        for g in maps:
+            h = tuple(g[f[c]] for c in range(k))
+            if h not in monoid:
+                monoid.add(h)
+                queue.append(h)
+    return len(monoid), all(sorted(f) == list(identity) for f in monoid)
+
+
 def swap_orbit() -> OrbitAutomaton:
     """Two states with alternating labels; every generator swaps them."""
     gs = GeneratorSet.from_signed((1, 2))

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_automaton, swap_orbit, two_point_orbit
+import semishift.orbit
+from helpers import oracle_monoid, random_automaton, swap_orbit, two_point_orbit
 from semishift import (
     BudgetExhausted,
     EPSILON,
@@ -16,6 +17,7 @@ from semishift import (
     Pattern,
     PeriodicMeasure,
     Symbol,
+    ValidationError,
     ball,
     find_separating_morphism,
     in_semigroup,
@@ -30,6 +32,8 @@ from semishift import (
     theorem_a_point,
     transformation_monoid,
 )
+from semishift.cli import execute
+from semishift.serialize import automaton_out, write_json
 
 F = Fraction
 GS2 = GeneratorSet.from_signed((1, 2))
@@ -102,6 +106,50 @@ def test_transformation_monoid_examples():
     assert transformation_monoid(swap_orbit()) == (2, True)
     assert transformation_monoid(two_point_orbit()) == (3, False)
     assert transformation_monoid(loop_orbit()) == (1, True)
+
+
+def test_transformation_monoid_matches_oracle():
+    rng = random.Random(501)
+    for _ in range(120):
+        o = random_automaton(rng, rng.randrange(1, 6), rng.random() < 0.5)
+        assert transformation_monoid(o) == oracle_monoid(o)
+
+
+def test_group_automaton_refuses_non_bijective_row():
+    gs = GeneratorSet.from_signed((1, -1))
+    with pytest.raises(ValidationError, match="not inverse bijections"):
+        GroupOrbitAutomaton(
+            gs=gs, alphabet=(0, 1), labels=(0, 1),
+            delta={A: (1, 1), A.inverse(): (0, 1)}, base=0,
+        )
+    with pytest.raises(ValidationError, match="closed under inverses"):
+        GroupOrbitAutomaton(
+            gs=GS2, alphabet=(0, 1), labels=(0, 1),
+            delta={A: (1, 1), B: (0, 0)}, base=0,
+        )
+
+
+def test_each_automaton_is_minimized_once(monkeypatch, tmp_path):
+    calls = []
+    original = semishift.orbit.minimized
+
+    def counting(o):
+        calls.append(o)
+        return original(o)
+
+    monkeypatch.setattr(semishift.orbit, "minimized", counting)
+    path = tmp_path / "auto.json"
+    write_json(path, automaton_out(two_point_orbit()))
+    code, text = execute(["orbit-analyze", "--automaton", str(path)])
+    assert code == 0 and "monoid_size: 3" in text
+    assert len(calls) == 1
+
+    calls.clear()
+    orbits = (swap_orbit(), loop_orbit(0), loop_orbit(1))
+    pm = PeriodicMeasure(orbits, (F(1, 2), F(1, 4), F(1, 4)))
+    for pattern in ({}, {EPSILON: 0}, {EPSILON: 1, w("a1"): 0}, {w("a2a1"): 1}):
+        pm.eval(Pattern.of(pattern))
+    assert [id(o) for o in calls] == [id(o) for o in orbits]
 
 
 def test_theorem_a_parity_example():
