@@ -202,13 +202,8 @@ def _cmd_markovize(args: argparse.Namespace) -> tuple[int, list[Row]]:
     if not result.invariance.ok:
         rows.append(("witness", result.invariance.witness))
     if args.out is not None:
-        chain = result.chain
-        names = tuple(f"B{i}" for i in range(len(chain.alphabet)))
-        renamed = MarkovTreeChain.make(
-            chain.gs, names, chain.p, dict(chain.transitions)
-        )
         payload = {
-            **measure_out(renamed),
+            **measure_out(result.chain),
             "blocks": block_alphabet_out(result.blocks, measure.gs.d),
         }
         write_json(args.out, payload)
@@ -322,7 +317,8 @@ def _cmd_lift(args: argparse.Namespace) -> tuple[int, list[Row]]:
     rows: list[Row] = [
         ("states", lifted.n_states()),
         ("sigma", ",".join(str(s.signed) for s in lifted.gs.symbols())),
-        ("periodic", is_periodic(lifted)),
+        # lift_to_group refuses a non-periodic input and keeps its minimal form
+        ("periodic", is_periodic(automaton)),
     ]
     if args.out is not None:
         write_json(args.out, automaton_out(lifted))

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .algebra import EPSILON, GeneratorSet, Word, ball, sorted_words
 from .errors import MembershipError, OracleNotNormalized
 from .measure import (
+    ZERO,
     CheckResult,
     ChainDiagnostics,
     CylinderMeasure,
@@ -26,7 +27,7 @@ from .measure import (
     all_patterns,
     eval_constrained,
     is_invariant_chain,
-    validate_chain,
+    require_distinct_symbols,
 )
 
 
@@ -40,6 +41,7 @@ class BlockAlphabet:
     masses: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        require_distinct_symbols(self.blocks, "blocks")
         if len(self.blocks) != len(self.masses):
             raise ValueError("one mass per block required")
         for b, m in zip(self.blocks, self.masses):
@@ -79,27 +81,27 @@ class MarkovizationResult:
 def markovize(measure: CylinderMeasure, order: int) -> MarkovizationResult:
     """Recode a measure as a chain over its order-m block alphabet.
 
+    The chain names block i ``B{i}``, in the order of ``blocks``.
     Transition masses condition the joint pattern on the ball union its
     translate; blocks whose overlap disagrees get mass zero.  A
     non-invariant source measure is not an error: the result simply
     reports the failed invariance check.
     """
     ba = support_alphabet(measure, order)
-    total = sum(ba.masses, Fraction(0))
+    total = sum(ba.masses, ZERO)
     if total != 1:
         raise OracleNotNormalized(f"block masses sum to {total}, not 1")
     matrices = {}
     for sym in measure.gs.symbols():
+        moved = [beta.translated(sym) for beta in ba.blocks]
         rows = []
         for alpha, mass in zip(ba.blocks, ba.masses):
-            row = []
-            for beta in ba.blocks:
-                joint = alpha.union(beta.translated(sym))
-                row.append(Fraction(0) if joint is None else measure.eval(joint) / mass)
-            rows.append(tuple(row))
+            joints = (alpha.union(beta) for beta in moved)
+            rows.append(tuple(ZERO if j is None else measure.eval(j) / mass for j in joints))
         matrices[sym] = tuple(rows)
-    chain = MarkovTreeChain.make(measure.gs, ba.blocks, ba.masses, matrices)
-    diag = validate_chain(chain)
+    names = tuple(f"B{i}" for i in range(len(ba)))
+    chain = MarkovTreeChain.make(measure.gs, names, ba.masses, matrices)
+    diag = chain.diagnostics
     if diag:
         invariance = is_invariant_chain(chain)
     else:
@@ -128,13 +130,11 @@ class MarkovizedMeasure:
         return self.result.base_alphabet
 
     def eval(self, pattern: Pattern) -> Fraction:
-        constraints = {}
-        for w, c in pattern.items():
-            allowed = tuple(
-                b for b in self.result.blocks.blocks if b[EPSILON] == c
-            )
-            constraints[w] = allowed
-        return eval_constrained(self.result.chain, constraints)
+        chain = self.result.chain
+        showing: dict[object, list[str]] = {}
+        for name, block in zip(chain.alphabet, self.result.blocks.blocks):
+            showing.setdefault(block[EPSILON], []).append(name)
+        return eval_constrained(chain, {w: showing.get(c, ()) for w, c in pattern.items()})
 
 
 def markovization_consistency(

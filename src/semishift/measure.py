@@ -109,6 +109,16 @@ class Pattern:
         return "{" + ", ".join(f"{w or 'e'}={c!r}" for w, c in self.entries) + "}"
 
 
+def require_distinct_symbols(symbols: Sequence, what: str = "alphabet") -> None:
+    """Refuse an empty list, an unhashable symbol or a repeated one."""
+    try:
+        distinct = len(set(symbols)) == len(symbols)
+    except TypeError as exc:
+        raise ValidationError(f"{what} symbols must be hashable: {exc}") from None
+    if not (symbols and distinct):
+        raise ValidationError(f"{what} must be nonempty without repeats")
+
+
 class CylinderMeasure(Protocol):
     """Anything that evaluates cylinder patterns over a fixed S exactly."""
 
@@ -155,9 +165,8 @@ class MarkovTreeChain:
     transitions: tuple[tuple[Symbol, Matrix], ...]
 
     def __post_init__(self) -> None:
+        require_distinct_symbols(self.alphabet)
         n = len(self.alphabet)
-        if len(set(self.alphabet)) != n or n == 0:
-            raise ValueError("alphabet must be nonempty without repeats")
         if len(self.p) != n:
             raise ValueError(f"p has length {len(self.p)}, alphabet has {n} symbols")
         keys = [s for s, _ in self.transitions]
@@ -239,15 +248,18 @@ def validate_chain(chain: MarkovTreeChain) -> ChainDiagnostics:
     return ChainDiagnostics(tuple(problems))
 
 
+def _require_valid(chain: MarkovTreeChain) -> None:
+    if not chain.diagnostics:
+        raise InvalidChain("; ".join(chain.diagnostics.problems))
+
+
 def is_invariant_chain(chain: MarkovTreeChain) -> CheckResult:
     """Finite certificate for shift invariance of the chain's measure.
 
     Requires p P^a = p for every a in Sigma and, for every inverse pair
     inside Sigma, detailed balance p_k P^{a^-1}[k][l] = p_l P^a[l][k].
     """
-    diag = chain.diagnostics
-    if not diag:
-        raise InvalidChain("; ".join(diag.problems))
+    _require_valid(chain)
     syms = chain.gs.symbols()
     for sym in syms:
         rows = chain.matrix[sym]
@@ -272,11 +284,6 @@ def is_invariant_chain(chain: MarkovTreeChain) -> CheckResult:
                             f"!= p[{l}] P^{sym}[{l}][{k}] = {rhs}",
                         )
     return CheckResult(True)
-
-
-def _require_valid(chain: MarkovTreeChain) -> None:
-    if not chain.diagnostics:
-        raise InvalidChain("; ".join(chain.diagnostics.problems))
 
 
 def _constraint_indices(
@@ -424,6 +431,7 @@ class BernoulliMeasure:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        require_distinct_symbols(self.alphabet)
         if len(self.probs) != len(self.alphabet):
             raise ValidationError("one probability per alphabet symbol required")
         if any(q < 0 for q in self.probs) or sum(self.probs, ZERO) != 1:

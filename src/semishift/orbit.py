@@ -21,7 +21,7 @@ from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .algebra import GeneratorSet, Symbol, Word, ball, require_in_semigroup, sorted_words
 from .errors import BudgetExhausted, FactorizationError, NotPeriodic, ValidationError
-from .measure import ZERO, Pattern
+from .measure import ZERO, Pattern, require_distinct_symbols
 
 Perm = tuple[int, ...]
 
@@ -362,6 +362,7 @@ class PeriodicMeasure:
         for o in self.orbits[1:]:
             if o.gs != first.gs or tuple(o.alphabet) != tuple(first.alphabet):
                 raise ValidationError("orbits must share S and alphabet")
+        require_distinct_symbols(first.alphabet)
         for o in self.orbits:
             if not _acts_bijectively(o.minimal):
                 raise NotPeriodic("every orbit in a periodic measure must be periodic")

@@ -17,7 +17,7 @@ from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 from .algebra import LatticeVector, vec_add, vec_min, vec_sub
 from .errors import MembershipError, ValidationError
-from .measure import ONE, ZERO, CheckResult
+from .measure import ONE, ZERO, CheckResult, require_distinct_symbols
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,7 @@ class LatticeBernoulli:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        require_distinct_symbols(self.alphabet)
         if len(self.probs) != len(self.alphabet):
             raise ValidationError("one probability per alphabet symbol required")
         if any(q < 0 for q in self.probs) or sum(self.probs, ZERO) != 1:
@@ -135,6 +136,7 @@ class LatticeMarkov:
     d: int = 1
 
     def __post_init__(self) -> None:
+        require_distinct_symbols(self.alphabet)
         n = len(self.alphabet)
         if len(self.p) != n or len(self.P) != n or any(len(r) != n for r in self.P):
             raise ValidationError("p and P must match the alphabet size")
@@ -172,6 +174,7 @@ class LatticeTable:
     table: tuple[tuple[LatticePattern, Fraction], ...]
 
     def __post_init__(self) -> None:
+        require_distinct_symbols(self.alphabet)
         if len(self.box) != self.d or any(b < 1 for b in self.box):
             raise ValidationError("box must list one positive extent per dimension")
         if sum((mass for _, mass in self.table), ZERO) != 1:

@@ -3,7 +3,8 @@
 Rationals are always written as ``num/den`` strings, never as decimals.
 Words use the letter syntax from ``algebra`` (empty string for the
 identity).  Alphabet symbols may be strings, integers, or integer pairs;
-pairs are written as two-element lists.  Measure files carry a ``kind``
+pairs are written as two-element lists, and a JSON object is never a
+symbol.  Measure files carry a ``kind``
 tag; ``MEASURE_KINDS`` maps each tag to its class and to the readers and
 writers of its fields.
 
@@ -64,6 +65,8 @@ def _symbol_out(value: Any) -> Any:
 def _symbol_in(value: Any) -> Any:
     if isinstance(value, list):
         return tuple(_symbol_in(v) for v in value)
+    if isinstance(value, dict):
+        raise ParseError(f"a JSON object cannot be a symbol: {json.dumps(value)}")
     return value
 
 

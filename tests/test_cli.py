@@ -479,3 +479,58 @@ def test_non_integer_entry_exits_two(tmp_path, command, role, data):
     assert code == 2
     assert text.startswith(f"error: ParseError: {path}: ")
     assert "is not an integer" in text
+
+
+OBJECT = {"a": 1}
+BERNOULLI = {"kind": "bernoulli", "d": 2, "sigma": [1, 2], "alphabet": [0, 1],
+             "probs": ["1/2", "1/2"]}
+LATTICE_BERNOULLI = {"kind": "lattice-bernoulli", "d": 1, "alphabet": [0, 1],
+                     "probs": ["1/2", "1/2"]}
+
+
+@pytest.mark.parametrize(
+    "command, measure, pattern",
+    [
+        ("eval", measure_out(worked_chain(2)), {"entries": [["", OBJECT]]}),
+        ("eval", BERNOULLI, {"entries": [["", OBJECT]]}),
+        ("eval", {"kind": "mixture", "components": [BERNOULLI], "weights": ["1/1"]},
+         {"entries": [["", OBJECT]]}),
+        ("window-eval", LATTICE_BERNOULLI, {"entries": [[[0], OBJECT]]}),
+        ("window-eval", LATTICE_CHAIN, {"entries": [[[0], OBJECT]]}),
+        ("window-eval", {**LATTICE_BERNOULLI, "alphabet": [0, OBJECT]},
+         {"entries": [[[0], 0]]}),
+        ("invariance-check", {**BERNOULLI, "alphabet": [0, OBJECT]}, None),
+        ("thm-a-construct", None, {"entries": [["", OBJECT]]}),
+    ],
+    ids=["chain", "bernoulli", "mixture", "lattice-bernoulli", "lattice-markov",
+         "lattice-alphabet", "alphabet", "thm-a-construct"],
+)
+def test_json_object_symbol_exits_two(tmp_path, command, measure, pattern):
+    argv = [command]
+    if measure is not None:
+        write_json(tmp_path / "measure.json", measure)
+        argv += ["--measure", str(tmp_path / "measure.json")]
+    if pattern is not None:
+        write_json(tmp_path / "pattern.json", pattern)
+        argv += ["--pattern", str(tmp_path / "pattern.json")]
+    if command == "thm-a-construct":
+        write_json(tmp_path / "theta.json", {"k": 2, "theta": {"1": [1, 0], "2": [1, 0]}})
+        argv += ["--morphism", str(tmp_path / "theta.json")]
+    code, text = execute(argv)
+    assert code == 2
+    assert text.startswith("error: ParseError: ")
+    assert 'a JSON object cannot be a symbol: {"a": 1}' in text
+
+
+def test_repeated_alphabet_symbol_exits_two(tmp_path):
+    orbit = {**automaton_out(swap_orbit()), "alphabet": [0, 0], "labels": [0, 0]}
+    periodic = {"kind": "periodic", "orbits": [orbit], "weights": ["1/1"]}
+    bernoulli = {**BERNOULLI, "alphabet": [0, 0]}
+    pat = pattern_file(tmp_path, {"": 0})
+    for name, data in (("bernoulli", bernoulli), ("periodic", periodic)):
+        path = tmp_path / f"{name}.json"
+        write_json(path, data)
+        for argv in (["eval", "--pattern", str(pat)], ["markovize", "--order", "1"]):
+            code, text = execute([*argv, "--measure", str(path)])
+            assert code == 2
+            assert text.endswith("alphabet must be nonempty without repeats")

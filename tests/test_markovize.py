@@ -7,6 +7,7 @@ import pytest
 from helpers import swap_orbit, worked_chain
 from semishift import (
     BernoulliMeasure,
+    BlockAlphabet,
     EPSILON,
     GeneratorSet,
     MarkovizedMeasure,
@@ -14,6 +15,7 @@ from semishift import (
     OracleNotNormalized,
     Pattern,
     PeriodicMeasure,
+    ValidationError,
     Word,
     all_patterns,
     ball,
@@ -26,6 +28,8 @@ from semishift import (
     validate_chain,
     weak_star_distance,
 )
+from semishift.cli import execute
+from semishift.serialize import chain_in, measure_out, read_json, write_json
 
 F = Fraction
 GS2 = GeneratorSet.from_signed((1, 2))
@@ -186,3 +190,44 @@ def test_noninvariant_oracle_flagged_not_raised():
     assert result.diagnostics.ok
     assert not result.invariance.ok
     assert result.invariance.witness
+
+
+def test_block_chain_is_written_with_block_names(tmp_path):
+    chain = worked_chain(2)
+    result = markovize(chain, 1)
+    n = len(result.blocks)
+    assert result.chain.alphabet == tuple(f"B{i}" for i in range(n))
+    source, out = tmp_path / "chain.json", tmp_path / "blocks.json"
+    write_json(source, measure_out(chain))
+    code, _ = execute(
+        ["markovize", "--measure", str(source), "--order", "1", "--out", str(out)]
+    )
+    assert code == 0
+    assert chain_in(read_json(out)) == result.chain
+
+
+def test_markovize_translates_each_block_once_per_generator(monkeypatch):
+    calls = []
+    original = Pattern.translated
+
+    def counting(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(Pattern, "translated", counting)
+    result = markovize(worked_chain(2), 1)
+    assert len(calls) == len(result.blocks) * len(GS2.sigma)
+
+
+def test_markovized_measure_unshown_symbol_has_mass_zero():
+    zero_one = BernoulliMeasure(GS2, (0, 1), (F(1), F(0)))
+    pulled = MarkovizedMeasure(markovize(zero_one, 1))
+    assert pulled.eval(Pattern.of({EPSILON: 0, w("a1"): 0})) == 1
+    assert pulled.eval(Pattern.of({EPSILON: 1})) == 0
+    assert pulled.eval(Pattern.of({EPSILON: 0, w("a2"): 1})) == 0
+
+
+def test_block_alphabet_refuses_repeated_block():
+    blocks = support_alphabet(fair_bernoulli(), 0)
+    with pytest.raises(ValidationError, match="blocks must be nonempty without repeats"):
+        BlockAlphabet(0, blocks.sites, blocks.blocks * 2, blocks.masses * 2)

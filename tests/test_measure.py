@@ -20,16 +20,22 @@ from semishift import (
     DeltaOutOfRange,
     EmptyWord,
     GeneratorSet,
+    LatticeBernoulli,
+    LatticeMarkov,
+    LatticePattern,
+    LatticeTable,
     MarkovTreeChain,
     MembershipError,
     MixtureMeasure,
     NonInvertibleModP,
     NotInvariant,
     NoWitness,
+    OrbitAutomaton,
     Pattern,
     PeriodicMeasure,
     SigmaIncomplete,
     Symbol,
+    ValidationError,
     all_patterns,
     ball,
     counterexample_analyze,
@@ -312,6 +318,35 @@ def test_mixture_measure():
     example = pat({"": 0})
     assert mix.eval(example) == F(1, 2) * F(1, 2) + F(1, 2) * F(1, 4)
     assert mix.eval(Pattern.of({})) == 1
+
+
+HALF = (F(1, 2), F(1, 2))
+FLAT = (HALF, HALF)
+
+# each measure kind built over a given two-symbol alphabet
+KIND_MAKERS = {
+    "chain": lambda a: MarkovTreeChain.make(GS2, a, HALF, {s: FLAT for s in GS2.symbols()}),
+    "bernoulli": lambda a: BernoulliMeasure(GS2, a, HALF),
+    "periodic": lambda a: PeriodicMeasure(
+        (OrbitAutomaton(gs=GS2, alphabet=a, labels=a[:1], delta={s: (0,) for s in GS2.sigma}),),
+        (F(1),),
+    ),
+    "lattice-bernoulli": lambda a: LatticeBernoulli(1, a, HALF),
+    "lattice-markov": lambda a: LatticeMarkov(a, HALF, FLAT),
+    "lattice-table": lambda a: LatticeTable(
+        1, a, (1,), tuple((LatticePattern.of({(0,): c}), q) for c, q in zip(a, HALF))
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KIND_MAKERS)
+def test_measure_kinds_refuse_repeated_or_unhashable_symbols(kind):
+    make = KIND_MAKERS[kind]
+    assert make((0, 1)).alphabet == (0, 1)
+    with pytest.raises(ValidationError, match="alphabet must be nonempty without repeats"):
+        make((0, 0))
+    with pytest.raises(ValidationError, match="alphabet symbols must be hashable"):
+        make(([0], 1))
 
 
 MATRIX_A = ((1, 2), (0, 1))

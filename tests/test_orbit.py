@@ -152,6 +152,22 @@ def test_each_automaton_is_minimized_once(monkeypatch, tmp_path):
     assert [id(o) for o in calls] == [id(o) for o in orbits]
 
 
+def test_lift_minimizes_once(monkeypatch, tmp_path):
+    calls = []
+    original = semishift.orbit.minimized
+
+    def counting(o):
+        calls.append(o)
+        return original(o)
+
+    monkeypatch.setattr(semishift.orbit, "minimized", counting)
+    path = tmp_path / "auto.json"
+    write_json(path, automaton_out(swap_orbit()))
+    code, text = execute(["lift", "--automaton", str(path)])
+    assert code == 0 and "periodic: true" in text
+    assert len(calls) == 1
+
+
 def test_theorem_a_parity_example():
     pattern = Pattern.of({EPSILON: 0, w("a1"): 1, w("a2"): 1})
     theta = {A: (1, 0), B: (1, 0)}
