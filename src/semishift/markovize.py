@@ -12,8 +12,10 @@ the identity matches, so no configurations are ever materialized.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import EPSILON, GeneratorSet, Word, ball, sorted_words
 from .errors import MembershipError, OracleNotNormalized
@@ -24,9 +26,9 @@ from .measure import (
     CylinderMeasure,
     MarkovTreeChain,
     Pattern,
-    all_patterns,
     eval_constrained,
     is_invariant_chain,
+    pattern_masses,
     require_distinct_symbols,
 )
 
@@ -59,10 +61,10 @@ def support_alphabet(measure: CylinderMeasure, order: int) -> BlockAlphabet:
     sites = sorted_words(ball(measure.gs, order))
     blocks = []
     masses = []
-    for pattern in all_patterns(sites, measure.alphabet):
-        mass = measure.eval(pattern)
+    combos = itertools.product(tuple(measure.alphabet), repeat=len(sites))
+    for combo, mass in zip(combos, pattern_masses(measure, sites)):
         if mass > 0:
-            blocks.append(pattern)
+            blocks.append(Pattern(tuple(zip(sites, combo))))
             masses.append(mass)
     return BlockAlphabet(order, sites, tuple(blocks), tuple(masses))
 
@@ -129,24 +131,32 @@ class MarkovizedMeasure:
     def alphabet(self) -> tuple:
         return self.result.base_alphabet
 
-    def eval(self, pattern: Pattern) -> Fraction:
-        chain = self.result.chain
+    @cached_property
+    def showing(self) -> dict[object, tuple[str, ...]]:
+        """Each base symbol's block names: the blocks showing it at the identity."""
         showing: dict[object, list[str]] = {}
-        for name, block in zip(chain.alphabet, self.result.blocks.blocks):
+        for name, block in zip(self.result.chain.alphabet, self.result.blocks.blocks):
             showing.setdefault(block[EPSILON], []).append(name)
-        return eval_constrained(chain, {w: showing.get(c, ()) for w, c in pattern.items()})
+        return {c: tuple(names) for c, names in showing.items()}
+
+    def eval(self, pattern: Pattern) -> Fraction:
+        showing = self.showing
+        return eval_constrained(
+            self.result.chain, {w: showing.get(c, ()) for w, c in pattern.items()}
+        )
 
 
-def markovization_consistency(
+def consistency_masses(
     measure: CylinderMeasure,
     order: int,
     pattern: Pattern,
     result: MarkovizationResult | None = None,
-) -> bool:
-    """Does the recoded chain reproduce the measure on a ball pattern?
+) -> tuple[Fraction, Fraction]:
+    """The pattern's mass under the recoded chain and under the measure.
 
-    Pattern sites must lie inside the order-m ball; pass a precomputed
-    markovization to avoid rebuilding the block chain per pattern.
+    Pattern sites must lie inside the order-m ball; they are checked
+    before any block is built.  Pass a precomputed markovization to
+    avoid rebuilding the block chain per pattern.
     """
     sites = ball(measure.gs, order)
     for w, _ in pattern.items():
@@ -156,5 +166,15 @@ def markovization_consistency(
             )
     if result is None:
         result = markovize(measure, order)
-    recoded = MarkovizedMeasure(result)
-    return recoded.eval(pattern) == measure.eval(pattern)
+    return MarkovizedMeasure(result).eval(pattern), measure.eval(pattern)
+
+
+def markovization_consistency(
+    measure: CylinderMeasure,
+    order: int,
+    pattern: Pattern,
+    result: MarkovizationResult | None = None,
+) -> bool:
+    """Does the recoded chain reproduce the measure on a ball pattern?"""
+    chain_mass, oracle_mass = consistency_masses(measure, order, pattern, result)
+    return chain_mass == oracle_mass

@@ -79,14 +79,15 @@ class Pattern:
     def __len__(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def _lookup(self) -> dict[Word, object]:
+        return dict(self.entries)
+
     def __contains__(self, w: Word) -> bool:
-        return any(w == key for key, _ in self.entries)
+        return w in self._lookup
 
     def __getitem__(self, w: Word) -> object:
-        for key, value in self.entries:
-            if key == w:
-                return value
-        raise KeyError(w)
+        return self._lookup[w]
 
     def with_entry(self, w: Word, symbol: object) -> "Pattern":
         return Pattern(self.entries + ((w, symbol),))
@@ -227,6 +228,40 @@ class MarkovTreeChain:
     def eval(self, pattern: Pattern) -> Fraction:
         return eval_cylinder(self, pattern)
 
+    def masses(self, sites: Sequence[Word]) -> list[Fraction]:
+        """Every full pattern's mass on the sites, in ``itertools.product`` order.
+
+        One root-first expansion over the hull labels each vertex in
+        turn: prefixes share their products, zero entries end a branch,
+        and hull vertices that are not sites are summed out by adding
+        every completion into the same entry.
+        """
+        _require_valid(self)
+        hull = sorted(_ancestor_closure(sites, self.gs), key=len)
+        scale, p, matrices = self.integer_form
+        n = len(p)
+        position = {t: i for i, t in enumerate(hull)}
+        stride = [0] * len(hull)
+        for j, w in enumerate(reversed(sites)):
+            stride[position[w.letters]] = n**j
+        up = [position[t[1:]] for t in hull[1:]]
+        steps = [matrices[t[0]] for t in hull[1:]]
+        labels = [0] * len(hull)
+        out = [0] * n ** len(sites)
+
+        def expand(i: int, row: Sequence[int], weight: int, index: int) -> None:
+            for x, f in enumerate(row):
+                if f:
+                    if i == len(up):
+                        out[index + x * stride[i]] += weight * f
+                    else:
+                        labels[i] = x
+                        expand(i + 1, steps[i][labels[up[i]]], weight * f, index + x * stride[i])
+
+        expand(0, p, 1, 0)
+        denominator = scale ** len(hull)
+        return [Fraction(x, denominator) for x in out]
+
 
 def validate_chain(chain: MarkovTreeChain) -> ChainDiagnostics:
     """Report every violated structural invariant, with indices."""
@@ -343,21 +378,65 @@ def all_patterns(sites: Iterable[Word], alphabet: Sequence) -> Iterator[Pattern]
         yield Pattern(tuple(zip(ordered, combo)))
 
 
+def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> Iterable[Fraction]:
+    """The mass of every full pattern on the ordered sites.
+
+    Patterns run in ``itertools.product(measure.alphabet, repeat=len(sites))``
+    order, the first site varying slowest.  A measure with a ``masses``
+    method computes the whole list in one pass; any other measure is
+    evaluated pattern by pattern, lazily, so a scan that stops at its
+    first witness evaluates nothing after it.
+    """
+    sites = tuple(sites)
+    if len(set(sites)) != len(sites):
+        raise ValueError("pattern has a repeated site")
+    batched = getattr(measure, "masses", None)
+    if batched is not None:
+        return batched(sites)
+    return _eval_each(measure, sites, measure.alphabet)
+
+
+def _eval_each(
+    measure: CylinderMeasure, sites: Sequence[Word], alphabet: Sequence
+) -> Iterator[Fraction]:
+    for combo in itertools.product(tuple(alphabet), repeat=len(sites)):
+        yield measure.eval(Pattern(tuple(zip(sites, combo))))
+
+
+def _pattern_at(sites: Sequence[Word], alphabet: Sequence, i: int) -> Pattern:
+    """The i-th full pattern on the sites in ``itertools.product`` order."""
+    combo = []
+    for _ in sites:
+        i, x = divmod(i, len(alphabet))
+        combo.append(alphabet[x])
+    return Pattern(tuple(zip(sites, reversed(combo))))
+
+
+def _first_difference(lhs: Iterable[Fraction], rhs: Iterable[Fraction]):
+    """(index, lhs, rhs) of the first entry where the two differ, or None."""
+    for i, (x, y) in enumerate(zip(lhs, rhs)):
+        if x != y:
+            return i, x, y
+    return None
+
+
 def shift_invariance_check(
     measure: CylinderMeasure, a: Symbol, r: int
 ) -> CheckResult:
     """Compare every pattern on B_r with its a-translate, radius by radius."""
+    shift = Word((a,))
     for rr in range(r + 1):
-        sites = ball(measure.gs, rr)
-        for pattern in all_patterns(sites, measure.alphabet):
-            lhs = measure.eval(pattern)
-            rhs = measure.eval(pattern.translated(a))
-            if lhs != rhs:
-                return CheckResult(
-                    False,
-                    f"pattern {pattern.render()} has measure {lhs}, "
-                    f"its {a}-translate {rhs}",
-                )
+        sites = sorted_words(ball(measure.gs, rr))
+        moved = [word_mul(w, shift) for w in sites]
+        diff = _first_difference(pattern_masses(measure, sites), pattern_masses(measure, moved))
+        if diff is not None:
+            i, lhs, rhs = diff
+            pattern = _pattern_at(sites, measure.alphabet, i)
+            return CheckResult(
+                False,
+                f"pattern {pattern.render()} has measure {lhs}, "
+                f"its {a}-translate {rhs}",
+            )
     return CheckResult(True)
 
 
@@ -395,16 +474,20 @@ def pushforward_check(
     extended: MarkovTreeChain, original: MarkovTreeChain, r: int
 ) -> CheckResult:
     """Do the two chains agree on every full pattern over the original B_r?"""
-    sites = ball(original.gs, r)
-    for pattern in all_patterns(sites, original.alphabet):
-        lhs = eval_cylinder(extended, pattern)
-        rhs = eval_cylinder(original, pattern)
-        if lhs != rhs:
-            return CheckResult(
-                False,
-                f"pattern {pattern.render()}: extended gives {lhs}, original {rhs}",
-            )
-    return CheckResult(True)
+    sites = sorted_words(ball(original.gs, r))
+    if tuple(extended.alphabet) == tuple(original.alphabet):
+        lhs, rhs = pattern_masses(extended, sites), pattern_masses(original, sites)
+    else:
+        # Symbols are matched by name, pattern by pattern, as eval matches them.
+        lhs, rhs = (_eval_each(m, sites, original.alphabet) for m in (extended, original))
+    diff = _first_difference(lhs, rhs)
+    if diff is None:
+        return CheckResult(True)
+    i, x, y = diff
+    pattern = _pattern_at(sites, original.alphabet, i)
+    return CheckResult(
+        False, f"pattern {pattern.render()}: extended gives {x}, original {y}"
+    )
 
 
 def weak_star_distance(
@@ -415,9 +498,9 @@ def weak_star_distance(
         raise ValidationError("measures live over different generator sets")
     if tuple(m1.alphabet) != tuple(m2.alphabet):
         raise ValidationError("measures have different alphabets")
-    sites = ball(m1.gs, order)
+    sites = sorted_words(ball(m1.gs, order))
     return sum(
-        (abs(m1.eval(x) - m2.eval(x)) for x in all_patterns(sites, m1.alphabet)),
+        (abs(x - y) for x, y in zip(pattern_masses(m1, sites), pattern_masses(m2, sites))),
         ZERO,
     )
 
@@ -448,6 +531,15 @@ class BernoulliMeasure:
             if c not in self._index:
                 raise ValidationError(f"symbol {c!r} is not in the alphabet")
             out *= self.probs[self._index[c]]
+        return out
+
+    def masses(self, sites: Sequence[Word]) -> list[Fraction]:
+        """Every full pattern's mass on the sites, as iterated outer products."""
+        for w in sites:
+            require_in_semigroup(w, self.gs)
+        out = [ONE]
+        for _ in sites:
+            out = [x * q for x in out for q in self.probs]
         return out
 
 
@@ -481,6 +573,11 @@ class MixtureMeasure:
             (w * m.eval(pattern) for w, m in zip(self.weights, self.components)),
             ZERO,
         )
+
+    def masses(self, sites: Sequence[Word]) -> list[Fraction]:
+        """Every full pattern's mass on the sites: the weighted sum of the components' lists."""
+        columns = [pattern_masses(m, sites) for m in self.components]
+        return [sum(map(mul, self.weights, column), ZERO) for column in zip(*columns)]
 
 
 # -- Theorem-E style family: a chain that is invariant over the free

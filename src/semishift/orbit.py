@@ -14,12 +14,21 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
-from .algebra import GeneratorSet, Symbol, Word, ball, require_in_semigroup, sorted_words
+from .algebra import (
+    GeneratorSet,
+    Symbol,
+    Word,
+    _ancestor_closure,
+    ball,
+    require_in_semigroup,
+    sorted_words,
+)
 from .errors import BudgetExhausted, FactorizationError, NotPeriodic, ValidationError
 from .measure import ZERO, Pattern, require_distinct_symbols
 
@@ -377,6 +386,32 @@ class PeriodicMeasure:
 
     def eval(self, pattern: Pattern) -> Fraction:
         return periodic_measure_eval(self, pattern)
+
+    def masses(self, sites: Sequence[Word]) -> list[Fraction]:
+        """Every full pattern's mass on the sites, in ``itertools.product`` order.
+
+        One pass over each minimal orbit's states: every state reads its
+        symbols at the sites and counts one hit for that pattern.
+        """
+        hull = sorted(_ancestor_closure(sites, self.gs), key=len)
+        index = {c: i for i, c in enumerate(self.alphabet)}
+        out = [ZERO] * len(index) ** len(sites)
+        for o, weight in zip(self.orbits, self.weights):
+            m = o.minimal
+            # reached[t][q]: the state whose label q's configuration shows at t.
+            reached = {(): range(m.n_states())}
+            for t in hull[1:]:
+                row = m.delta[t[0]]
+                reached[t] = [row[q] for q in reached[t[1:]]]
+            codes = [0] * m.n_states()
+            for w in sites:
+                codes = [
+                    code * len(index) + index[m.labels[q]]
+                    for code, q in zip(codes, reached[w.letters])
+                ]
+            for code, hits in Counter(codes).items():
+                out[code] += weight * Fraction(hits, m.n_states())
+        return out
 
 
 def periodic_measure_eval(pm: PeriodicMeasure, pattern: Pattern) -> Fraction:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from semishift import (
     BlockAlphabet,
     EPSILON,
     GeneratorSet,
+    MarkovTreeChain,
     MarkovizedMeasure,
     MembershipError,
     OracleNotNormalized,
@@ -29,7 +31,8 @@ from semishift import (
     weak_star_distance,
 )
 from semishift.cli import execute
-from semishift.serialize import chain_in, measure_out, read_json, write_json
+from semishift.markovize import consistency_masses
+from semishift.serialize import chain_in, measure_out, pattern_out, read_json, write_json
 
 F = Fraction
 GS2 = GeneratorSet.from_signed((1, 2))
@@ -231,3 +234,58 @@ def test_block_alphabet_refuses_repeated_block():
     blocks = support_alphabet(fair_bernoulli(), 0)
     with pytest.raises(ValidationError, match="blocks must be nonempty without repeats"):
         BlockAlphabet(0, blocks.sites, blocks.blocks * 2, blocks.masses * 2)
+
+
+def test_consistency_evaluates_the_pattern_once_per_side(monkeypatch, tmp_path):
+    pattern = Pattern.of({EPSILON: 0, w("a1"): 1})
+    source, pat = tmp_path / "chain.json", tmp_path / "pattern.json"
+    write_json(source, measure_out(worked_chain(1)))
+    write_json(pat, pattern_out(pattern, 1))
+    calls = []
+    for cls in (MarkovTreeChain, MarkovizedMeasure):
+
+        def counting(self, p, original=cls.eval, name=cls.__name__):
+            if p == pattern:
+                calls.append(name)
+            return original(self, p)
+
+        monkeypatch.setattr(cls, "eval", counting)
+    code, text = execute(
+        ["consistency", "--measure", str(source), "--order", "1", "--pattern", str(pat)]
+    )
+    assert (code, text) == (0, "order: 1\noracle_mass: 1/6\nchain_mass: 1/6\nconsistent: true")
+    assert sorted(calls) == ["MarkovTreeChain", "MarkovizedMeasure"]
+
+
+def test_consistency_checks_sites_before_building_blocks(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("markovize ran before the site check")
+
+    for module in ("semishift.markovize", "semishift.cli"):
+        monkeypatch.setattr(importlib.import_module(module), "markovize", refuse)
+    outside = Pattern.of({w("a1a1"): 0})
+    with pytest.raises(MembershipError, match="outside the order-1 ball"):
+        consistency_masses(fair_bernoulli(), 1, outside)
+    source, pat = tmp_path / "bern.json", tmp_path / "pattern.json"
+    write_json(source, measure_out(fair_bernoulli()))
+    write_json(pat, pattern_out(outside, 2))
+    code, text = execute(
+        ["consistency", "--measure", str(source), "--order", "1", "--pattern", str(pat)]
+    )
+    assert code == 2
+    assert text.startswith("error: MembershipError: site a1a1 is outside the order-1 ball")
+
+
+def test_markovized_measure_builds_its_block_map_once(monkeypatch):
+    pulled = MarkovizedMeasure(markovize(worked_chain(2), 1))
+    lookups = []
+    original = Pattern.__getitem__
+
+    def counting(self, site):
+        lookups.append(site)
+        return original(self, site)
+
+    monkeypatch.setattr(Pattern, "__getitem__", counting)
+    masses = [pulled.eval(Pattern.of({EPSILON: c})) for c in (0, 1, 0)]
+    assert masses == [F(1, 3), F(2, 3), F(1, 3)]
+    assert len(lookups) == len(pulled.result.blocks)

@@ -434,3 +434,14 @@ def test_all_patterns_enumeration():
     patterns = list(all_patterns(sites, (0, 1)))
     assert len(patterns) == 4
     assert len({p.entries for p in patterns}) == 4
+
+
+def test_pattern_lookup_leaves_identity_unchanged():
+    looked_up = Pattern.of({w("a1"): 1, w(""): 0})
+    fresh = Pattern.of({w(""): 0, w("a1"): 1})
+    assert looked_up[w("a1")] == 1 and w("") in looked_up and w("a2") not in looked_up
+    with pytest.raises(KeyError):
+        looked_up[w("a2")]
+    assert looked_up == fresh and hash(looked_up) == hash(fresh)
+    assert looked_up.render() == fresh.render() == "{e=0, a1=1}"
+    assert repr(looked_up) == repr(fresh)

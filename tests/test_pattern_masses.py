@@ -1,0 +1,294 @@
+"""Differential tests of the batched ball-mass engine ``pattern_masses``.
+
+Each built-in measure kind computes the masses of every full pattern on
+a site list in one pass.  Every list is compared with an independent
+reference computed pattern by pattern: ``oracle_eval`` (enumeration over
+a hull it builds itself) for chains, a product of probabilities for
+Bernoulli measures, a count of raw automaton states whose readout shows
+the pattern for periodic measures, and the weighted sum of those for
+mixtures.  Site lists are sorted balls and their translates by every
+generator, over Sigma with and without inverse pairs; a translate has
+hull vertices that no site covers and is not in root-first order.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import (
+    oracle_eval,
+    positive_distribution,
+    random_balance_violation,
+    random_eigenvector_violation,
+    random_invariant_chain,
+)
+from semishift import (
+    BernoulliMeasure,
+    GeneratorSet,
+    MembershipError,
+    MixtureMeasure,
+    OrbitAutomaton,
+    Pattern,
+    PeriodicMeasure,
+    Symbol,
+    Word,
+    ball,
+    extend_chain,
+    pushforward_check,
+    shift_invariance_check,
+    sorted_words,
+    weak_star_distance,
+    word_mul,
+)
+from semishift.measure import pattern_masses
+
+F = Fraction
+SIGMAS = ((1,), (1, 2), (1, -1), (1, -1, 2), (-1, 2))
+# Largest number of full patterns one example enumerates.
+MAX_PATTERNS = 512
+
+
+def site_lists(gs: GeneratorSet, n: int):
+    """Sorted balls and their translates by each generator, while small enough."""
+    for r in range(3):
+        sites = sorted_words(ball(gs, r))
+        if n ** len(sites) > MAX_PATTERNS:
+            break
+        yield sites
+        for g in gs.symbols():
+            yield [word_mul(w, Word((g,))) for w in sites]
+
+
+def patterns(sites, alphabet):
+    for combo in itertools.product(alphabet, repeat=len(sites)):
+        yield Pattern(tuple(zip(sites, combo)))
+
+
+def chain_reference(chain):
+    return lambda pattern: oracle_eval(chain, pattern)
+
+
+def bernoulli_reference(measure):
+    index = {c: i for i, c in enumerate(measure.alphabet)}
+    return lambda pattern: math.prod(
+        (measure.probs[index[c]] for _, c in pattern.items()), start=F(1)
+    )
+
+
+def readout(o: OrbitAutomaton, q: int, w: Word):
+    for s in reversed(w.letters):
+        q = o.delta[s][q]
+    return o.labels[q]
+
+
+def periodic_reference(measure):
+    """Weighted share of raw states whose configuration shows the pattern.
+
+    The orbits are permutation automata, so every configuration has the
+    same number of raw states and no minimization is needed.
+    """
+
+    def mass(pattern):
+        total = F(0)
+        for o, weight in zip(measure.orbits, measure.weights):
+            n = o.n_states()
+            hits = sum(all(readout(o, q, w) == c for w, c in pattern.items()) for q in range(n))
+            total += weight * F(hits, n)
+        return total
+
+    return mass
+
+
+def mixture_reference(weights, references):
+    return lambda pattern: sum((w * ref(pattern) for w, ref in zip(weights, references)), F(0))
+
+
+def permutation_orbit(rng: random.Random, gs: GeneratorSet, alphabet, n: int) -> OrbitAutomaton:
+    """Reachable automaton whose moves are random permutations (inverse rows paired)."""
+    perms = {}
+    for i in sorted({s.index for s in gs.sigma}):
+        row = list(range(n))
+        rng.shuffle(row)
+        perms[i] = row
+    delta = {}
+    for s in gs.symbols():
+        row = perms[s.index]
+        delta[s] = row if s.sign > 0 else [row.index(q) for q in range(n)]
+    reachable = {0}
+    frontier = [0]
+    while frontier:
+        q = frontier.pop()
+        for row in delta.values():
+            if row[q] not in reachable:
+                reachable.add(row[q])
+                frontier.append(row[q])
+    kept = sorted(reachable)
+    index = {q: i for i, q in enumerate(kept)}
+    return OrbitAutomaton(
+        gs=gs,
+        alphabet=alphabet,
+        labels=tuple(rng.choice(alphabet) for _ in kept),
+        delta={s: tuple(index[row[q]] for q in kept) for s, row in delta.items()},
+        base=0,
+    )
+
+
+def build(kind: str, rng: random.Random, signed, n: int):
+    """A measure of the given kind and its independent pattern-by-pattern reference."""
+    gs = GeneratorSet.from_signed(signed)
+    alphabet = tuple(range(n))
+    if kind == "chain":
+        chain = random_invariant_chain(rng, signed, n)
+        return chain, chain_reference(chain)
+    if kind == "bernoulli":
+        weights = [rng.randint(0, 3) for _ in range(n)]
+        weights[rng.randrange(n)] += 1
+        probs = tuple(F(x, sum(weights)) for x in weights)
+        measure = BernoulliMeasure(gs, alphabet, probs)
+        return measure, bernoulli_reference(measure)
+    if kind == "periodic":
+        orbits = tuple(permutation_orbit(rng, gs, alphabet, rng.randint(1, 6)) for _ in range(2))
+        measure = PeriodicMeasure(orbits, positive_distribution(rng, 2))
+        return measure, periodic_reference(measure)
+    parts = [build(k, rng, signed, n) for k in ("chain", "bernoulli", "periodic")]
+    weights = positive_distribution(rng, len(parts))
+    measure = MixtureMeasure(tuple(m for m, _ in parts), weights)
+    return measure, mixture_reference(weights, [ref for _, ref in parts])
+
+
+KINDS = ("chain", "bernoulli", "periodic", "mixture")
+
+
+@given(
+    st.sampled_from(KINDS),
+    st.sampled_from(SIGMAS),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+)
+def test_masses_match_references(kind, signed, n, seed):
+    measure, reference = build(kind, random.Random(seed), signed, n)
+    for sites in site_lists(measure.gs, n):
+        masses = pattern_masses(measure, sites)
+        assert all(type(x) is Fraction for x in masses)
+        assert masses == [reference(p) for p in patterns(sites, measure.alphabet)]
+
+
+class OracleMeasure:
+    """A measure known only through eval: the engine's fallback path."""
+
+    def __init__(self, chain):
+        self.gs, self.alphabet, self.chain = chain.gs, chain.alphabet, chain
+        self.calls = 0
+
+    def eval(self, pattern):
+        self.calls += 1
+        return oracle_eval(self.chain, pattern)
+
+
+@given(st.sampled_from(SIGMAS), st.integers(1, 2), st.integers(0, 2**32))
+def test_fallback_matches_batched_chain(signed, n, seed):
+    chain = random_invariant_chain(random.Random(seed), signed, n)
+    oracle = OracleMeasure(chain)
+    for sites in site_lists(chain.gs, n):
+        assert list(pattern_masses(oracle, sites)) == pattern_masses(chain, sites)
+
+
+def test_fallback_is_lazy():
+    oracle = OracleMeasure(random_invariant_chain(random.Random(5), (1, 2), 2))
+    masses = pattern_masses(oracle, sorted_words(ball(oracle.gs, 1)))
+    assert oracle.calls == 0
+    next(iter(masses))
+    assert oracle.calls == 1
+
+
+def naive_invariance(measure, a, r):
+    """The per-pattern scan: every pattern on B_r against its a-translate."""
+    for rr in range(r + 1):
+        for pattern in patterns(sorted_words(ball(measure.gs, rr)), measure.alphabet):
+            lhs, rhs = measure.eval(pattern), measure.eval(pattern.translated(a))
+            if lhs != rhs:
+                return f"pattern {pattern.render()} has measure {lhs}, its {a}-translate {rhs}"
+    return None
+
+
+def naive_pushforward(extended, original, r):
+    for pattern in patterns(sorted_words(ball(original.gs, r)), original.alphabet):
+        lhs, rhs = extended.eval(pattern), original.eval(pattern)
+        if lhs != rhs:
+            return f"pattern {pattern.render()}: extended gives {lhs}, original {rhs}"
+    return None
+
+
+def skew_mixture(rng):
+    gs = GeneratorSet.from_signed((1, 2))
+    corrupt = random_eigenvector_violation(rng, (1, 2), 2)
+    fair = BernoulliMeasure(gs, (0, 1), (F(1, 2), F(1, 2)))
+    return MixtureMeasure((corrupt, fair), positive_distribution(rng, 2))
+
+
+@given(st.sampled_from(("eigen", "balance", "mixture")), st.integers(0, 2**32))
+def test_scan_witnesses_match_naive_scan(kind, seed):
+    rng = random.Random(seed)
+    if kind == "eigen":
+        measure = random_eigenvector_violation(rng, rng.choice(((1,), (1, 2))), 2)
+    elif kind == "balance":
+        measure = random_balance_violation(rng, rng.randint(2, 3))
+    else:
+        measure = skew_mixture(rng)
+    witnesses = [naive_invariance(measure, a, 2) for a in measure.gs.symbols()]
+    assert any(witnesses)
+    for a, witness in zip(measure.gs.symbols(), witnesses):
+        result = shift_invariance_check(measure, a, 2)
+        assert (result.ok, result.witness) == (witness is None, witness)
+
+
+@given(st.integers(0, 2**32))
+def test_pushforward_witness_matches_naive_scan(seed):
+    rng = random.Random(seed)
+    original = random_invariant_chain(rng, (1, 2), 2)
+    other = extend_chain(random_invariant_chain(rng, (1, 2), 2))
+    for extended in (extend_chain(original), other):
+        witness = naive_pushforward(extended, original, 2)
+        result = pushforward_check(extended, original, 2)
+        assert (result.ok, result.witness) == (witness is None, witness)
+
+
+def test_pushforward_matches_symbols_by_name():
+    rng = random.Random(3)
+    original = random_invariant_chain(rng, (1, 2), 2)
+    matrices = {s: tuple(tuple(reversed(row)) for row in reversed(rows))
+                for s, rows in original.transitions}
+    swapped = type(original).make(original.gs, (1, 0), tuple(reversed(original.p)), matrices)
+    assert pushforward_check(swapped, original, 2).ok
+
+
+def test_distance_matches_naive_sum():
+    rng = random.Random(11)
+    chain = random_invariant_chain(rng, (1, -1), 2)
+    bern = BernoulliMeasure(chain.gs, (0, 1), (F(1, 3), F(2, 3)))
+    sites = sorted_words(ball(chain.gs, 2))
+    naive = sum((abs(chain.eval(p) - bern.eval(p)) for p in patterns(sites, (0, 1))), F(0))
+    assert weak_star_distance(chain, bern, 2) == naive
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generator_outside_sigma_raises_membership_error(kind):
+    measure, _ = build(kind, random.Random(7), (1, 2), 2)
+    outside = Symbol(1, -1)
+    with pytest.raises(MembershipError):
+        shift_invariance_check(measure, outside, 1)
+    with pytest.raises(MembershipError):
+        pattern_masses(measure, [Word((outside,))])
+
+
+def test_repeated_site_is_refused():
+    chain = random_invariant_chain(random.Random(1), (1, 2), 2)
+    with pytest.raises(ValueError, match="repeated site"):
+        pattern_masses(chain, [Word(), Word()])
