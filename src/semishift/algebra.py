@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import MembershipError, ParseError
 
@@ -97,18 +97,6 @@ class Word:
 
     def inverse(self) -> "Word":
         return Word(tuple(s.inverse() for s in reversed(self.letters)))
-
-    def head(self) -> Symbol:
-        """Leading letter; the generator labelling the edge to the parent."""
-        if not self.letters:
-            raise ValueError("the empty word has no leading letter")
-        return self.letters[0]
-
-    def tail(self) -> "Word":
-        """The word with its leading letter removed: the tree parent."""
-        if not self.letters:
-            raise ValueError("the empty word has no parent")
-        return Word(self.letters[1:])
 
     def key(self) -> tuple:
         return (len(self.letters), tuple(s.key() for s in self.letters))
@@ -240,23 +228,6 @@ def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
     return frozenset(seen)
 
 
-# An edge (parent, child, g) satisfies child == g * parent with
-# len(child) == len(parent) + 1; g is the child's leading letter.
-Edge = tuple[Word, Word, Symbol]
-
-
-@dataclass(frozen=True)
-class Tree:
-    """A finite connected set of sites with its induced rooted edges."""
-
-    vertices: frozenset[Word]
-    root: Word
-    edges: frozenset[Edge]
-
-    def sorted_vertices(self) -> tuple[Word, ...]:
-        return sorted_words(self.vertices)
-
-
 def _ancestor_closure(words: Iterable[Word], gs: GeneratorSet) -> set[tuple[Symbol, ...]]:
     """Letter tuples of the sites and every suffix of them, the identity included.
 
@@ -272,60 +243,23 @@ def _ancestor_closure(words: Iterable[Word], gs: GeneratorSet) -> set[tuple[Symb
     return closure
 
 
-def tree_hull(words: Iterable[Word], gs: GeneratorSet) -> Tree:
-    """Smallest tree rooted at the identity containing the given sites.
-
-    The hull is the ancestor closure: every iterated removal of a leading
-    letter.  It is the unique minimal connected superset because paths in
-    a tree are unique.
-    """
-    vertices = frozenset(Word(t) for t in _ancestor_closure(words, gs))
-    edges = frozenset((v.tail(), v, v.head()) for v in vertices if len(v) > 0)
-    return Tree(vertices, EPSILON, edges)
+# Edge, Tree and tree_hull remain only because the benchmark tracer wraps tree_hull by name.
+# An edge (parent, child, g) satisfies child == g * parent with
+# len(child) == len(parent) + 1; g is the child's leading letter.
+Edge = tuple[Word, Word, Symbol]
 
 
 @dataclass(frozen=True)
-class TreeCheck:
-    ok: bool
-    root: Word | None
+class Tree:
+    """A finite connected set of sites with its induced rooted edges."""
+
+    vertices: frozenset[Word]
+    root: Word
     edges: frozenset[Edge]
-    problems: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
-def tree_validate(candidate: Union[Tree, Iterable[Word]], gs: GeneratorSet) -> TreeCheck:
-    """Check whether a vertex set induces a single tree inside S.
-
-    Diagnostics name each violated invariant: membership of every vertex
-    in S, connectivity (equivalently, exactly one vertex whose parent is
-    missing), and, when a Tree object is passed, agreement of its declared
-    root and edges with the recomputed ones.
-    """
-    declared: Tree | None = candidate if isinstance(candidate, Tree) else None
-    vertices = set(declared.vertices) if declared else set(candidate)
-    problems: list[str] = []
-    if not vertices:
-        return TreeCheck(False, None, frozenset(), ("empty vertex set",))
-    for v in sorted_words(vertices):
-        if not in_semigroup(v, gs):
-            problems.append(f"vertex {v or 'the empty word'} is not in <Sigma>+")
-    edges = frozenset(
-        (v.tail(), v, v.head()) for v in vertices if len(v) > 0 and v.tail() in vertices
-    )
-    orphans = sorted_words(
-        v for v in vertices if len(v) == 0 or v.tail() not in vertices
-    )
-    root: Word | None = None
-    if len(orphans) == 1:
-        root = orphans[0]
-    else:
-        names = ", ".join(str(v) or "e" for v in orphans)
-        problems.append(f"disconnected: {len(orphans)} components, rooted at {names}")
-    if declared is not None:
-        if root is not None and declared.root != root:
-            problems.append(f"declared root {declared.root or 'e'} is not the shortest vertex")
-        if declared.edges != edges:
-            problems.append("declared edges differ from the induced edges")
-    return TreeCheck(not problems, root, edges, tuple(problems))
+def tree_hull(words: Iterable[Word], gs: GeneratorSet) -> Tree:
+    """The smallest tree rooted at the identity that contains the sites: their ancestor closure."""
+    vertices = frozenset(Word(t) for t in _ancestor_closure(words, gs))
+    edges = frozenset((Word(v.letters[1:]), v, v.letters[0]) for v in vertices if v)
+    return Tree(vertices, EPSILON, edges)

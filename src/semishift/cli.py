@@ -48,6 +48,7 @@ from .orbit import (
 from .reversible import window_measure
 from .serialize import (
     MEASURE_KINDS,
+    _symbol_in,
     automaton_in,
     automaton_out,
     block_alphabet_out,
@@ -243,12 +244,15 @@ def _cmd_orbit_analyze(args: argparse.Namespace) -> tuple[int, list[Row]]:
     return 0, rows
 
 
-def _scalar(text: str) -> Any:
+def _scalar(text: str, where: str) -> Any:
     try:
         value = json.loads(text)
     except json.JSONDecodeError:
         return text
-    return tuple(value) if isinstance(value, list) else value
+    try:
+        return _symbol_in(value)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _cmd_thm_a_construct(args: argparse.Namespace) -> tuple[int, list[Row]]:
@@ -257,7 +261,7 @@ def _cmd_thm_a_construct(args: argparse.Namespace) -> tuple[int, list[Row]]:
     theta = morphism_in(read_json(args.morphism), str(args.morphism))
     gs = GeneratorSet.from_signed([s.signed for s in theta])
     if args.alphabet:
-        alphabet = tuple(_scalar(x) for x in args.alphabet.split(","))
+        alphabet = tuple(_scalar(x, "--alphabet") for x in args.alphabet.split(","))
     else:
         values = {c for _, c in pattern.items()}
         if not values:
@@ -266,7 +270,7 @@ def _cmd_thm_a_construct(args: argparse.Namespace) -> tuple[int, list[Row]]:
             alphabet = tuple(sorted(values))
         except TypeError:
             alphabet = tuple(sorted(values, key=repr))
-    fill = _scalar(args.fill) if args.fill is not None else None
+    fill = _scalar(args.fill, "--fill") if args.fill is not None else None
     automaton = theorem_a_point(pattern, theta, gs, alphabet, fill)
     matches = all(readout(automaton, w) == c for w, c in pattern.items())
     periodic = is_periodic(automaton)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import EPSILON, GeneratorSet, Word, ball, sorted_words
-from .errors import MembershipError, OracleNotNormalized
+from .algebra import EPSILON, GeneratorSet, Word, ball, require_in_semigroup, sorted_words
+from .errors import MembershipError, OracleNotNormalized, ValidationError
 from .measure import (
     ZERO,
     CheckResult,
@@ -140,6 +140,12 @@ class MarkovizedMeasure:
         return {c: tuple(names) for c, names in showing.items()}
 
     def eval(self, pattern: Pattern) -> Fraction:
+        """The pattern's mass; a base symbol no charged block shows gets 0."""
+        for w, _ in pattern.items():
+            require_in_semigroup(w, self.gs)
+        for _, c in pattern.items():
+            if c not in self.alphabet:
+                raise ValidationError(f"symbol {c!r} is not in the alphabet")
         showing = self.showing
         return eval_constrained(
             self.result.chain, {w: showing.get(c, ()) for w, c in pattern.items()}

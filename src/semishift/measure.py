@@ -120,6 +120,17 @@ def require_distinct_symbols(symbols: Sequence, what: str = "alphabet") -> None:
         raise ValidationError(f"{what} must be nonempty without repeats")
 
 
+def require_distribution(values: Sequence, what: str, positive: bool = False) -> None:
+    """Refuse an inexact entry (anything but an int or a Fraction), a negative
+    entry (a zero one too if ``positive``) and a sum other than 1."""
+    for x in values:
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise ValidationError(f"{what} must be ints or Fractions, got {x!r}")
+    sign = "positive" if positive else "nonnegative"
+    if any(x <= 0 if positive else x < 0 for x in values) or sum(values, ZERO) != 1:
+        raise ValidationError(f"{what} must be {sign} and sum to 1")
+
+
 class CylinderMeasure(Protocol):
     """Anything that evaluates cylinder patterns over a fixed S exactly."""
 
@@ -517,8 +528,7 @@ class BernoulliMeasure:
         require_distinct_symbols(self.alphabet)
         if len(self.probs) != len(self.alphabet):
             raise ValidationError("one probability per alphabet symbol required")
-        if any(q < 0 for q in self.probs) or sum(self.probs, ZERO) != 1:
-            raise ValidationError("probabilities must be nonnegative and sum to 1")
+        require_distribution(self.probs, "probabilities")
 
     @cached_property
     def _index(self) -> dict[object, int]:
@@ -553,8 +563,7 @@ class MixtureMeasure:
     def __post_init__(self) -> None:
         if len(self.components) != len(self.weights) or not self.components:
             raise ValidationError("need matching, nonempty components and weights")
-        if any(w <= 0 for w in self.weights) or sum(self.weights, ZERO) != 1:
-            raise ValidationError("weights must be positive and sum to 1")
+        require_distribution(self.weights, "weights", positive=True)
         first = self.components[0]
         for m in self.components[1:]:
             if m.gs != first.gs or tuple(m.alphabet) != tuple(first.alphabet):

@@ -30,7 +30,7 @@ from .algebra import (
     sorted_words,
 )
 from .errors import BudgetExhausted, FactorizationError, NotPeriodic, ValidationError
-from .measure import ZERO, Pattern, require_distinct_symbols
+from .measure import ZERO, Pattern, require_distinct_symbols, require_distribution
 
 Perm = tuple[int, ...]
 
@@ -74,6 +74,7 @@ class OrbitAutomaton:
     base: int = 0
 
     def __post_init__(self) -> None:
+        require_distinct_symbols(self.alphabet)
         n = len(self.labels)
         if n == 0:
             raise ValidationError("automaton needs at least one state")
@@ -365,13 +366,11 @@ class PeriodicMeasure:
     def __post_init__(self) -> None:
         if len(self.orbits) != len(self.weights) or not self.orbits:
             raise ValidationError("need matching, nonempty orbits and weights")
-        if any(w <= 0 for w in self.weights) or sum(self.weights, ZERO) != 1:
-            raise ValidationError("weights must be positive and sum to 1")
+        require_distribution(self.weights, "weights", positive=True)
         first = self.orbits[0]
         for o in self.orbits[1:]:
             if o.gs != first.gs or tuple(o.alphabet) != tuple(first.alphabet):
                 raise ValidationError("orbits must share S and alphabet")
-        require_distinct_symbols(first.alphabet)
         for o in self.orbits:
             if not _acts_bijectively(o.minimal):
                 raise NotPeriodic("every orbit in a periodic measure must be periodic")
@@ -418,6 +417,9 @@ def periodic_measure_eval(pm: PeriodicMeasure, pattern: Pattern) -> Fraction:
     """Weighted fraction of orbit points whose configuration shows the pattern."""
     for w, _ in pattern.items():
         require_in_semigroup(w, pm.gs)
+    for _, c in pattern.items():
+        if c not in pm.alphabet:
+            raise ValidationError(f"symbol {c!r} is not in the alphabet")
     total = ZERO
     for o, weight in zip(pm.orbits, pm.weights):
         m = o.minimal

@@ -17,7 +17,7 @@ from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 from .algebra import LatticeVector, vec_add, vec_min, vec_sub
 from .errors import MembershipError, ValidationError
-from .measure import ONE, ZERO, CheckResult, require_distinct_symbols
+from .measure import ONE, ZERO, CheckResult, require_distinct_symbols, require_distribution
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,16 @@ class LatticeMeasure(Protocol):
     def eval(self, pattern: LatticePattern) -> Fraction: ...
 
 
-def _check_orthant(pattern: LatticePattern, d: int) -> None:
+def _check_pattern(pattern: LatticePattern, d: int, alphabet: tuple) -> None:
+    """Refuse a site off the d-dimensional orthant, then a symbol off the alphabet."""
     for v, _ in pattern.items():
         if len(v) != d:
             raise ValidationError(f"site {v} does not have dimension {d}")
         if any(x < 0 for x in v):
             raise MembershipError(f"site {v} is outside the nonnegative orthant")
+    for _, c in pattern.items():
+        if c not in alphabet:
+            raise ValidationError(f"symbol {c!r} is not in the alphabet")
 
 
 @dataclass(frozen=True)
@@ -87,17 +91,13 @@ class LatticeBernoulli:
         require_distinct_symbols(self.alphabet)
         if len(self.probs) != len(self.alphabet):
             raise ValidationError("one probability per alphabet symbol required")
-        if any(q < 0 for q in self.probs) or sum(self.probs, ZERO) != 1:
-            raise ValidationError("probabilities must be nonnegative and sum to 1")
+        require_distribution(self.probs, "probabilities")
 
     def eval(self, pattern: LatticePattern) -> Fraction:
-        _check_orthant(pattern, self.d)
-        index = {c: i for i, c in enumerate(self.alphabet)}
+        _check_pattern(pattern, self.d, self.alphabet)
         out = ONE
         for _, c in pattern.items():
-            if c not in index:
-                raise ValidationError(f"symbol {c!r} is not in the alphabet")
-            out *= self.probs[index[c]]
+            out *= self.probs[self.alphabet.index(c)]
         return out
 
 
@@ -140,25 +140,19 @@ class LatticeMarkov:
         n = len(self.alphabet)
         if len(self.p) != n or len(self.P) != n or any(len(r) != n for r in self.P):
             raise ValidationError("p and P must match the alphabet size")
-        if any(x <= 0 for x in self.p) or sum(self.p, ZERO) != 1:
-            raise ValidationError("p must be positive and sum to 1")
+        require_distribution(self.p, "p", positive=True)
         for k, row in enumerate(self.P):
-            if any(x < 0 for x in row) or sum(row, ZERO) != 1:
-                raise ValidationError(f"P row {k} is not stochastic")
+            require_distribution(row, f"P row {k}")
         for l in range(n):
             if sum((self.p[k] * self.P[k][l] for k in range(n)), ZERO) != self.p[l]:
                 raise ValidationError("p is not a fixed vector of P")
 
     def eval(self, pattern: LatticePattern) -> Fraction:
-        _check_orthant(pattern, 1)
+        _check_pattern(pattern, 1, self.alphabet)
         if len(pattern) == 0:
             return ONE
-        index = {c: i for i, c in enumerate(self.alphabet)}
-        for _, c in pattern.items():
-            if c not in index:
-                raise ValidationError(f"symbol {c!r} is not in the alphabet")
-        sites = sorted((v[0], index[c]) for v, c in pattern.items())
-        out = self.p[sites[0][1]]
+        sites = sorted((v[0], self.alphabet.index(c)) for v, c in pattern.items())
+        out = ONE * self.p[sites[0][1]]
         for (s, k), (t, l) in zip(sites, sites[1:]):
             out *= _matrix_power(self.P, t - s)[k][l]
         return out
@@ -177,12 +171,9 @@ class LatticeTable:
         require_distinct_symbols(self.alphabet)
         if len(self.box) != self.d or any(b < 1 for b in self.box):
             raise ValidationError("box must list one positive extent per dimension")
-        if sum((mass for _, mass in self.table), ZERO) != 1:
-            raise ValidationError("table masses must sum to 1")
+        require_distribution([mass for _, mass in self.table], "table masses")
         sites = self._box_sites()
-        for pat, mass in self.table:
-            if mass < 0:
-                raise ValidationError(f"table mass {mass} is negative")
+        for pat, _ in self.table:
             if pat.domain() != sites:
                 raise ValidationError(f"table pattern {pat.render()} must fill the box")
 
@@ -192,7 +183,7 @@ class LatticeTable:
         )
 
     def eval(self, pattern: LatticePattern) -> Fraction:
-        _check_orthant(pattern, self.d)
+        _check_pattern(pattern, self.d, self.alphabet)
         for v, _ in pattern.items():
             if any(x >= b for x, b in zip(v, self.box)):
                 raise ValidationError(f"site {v} is outside the declared box {self.box}")

@@ -2,9 +2,7 @@
 
 The evaluation oracles here deliberately repeat no library code: hulls
 are recomputed from scratch and masses obtained by enumerating every
-completion, so an agreement with the package is meaningful.  The one
-exception, eval_cylinder_bruteforce, enumerates over the library's own
-hull.
+completion, so an agreement with the package is meaningful.
 """
 
 import itertools
@@ -20,7 +18,6 @@ from semishift import (
     Symbol,
     ValidationError,
     Word,
-    tree_hull,
 )
 
 ZERO = Fraction(0)
@@ -174,11 +171,10 @@ def oracle_eval_constrained(chain: MarkovTreeChain, constraints) -> Fraction:
 
 
 def eval_cylinder_bruteforce(chain: MarkovTreeChain, pattern) -> Fraction:
-    """Mass by enumerating every completion of the library's own hull.
+    """Mass by enumerating every completion of the hull, one edge per site.
 
-    Unlike oracle_eval it takes the hull from ``tree_hull`` and validates
-    its input as ``eval_cylinder`` does, so it isolates the sum-product
-    from hull construction.
+    Unlike oracle_eval it refuses an invalid chain and an unknown symbol
+    with the errors ``eval_cylinder`` raises.
     """
     if not chain.diagnostics:
         raise InvalidChain("; ".join(chain.diagnostics.problems))
@@ -186,10 +182,10 @@ def eval_cylinder_bruteforce(chain: MarkovTreeChain, pattern) -> Fraction:
     for w, c in pattern.items():
         if c not in index:
             raise ValidationError(f"symbol {c!r} is not in the chain alphabet")
-    hull = tree_hull(pattern.domain(), chain.gs)
+    hull = oracle_hull(pattern.domain())
     fixed = {w: index[c] for w, c in pattern.items()}
-    free = [w for w in hull.sorted_vertices() if w not in fixed]
-    edges = sorted(hull.edges, key=lambda e: e[1].key())
+    free = [w for w in hull if w not in fixed]
+    edges = [(Word(w.letters[1:]), w, w.letters[0]) for w in hull if len(w) > 0]
     n = len(chain.alphabet)
     total = ZERO
     for combo in itertools.product(range(n), repeat=len(free)):

@@ -7,6 +7,7 @@ from helpers import swap_orbit, worked_chain
 from semishift import GeneratorSet, Symbol, parse_word
 from semishift.cli import execute, main
 from semishift.serialize import (
+    automaton_in,
     automaton_out,
     chain_in,
     chain_out,
@@ -124,6 +125,13 @@ def test_eval_membership_error_exits_two(chain_file, tmp_path):
     )
     assert code == 2
     assert "MembershipError" in text
+
+
+def test_eval_unknown_symbol_exits_two(swap_file, tmp_path):
+    pat = pattern_file(tmp_path, {"": 9})
+    code, text = execute(["eval", "--measure", str(swap_file), "--pattern", str(pat)])
+    assert code == 2
+    assert text == "error: ValidationError: symbol 9 is not in the alphabet"
 
 
 def test_eval_reports_exact_mass(chain_file, tmp_path):
@@ -261,6 +269,47 @@ def test_thm_a_construct_and_lift(tmp_path):
     assert "periodic: true" in text
     data = read_json(lifted)
     assert sorted(data["sigma"]) == [-2, -1, 1, 2]
+
+
+def thm_a_construct(tmp_path, *options):
+    pat = pattern_file(tmp_path, {"": 0})
+    morphism = tmp_path / "theta.json"
+    write_json(morphism, {"k": 3, "theta": {"1": [1, 2, 0], "2": [1, 2, 0]}})
+    return execute(
+        ["thm-a-construct", "--pattern", str(pat), "--morphism", str(morphism), *options]
+    )
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--alphabet", '0,1,{"x":1}'], 'ParseError: --alphabet: a JSON object cannot be a symbol'),
+        (["--alphabet", "0,1", "--fill", '{"x":1}'], "ParseError: --fill: a JSON object"),
+        (["--alphabet", "0,0,1"], "ValidationError: alphabet must be nonempty without repeats"),
+    ],
+    ids=["object-alphabet", "object-fill", "repeated"],
+)
+def test_thm_a_construct_refuses_bad_symbols(tmp_path, options, message):
+    out = tmp_path / "point.json"
+    code, text = thm_a_construct(tmp_path, *options, "--out", str(out))
+    assert code == 2
+    assert text.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_thm_a_construct_list_symbol_round_trips(tmp_path):
+    out = tmp_path / "point.json"
+    code, text = thm_a_construct(
+        tmp_path, "--alphabet", "0,1,[[2]]", "--fill", "[[2]]", "--out", str(out)
+    )
+    assert code == 0
+    assert "periodic: true" in text
+    automaton = automaton_in(read_json(out))
+    assert automaton.alphabet == (0, 1, ((2,),))
+    assert automaton.labels == (0, ((2,),), ((2,),))
+    code, text = execute(["orbit-analyze", "--automaton", str(out)])
+    assert code == 0
+    assert "orbit_size: 3" in text
 
 
 def test_lift_nonperiodic_exits_one(tmp_path):

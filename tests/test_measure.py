@@ -18,6 +18,7 @@ from helpers import (
 from semishift import (
     BernoulliMeasure,
     DeltaOutOfRange,
+    EPSILON,
     EmptyWord,
     GeneratorSet,
     LatticeBernoulli,
@@ -25,6 +26,7 @@ from semishift import (
     LatticePattern,
     LatticeTable,
     MarkovTreeChain,
+    MarkovizedMeasure,
     MembershipError,
     MixtureMeasure,
     NonInvertibleModP,
@@ -43,6 +45,7 @@ from semishift import (
     eval_cylinder,
     extend_chain,
     is_invariant_chain,
+    markovize,
     parse_word,
     pushforward_check,
     shift_invariance_check,
@@ -347,6 +350,60 @@ def test_measure_kinds_refuse_repeated_or_unhashable_symbols(kind):
         make((0, 0))
     with pytest.raises(ValidationError, match="alphabet symbols must be hashable"):
         make(([0], 1))
+
+
+# every kind again, with a mixture and a markovized measure
+SYMBOL_KINDS = {
+    **KIND_MAKERS,
+    "mixture": lambda a: MixtureMeasure((KIND_MAKERS["bernoulli"](a),), (F(1),)),
+    "markovized": lambda a: MarkovizedMeasure(markovize(KIND_MAKERS["bernoulli"](a), 0)),
+}
+
+
+@pytest.mark.parametrize("kind", SYMBOL_KINDS)
+def test_measure_kinds_refuse_an_unknown_symbol(kind):
+    measure = SYMBOL_KINDS[kind]((0, 1))
+    if kind.startswith("lattice"):
+        make, site, outside = LatticePattern.of, (0,), (-1,)
+    else:
+        make, site, outside = Pattern.of, EPSILON, w("A1")
+    assert measure.eval(make({site: 1})) in (0, F(1, 2))
+    with pytest.raises(ValidationError, match="symbol 9 is not in the"):
+        measure.eval(make({site: 9}))
+    if kind != "chain":  # a chain checks its symbols before its sites
+        with pytest.raises(MembershipError):
+            measure.eval(make({outside: 9}))
+
+
+# each constructor that takes a distribution, given that distribution
+DISTRIBUTION_MAKERS = {
+    "bernoulli": lambda q: BernoulliMeasure(GS2, (0, 1), q),
+    "mixture": lambda q: MixtureMeasure((bernoulli(*HALF), bernoulli(F(1), F(0))), q),
+    "periodic": lambda q: PeriodicMeasure((swap_orbit(), swap_orbit()), q),
+    "lattice-bernoulli": lambda q: LatticeBernoulli(1, (0, 1), q),
+    "lattice-markov-p": lambda q: LatticeMarkov((0, 1), q, FLAT),
+    "lattice-markov-row": lambda q: LatticeMarkov((0, 1), HALF, (q, HALF)),
+    "lattice-table": lambda q: LatticeTable(
+        1, (0, 1), (1,), tuple((LatticePattern.of({(0,): c}), x) for c, x in zip((0, 1), q))
+    ),
+}
+POSITIVE = {"mixture", "periodic", "lattice-markov-p"}
+
+
+@pytest.mark.parametrize("kind", DISTRIBUTION_MAKERS)
+def test_distributions_are_exact_and_sum_to_one(kind):
+    make = DISTRIBUTION_MAKERS[kind]
+    make(HALF)
+    for inexact in ((0.5, 0.5), (True, False), ("1/2", "1/2"), (F(1, 2), 0.5)):
+        with pytest.raises(ValidationError, match="must be ints or Fractions"):
+            make(inexact)
+    sign = "positive" if kind in POSITIVE else "nonnegative"
+    for wrong in ((F(1, 2), F(1, 3)), (F(3, 2), F(-1, 2))):
+        with pytest.raises(ValidationError, match=f"must be {sign} and sum to 1"):
+            make(wrong)
+    if kind in POSITIVE:
+        with pytest.raises(ValidationError, match="must be positive and sum to 1"):
+            make((1, 0))
 
 
 MATRIX_A = ((1, 2), (0, 1))

@@ -206,3 +206,14 @@ def test_lattice_validation_errors():
         LatticeMarkov((0, 1), (F(1, 2), F(1, 2)), ((F(1), F(0)), (F(1), F(0))))
     with pytest.raises(ValidationError):
         LatticeTable(1, (0, 1), (0,), ())
+
+
+def test_integer_entries_still_give_fraction_masses():
+    pattern = lp({(0,): 0})
+    for measure in (
+        LatticeBernoulli(1, (0,), (1,)),
+        LatticeMarkov((0,), (1,), ((1,),)),
+        LatticeTable(1, (0,), (1,), ((pattern, 1),)),
+    ):
+        mass = measure.eval(pattern)
+        assert mass == 1 and type(mass) is F
