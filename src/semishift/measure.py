@@ -120,15 +120,29 @@ def require_distinct_symbols(symbols: Sequence, what: str = "alphabet") -> None:
         raise ValidationError(f"{what} must be nonempty without repeats")
 
 
-def require_distribution(values: Sequence, what: str, positive: bool = False) -> None:
-    """Refuse an inexact entry (anything but an int or a Fraction), a negative
-    entry (a zero one too if ``positive``) and a sum other than 1."""
+def require_exact(values: Sequence, what: str) -> None:
+    """Refuse an inexact entry: anything but an int or a Fraction."""
     for x in values:
         if type(x) is not int and not isinstance(x, Fraction):
             raise ValidationError(f"{what} must be ints or Fractions, got {x!r}")
+
+
+def require_distribution(values: Sequence, what: str, positive: bool = False) -> None:
+    """Refuse an inexact entry, a negative entry (a zero one too if
+    ``positive``) and a sum other than 1."""
+    require_exact(values, what)
     sign = "positive" if positive else "nonnegative"
     if any(x <= 0 if positive else x < 0 for x in values) or sum(values, ZERO) != 1:
         raise ValidationError(f"{what} must be {sign} and sum to 1")
+
+
+def require_pattern(pattern: Pattern, gs: GeneratorSet, alphabet: Collection) -> None:
+    """Refuse a site outside S (MembershipError), then an unknown symbol (ValidationError)."""
+    for w in pattern.domain():
+        require_in_semigroup(w, gs)
+    for _, c in pattern.items():
+        if c not in alphabet:
+            raise ValidationError(f"symbol {c!r} is not in the alphabet")
 
 
 class CylinderMeasure(Protocol):
@@ -196,10 +210,13 @@ class MarkovTreeChain:
         p: Sequence,
         matrices: Mapping,
     ) -> "MarkovTreeChain":
-        """Build a chain, coercing entries to Fraction and canonicalizing keys."""
+        """Build a chain from int or Fraction entries (``validate_chain`` judges sums and signs)."""
+        require_exact(p, "p")
         trans = []
         for key, rows in matrices.items():
             sym = key if isinstance(key, Symbol) else Symbol.from_signed(int(key))
+            for k, row in enumerate(rows):
+                require_exact(row, f"P[{sym}] row {k}")
             trans.append((sym, tuple(tuple(Fraction(x) for x in row) for row in rows)))
         trans.sort(key=lambda item: item[0].key())
         return cls(
@@ -242,10 +259,11 @@ class MarkovTreeChain:
     def masses(self, sites: Sequence[Word]) -> list[Fraction]:
         """Every full pattern's mass on the sites, in ``itertools.product`` order.
 
-        One root-first expansion over the hull labels each vertex in
-        turn: prefixes share their products, zero entries end a branch,
-        and hull vertices that are not sites are summed out by adding
-        every completion into the same entry.
+        One leaves-first pass over the hull folds each vertex's table into
+        its parent's.  A vertex's table maps, for each of its labels, the
+        pattern index of the sites below it to their weight: zero entries
+        drop out, and a hull vertex that is not a site is summed out as it
+        folds.  The pass iterates, so a deep hull needs no deep stack.
         """
         _require_valid(self)
         hull = sorted(_ancestor_closure(sites, self.gs), key=len)
@@ -255,21 +273,21 @@ class MarkovTreeChain:
         stride = [0] * len(hull)
         for j, w in enumerate(reversed(sites)):
             stride[position[w.letters]] = n**j
-        up = [position[t[1:]] for t in hull[1:]]
-        steps = [matrices[t[0]] for t in hull[1:]]
-        labels = [0] * len(hull)
+        tables = [[{k * s: 1} for k in range(n)] for s in stride]
+        for i in range(len(hull) - 1, 0, -1):
+            t = hull[i]
+            child, parent = tables[i], tables[position[t[1:]]]
+            for k, row in enumerate(matrices[t[0]]):
+                below: dict[int, int] = {}
+                for x, f in enumerate(row):
+                    if f:
+                        for index, weight in child[x].items():
+                            below[index] = below.get(index, 0) + f * weight
+                parent[k] = {a + b: u * v for a, u in parent[k].items() for b, v in below.items()}
         out = [0] * n ** len(sites)
-
-        def expand(i: int, row: Sequence[int], weight: int, index: int) -> None:
-            for x, f in enumerate(row):
-                if f:
-                    if i == len(up):
-                        out[index + x * stride[i]] += weight * f
-                    else:
-                        labels[i] = x
-                        expand(i + 1, steps[i][labels[up[i]]], weight * f, index + x * stride[i])
-
-        expand(0, p, 1, 0)
+        for f, table in zip(p, tables[0]):
+            for index, weight in table.items():
+                out[index] += f * weight
         denominator = scale ** len(hull)
         return [Fraction(x, denominator) for x in out]
 
@@ -356,8 +374,8 @@ def eval_constrained(
     unconstrained hull vertices and get marginalized.
     """
     _require_valid(chain)
+    hull = _ancestor_closure(constraints, chain.gs)
     allowed = _constraint_indices(chain, constraints)
-    hull = _ancestor_closure(allowed, chain.gs)
     scale, p, matrices = chain.integer_form
     n = len(p)
     # Each row is D^(size of its subtree - 1) times the exact row.
@@ -535,11 +553,9 @@ class BernoulliMeasure:
         return {c: i for i, c in enumerate(self.alphabet)}
 
     def eval(self, pattern: Pattern) -> Fraction:
+        require_pattern(pattern, self.gs, self._index)
         out = ONE
-        for w, c in pattern.items():
-            require_in_semigroup(w, self.gs)
-            if c not in self._index:
-                raise ValidationError(f"symbol {c!r} is not in the alphabet")
+        for _, c in pattern.items():
             out *= self.probs[self._index[c]]
         return out
 

@@ -30,7 +30,7 @@ from .algebra import (
     sorted_words,
 )
 from .errors import BudgetExhausted, FactorizationError, NotPeriodic, ValidationError
-from .measure import ZERO, Pattern, require_distinct_symbols, require_distribution
+from .measure import ZERO, MixtureMeasure, Pattern, require_distinct_symbols, require_pattern
 
 Perm = tuple[int, ...]
 
@@ -110,6 +110,24 @@ class OrbitAutomaton:
         """The minimized form, computed on first use and kept."""
         return minimized(self)
 
+    def eval(self, pattern: Pattern) -> Fraction:
+        """The uniform measure on the orbit: the share of its configurations showing the pattern."""
+        require_pattern(pattern, self.gs, self.alphabet)
+        m = self.minimal
+        shown = tuple(c for _, c in pattern.items())
+        return Fraction(_shown(m, pattern.domain()).count(shown), m.n_states())
+
+
+def _shown(o: OrbitAutomaton, sites: Sequence[Word]) -> list[tuple]:
+    """What each state's configuration shows at the sites, state by state."""
+    # reached[t][q]: the state whose label q's configuration shows at t
+    reached: dict[tuple, Sequence[int]] = {(): range(o.n_states())}
+    for t in sorted(_ancestor_closure(sites, o.gs), key=len)[1:]:
+        row = o.delta[t[0]]
+        reached[t] = [row[q] for q in reached[t[1:]]]
+    columns = [[o.labels[q] for q in reached[w.letters]] for w in sites]
+    return list(zip(*columns)) if sites else [()] * o.n_states()
+
 
 @dataclass(frozen=True, eq=True)
 class GroupOrbitAutomaton(OrbitAutomaton):
@@ -125,17 +143,13 @@ class GroupOrbitAutomaton(OrbitAutomaton):
             raise ValidationError("Sigma must be closed under inverses")
 
 
-def _walk(o: OrbitAutomaton, start: int, w: Word) -> int:
-    q = start
-    for s in reversed(w.letters):
-        q = o.delta[s][q]
-    return q
-
-
 def readout(o: OrbitAutomaton, w: Word) -> object:
     """The base configuration's symbol at site w."""
     require_in_semigroup(w, o.gs)
-    return o.labels[_walk(o, o.base, w)]
+    q = o.base
+    for s in reversed(w.letters):
+        q = o.delta[s][q]
+    return o.labels[q]
 
 
 def minimized(o: OrbitAutomaton) -> OrbitAutomaton:
@@ -270,11 +284,9 @@ def theorem_a_point(
     fill = alphabet[0] if fill is None else fill
     if fill not in alphabet:
         raise ValidationError(f"fill symbol {fill!r} is not in the alphabet")
+    require_pattern(pattern, gs, alphabet)
     word_labels: dict[Perm, object] = {}
     for w, c in pattern.items():
-        require_in_semigroup(w, gs)
-        if c not in alphabet:
-            raise ValidationError(f"pattern symbol {c!r} is not in the alphabet")
         img = _morphism_image(theta_map, w, degree)
         if word_labels.get(img, c) != c:
             raise FactorizationError(
@@ -356,32 +368,17 @@ def lift_to_group(o: OrbitAutomaton) -> GroupOrbitAutomaton:
     )
 
 
-@dataclass(frozen=True)
-class PeriodicMeasure:
-    """Convex combination of uniform measures on finite periodic orbits."""
-
-    orbits: tuple[OrbitAutomaton, ...]
-    weights: tuple[Fraction, ...]
+class PeriodicMeasure(MixtureMeasure):
+    """Convex combination of uniform measures on finite periodic orbits, its components."""
 
     def __post_init__(self) -> None:
-        if len(self.orbits) != len(self.weights) or not self.orbits:
-            raise ValidationError("need matching, nonempty orbits and weights")
-        require_distribution(self.weights, "weights", positive=True)
-        first = self.orbits[0]
-        for o in self.orbits[1:]:
-            if o.gs != first.gs or tuple(o.alphabet) != tuple(first.alphabet):
-                raise ValidationError("orbits must share S and alphabet")
-        for o in self.orbits:
-            if not _acts_bijectively(o.minimal):
-                raise NotPeriodic("every orbit in a periodic measure must be periodic")
+        super().__post_init__()
+        if not all(_acts_bijectively(o.minimal) for o in self.components):
+            raise NotPeriodic("every orbit in a periodic measure must be periodic")
 
     @property
-    def gs(self) -> GeneratorSet:
-        return self.orbits[0].gs
-
-    @property
-    def alphabet(self) -> tuple:
-        return tuple(self.orbits[0].alphabet)
+    def orbits(self) -> tuple[OrbitAutomaton, ...]:
+        return self.components
 
     def eval(self, pattern: Pattern) -> Fraction:
         return periodic_measure_eval(self, pattern)
@@ -389,43 +386,20 @@ class PeriodicMeasure:
     def masses(self, sites: Sequence[Word]) -> list[Fraction]:
         """Every full pattern's mass on the sites, in ``itertools.product`` order.
 
-        One pass over each minimal orbit's states: every state reads its
-        symbols at the sites and counts one hit for that pattern.
+        Each minimal orbit's states are counted by the pattern they show.
         """
-        hull = sorted(_ancestor_closure(sites, self.gs), key=len)
         index = {c: i for i, c in enumerate(self.alphabet)}
         out = [ZERO] * len(index) ** len(sites)
         for o, weight in zip(self.orbits, self.weights):
             m = o.minimal
-            # reached[t][q]: the state whose label q's configuration shows at t.
-            reached = {(): range(m.n_states())}
-            for t in hull[1:]:
-                row = m.delta[t[0]]
-                reached[t] = [row[q] for q in reached[t[1:]]]
-            codes = [0] * m.n_states()
-            for w in sites:
-                codes = [
-                    code * len(index) + index[m.labels[q]]
-                    for code, q in zip(codes, reached[w.letters])
-                ]
-            for code, hits in Counter(codes).items():
+            for shown, hits in Counter(_shown(m, sites)).items():
+                code = 0
+                for c in shown:
+                    code = code * len(index) + index[c]
                 out[code] += weight * Fraction(hits, m.n_states())
         return out
 
 
 def periodic_measure_eval(pm: PeriodicMeasure, pattern: Pattern) -> Fraction:
     """Weighted fraction of orbit points whose configuration shows the pattern."""
-    for w, _ in pattern.items():
-        require_in_semigroup(w, pm.gs)
-    for _, c in pattern.items():
-        if c not in pm.alphabet:
-            raise ValidationError(f"symbol {c!r} is not in the alphabet")
-    total = ZERO
-    for o, weight in zip(pm.orbits, pm.weights):
-        m = o.minimal
-        hits = 0
-        for q in range(m.n_states()):
-            if all(m.labels[_walk(m, q, w)] == c for w, c in pattern.items()):
-                hits += 1
-        total += weight * Fraction(hits, m.n_states())
-    return total
+    return MixtureMeasure.eval(pm, pattern)

@@ -303,7 +303,7 @@ def _record(cls: type, *fields: Field, lattice: bool = False) -> MeasureKind:
     """Kind whose file holds the class's attributes field by field."""
 
     def read(data: dict, where: str) -> Any:
-        return cls(**{attr: read_field(data, where) for attr, read_field, _ in fields})
+        return cls(*(read_field(data, where) for _, read_field, _ in fields))
 
     def write(measure: Any) -> dict:
         out: dict = {}
@@ -315,8 +315,9 @@ def _record(cls: type, *fields: Field, lattice: bool = False) -> MeasureKind:
 
 
 def measure_out(measure: Any) -> dict:
+    # By exact type: a periodic measure is also a mixture.
     for tag, kind in MEASURE_KINDS.items():
-        if isinstance(measure, kind.cls):
+        if type(measure) is kind.cls:
             return {"kind": tag, **kind.write(measure)}
     raise ParseError(f"cannot serialize measure of type {type(measure).__name__}")
 

@@ -374,6 +374,27 @@ def test_distance(tmp_path, chain_file, swap_file):
     assert "distance: 3/2" in text
 
 
+def test_ball_scans_run_at_radius_nine(tmp_path):
+    # a one-symbol chain has one pattern per ball, but a 1023-vertex hull
+    chain = tmp_path / "one.json"
+    write_json(
+        chain,
+        {"kind": "chain", "d": 2, "sigma": [1, 2], "alphabet": [0], "p": ["1"],
+         "P": {"1": [["1"]], "2": [["1"]]}},
+    )
+    extended = tmp_path / "ext.json"
+    assert execute(["extend", "--chain", str(chain), "--out", str(extended)])[0] == 0
+    code, text = execute(
+        ["distance", "--first", str(chain), "--second", str(chain), "--radius", "9"]
+    )
+    assert (code, "distance: 0/1" in text) == (0, True)
+    code, text = execute(
+        ["pushforward-check", "--extended", str(extended), "--chain", str(chain),
+         "--radius", "9"]
+    )
+    assert (code, "agree: true" in text) == (0, True)
+
+
 def test_window_eval(tmp_path):
     measure = tmp_path / "lattice.json"
     write_json(

@@ -357,6 +357,7 @@ SYMBOL_KINDS = {
     **KIND_MAKERS,
     "mixture": lambda a: MixtureMeasure((KIND_MAKERS["bernoulli"](a),), (F(1),)),
     "markovized": lambda a: MarkovizedMeasure(markovize(KIND_MAKERS["bernoulli"](a), 0)),
+    "orbit": lambda a: KIND_MAKERS["periodic"](a).orbits[0],
 }
 
 
@@ -370,9 +371,10 @@ def test_measure_kinds_refuse_an_unknown_symbol(kind):
     assert measure.eval(make({site: 1})) in (0, F(1, 2))
     with pytest.raises(ValidationError, match="symbol 9 is not in the"):
         measure.eval(make({site: 9}))
-    if kind != "chain":  # a chain checks its symbols before its sites
+    # sites are checked before symbols, whatever the pattern's order
+    for pattern in (make({outside: 9}), make({site: 9, outside: 0}), make({site: 0, outside: 9})):
         with pytest.raises(MembershipError):
-            measure.eval(make({outside: 9}))
+            measure.eval(pattern)
 
 
 # each constructor that takes a distribution, given that distribution
@@ -404,6 +406,21 @@ def test_distributions_are_exact_and_sum_to_one(kind):
     if kind in POSITIVE:
         with pytest.raises(ValidationError, match="must be positive and sum to 1"):
             make((1, 0))
+
+
+def test_chain_make_refuses_inexact_entries():
+    gs = GeneratorSet.from_signed((1,))
+    for inexact in ((0.1, 0.9), (True, False), ("1/2", "1/2")):
+        with pytest.raises(ValidationError, match="p must be ints or Fractions"):
+            MarkovTreeChain.make(gs, (0, 1), inexact, {1: FLAT})
+        with pytest.raises(ValidationError, match=r"P\[a1\] row 1 must be ints or Fractions"):
+            MarkovTreeChain.make(gs, (0, 1), HALF, {1: (HALF, inexact)})
+    # sums and signs are left to validate_chain, which reports them
+    chain = MarkovTreeChain.make(gs, (0, 1), (1, 1), {1: (HALF, (F(3, 2), F(-1, 2)))})
+    assert validate_chain(chain).problems == (
+        "sum(p) = 2 != 1",
+        "P[a1][1][1] = -1/2 is negative",
+    )
 
 
 MATRIX_A = ((1, 2), (0, 1))

@@ -12,6 +12,7 @@ from semishift import (
     GeneratorSet,
     GroupOrbitAutomaton,
     MembershipError,
+    MixtureMeasure,
     NotPeriodic,
     OrbitAutomaton,
     Pattern,
@@ -197,6 +198,17 @@ def test_theorem_a_factorization_error():
         theorem_a_point(pattern, theta, GS2, (0, 1))
 
 
+def test_theorem_a_checks_sites_then_symbols_before_factoring():
+    theta = {A: (1, 0), B: (1, 0)}
+    # a1 and a2 share a theta-image, so this pattern also does not factor
+    faults = {w("a1"): 1, w("a2"): 9, w("A1"): 0}
+    with pytest.raises(MembershipError):
+        theorem_a_point(Pattern.of(faults), theta, GS2, (0, 1))
+    del faults[w("A1")]
+    with pytest.raises(ValidationError, match="symbol 9 is not in the alphabet"):
+        theorem_a_point(Pattern.of(faults), theta, GS2, (0, 1))
+
+
 def test_theorem_a_fill_symbol():
     pattern = Pattern.of({EPSILON: 1})
     theta = {A: (1, 0), B: (1, 0)}
@@ -278,6 +290,34 @@ def test_periodic_measure_eval_examples():
     assert periodic_measure_eval(pm, Pattern.of({EPSILON: 0})) == F(1, 2)
     assert periodic_measure_eval(pm, Pattern.of({EPSILON: 0, w("a1"): 0})) == 0
     assert periodic_measure_eval(pm, Pattern.of({})) == 1
+
+
+def test_orbit_evaluates_as_the_uniform_measure_on_its_minimal_orbit():
+    # two distinct configurations x (label 0) and y (label 1); a1 sends both to y
+    o = two_point_orbit()
+    assert o.eval(Pattern.of({EPSILON: 0})) == F(1, 2)
+    assert o.eval(Pattern.of({w("a1"): 1})) == 1
+    assert o.eval(Pattern.of({})) == 1
+    # three raw states, two of which show the same configuration
+    gs = GeneratorSet.from_signed((1,))
+    tail = OrbitAutomaton(gs=gs, alphabet=(0, 1), labels=(0, 1, 1), delta={A: (1, 2, 2)})
+    assert tail.minimal.n_states() == 2
+    assert tail.eval(Pattern.of({EPSILON: 1})) == F(1, 2)
+    assert tail.eval(Pattern.of({EPSILON: 0, w("a1"): 1})) == F(1, 2)
+
+
+def test_periodic_measure_is_a_mixture_of_its_orbits():
+    orbits = (swap_orbit(), loop_orbit(0))
+    pm = PeriodicMeasure(orbits, (F(1, 3), F(2, 3)))
+    mix = MixtureMeasure(orbits, (F(1, 3), F(2, 3)))
+    assert isinstance(pm, MixtureMeasure) and pm.orbits is pm.components
+    assert pm != mix and (pm.gs, pm.alphabet) == (mix.gs, mix.alphabet)
+    for pattern in ({}, {EPSILON: 0}, {EPSILON: 1, w("a1"): 0}, {w("a2a1"): 1}):
+        assert pm.eval(Pattern.of(pattern)) == mix.eval(Pattern.of(pattern))
+    with pytest.raises(ValidationError, match="need matching, nonempty components"):
+        PeriodicMeasure(orbits, (F(1),))
+    with pytest.raises(NotPeriodic):
+        PeriodicMeasure((two_point_orbit(),), (F(1),))
 
 
 def test_periodic_measure_eval_membership_error():

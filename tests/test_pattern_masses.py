@@ -6,9 +6,10 @@ reference computed pattern by pattern: ``oracle_eval`` (enumeration over
 a hull it builds itself) for chains, a product of probabilities for
 Bernoulli measures, a count of raw automaton states whose readout shows
 the pattern for periodic measures, and the weighted sum of those for
-mixtures.  Site lists are sorted balls and their translates by every
-generator, over Sigma with and without inverse pairs; a translate has
-hull vertices that no site covers and is not in root-first order.
+mixtures.  Site lists are sorted balls, their translates by every
+generator and their spheres, over Sigma with and without inverse pairs;
+a translate is not in root-first order, and the hull of a translate or
+a sphere has vertices that are no sites.
 """
 
 import itertools
@@ -56,7 +57,8 @@ MAX_PATTERNS = 512
 
 
 def site_lists(gs: GeneratorSet, n: int):
-    """Sorted balls and their translates by each generator, while small enough."""
+    """Sorted balls, their translates by each generator and their spheres,
+    while small enough.  A sphere's shorter hull vertices are no sites."""
     for r in range(3):
         sites = sorted_words(ball(gs, r))
         if n ** len(sites) > MAX_PATTERNS:
@@ -64,6 +66,7 @@ def site_lists(gs: GeneratorSet, n: int):
         yield sites
         for g in gs.symbols():
             yield [word_mul(w, Word((g,))) for w in sites]
+        yield [w for w in sites if len(w) == r]
 
 
 def patterns(sites, alphabet):
@@ -88,22 +91,22 @@ def readout(o: OrbitAutomaton, q: int, w: Word):
     return o.labels[q]
 
 
-def periodic_reference(measure):
-    """Weighted share of raw states whose configuration shows the pattern.
+def raw_share(o: OrbitAutomaton, pattern) -> Fraction:
+    """Share of the raw states whose configuration shows the pattern.
 
-    The orbits are permutation automata, so every configuration has the
-    same number of raw states and no minimization is needed.
+    For a permutation automaton every configuration has the same number
+    of raw states, so no minimization is needed.
     """
+    n = o.n_states()
+    return F(sum(all(readout(o, q, w) == c for w, c in pattern.items()) for q in range(n)), n)
 
-    def mass(pattern):
-        total = F(0)
-        for o, weight in zip(measure.orbits, measure.weights):
-            n = o.n_states()
-            hits = sum(all(readout(o, q, w) == c for w, c in pattern.items()) for q in range(n))
-            total += weight * F(hits, n)
-        return total
 
-    return mass
+def periodic_reference(measure):
+    """Weighted raw-state shares of the orbits, which are permutation automata."""
+    return lambda pattern: sum(
+        (weight * raw_share(o, pattern) for o, weight in zip(measure.orbits, measure.weights)),
+        F(0),
+    )
 
 
 def mixture_reference(weights, references):
@@ -178,6 +181,22 @@ def test_masses_match_references(kind, signed, n, seed):
         masses = pattern_masses(measure, sites)
         assert all(type(x) is Fraction for x in masses)
         assert masses == [reference(p) for p in patterns(sites, measure.alphabet)]
+
+
+@given(st.sampled_from(SIGMAS), st.integers(1, 3), st.integers(0, 2**32))
+def test_orbit_and_periodic_eval_match_raw_state_counts(signed, n, seed):
+    rng = random.Random(seed)
+    measure, reference = build("periodic", rng, signed, n)
+    words = sorted_words(ball(measure.gs, 2))
+    for _ in range(8):
+        sites = rng.sample(words, rng.randint(0, min(4, len(words))))
+        if rng.random() < 0.5:
+            g = rng.choice(measure.gs.symbols())
+            sites = [word_mul(w, Word((g,))) for w in sites]
+        pattern = Pattern.of({w: rng.choice(measure.alphabet) for w in sites})
+        assert measure.eval(pattern) == reference(pattern)
+        for o in measure.orbits:
+            assert o.eval(pattern) == raw_share(o, pattern)
 
 
 class OracleMeasure:

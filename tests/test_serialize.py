@@ -12,6 +12,7 @@ from semishift import (
     LatticeBernoulli,
     LatticeMarkov,
     LatticePattern,
+    LatticeTable,
     MixtureMeasure,
     ParseError,
     Pattern,
@@ -22,6 +23,7 @@ from semishift import (
     parse_word,
 )
 from semishift.serialize import (
+    MEASURE_KINDS,
     automaton_in,
     automaton_out,
     chain_in,
@@ -166,6 +168,32 @@ def test_measure_round_trip_all_kinds():
             assert back.eval(lattice_probe) == measure.eval(lattice_probe)
         else:
             assert back.eval(probe) == measure.eval(probe)
+
+
+def test_every_measure_kind_writes_its_own_tag_and_round_trips():
+    fair = BernoulliMeasure(GS2, (0, 1), (F(1, 2), F(1, 2)))
+    swap_pm = PeriodicMeasure((swap_orbit(),), (F(1),))
+    examples = {
+        "chain": worked_chain(2),
+        "bernoulli": fair,
+        "periodic": swap_pm,
+        "mixture": MixtureMeasure((swap_pm, fair), (F(1, 2), F(1, 2))),
+        "lattice-bernoulli": LatticeBernoulli(1, (0, 1), (F(1, 3), F(2, 3))),
+        "lattice-markov": LatticeMarkov((0, 1), (F(1, 2), F(1, 2)), ((F(1, 2), F(1, 2)),) * 2),
+        "lattice-table": LatticeTable(
+            1, (0, 1), (1,), tuple((LatticePattern.of({(0,): c}), F(1, 2)) for c in (0, 1))
+        ),
+    }
+    assert set(examples) == set(MEASURE_KINDS)
+    for tag, measure in examples.items():
+        data = measure_out(measure)
+        assert data["kind"] == tag
+        assert measure_in(through_json(data)) == measure
+        again = measure_out(measure_in(through_json(data)))
+        assert json.dumps(again, sort_keys=True) == json.dumps(data, sort_keys=True)
+    # a periodic measure is also a mixture, but keeps its own tag inside one
+    nested = measure_out(examples["mixture"])["components"]
+    assert [c["kind"] for c in nested] == ["periodic", "bernoulli"]
 
 
 def test_measure_rejects_unknown_kind():
