@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import MembershipError, ParseError
 
@@ -50,6 +50,8 @@ class Symbol:
     sign: int
 
     def __post_init__(self) -> None:
+        if type(self.index) is not int:
+            raise ValueError(f"generator index must be an int, got {self.index!r}")
         if self.index < 1:
             raise ValueError(f"generator index must be >= 1, got {self.index}")
         if self.sign not in (1, -1):
@@ -57,6 +59,8 @@ class Symbol:
 
     @classmethod
     def from_signed(cls, value: int) -> "Symbol":
+        if type(value) is not int:
+            raise ValueError(f"signed generator value must be an int, got {value!r}")
         if value == 0:
             raise ValueError("signed generator value must be nonzero")
         return cls(abs(value), 1 if value > 0 else -1)
@@ -187,8 +191,23 @@ class GeneratorSet:
     def symbols(self) -> tuple[Symbol, ...]:
         return tuple(sorted(self.sigma, key=Symbol.key))
 
-    def covers_positive(self) -> bool:
-        return all(Symbol(i, 1) in self.sigma for i in range(1, self.d + 1))
+    def inverse_pairs(self) -> tuple[tuple[Symbol, Symbol], ...]:
+        """(a, a^-1) for each positive a in Sigma whose inverse is too, in ``symbols()`` order."""
+        return tuple(
+            (s, s.inverse()) for s in self.symbols() if s.sign > 0 and s.inverse() in self.sigma
+        )
+
+    @property
+    def symmetric(self) -> bool:
+        """Sigma = Sigma^-1."""
+        return all(s.inverse() in self.sigma for s in self.sigma)
+
+    def missing_positive(self) -> tuple[int, Iterator[Symbol]]:
+        """How many of a_1 .. a_d Sigma lacks, and those generators in order, lazily:
+        reading k of them costs O(k + |Sigma|), never O(d)."""
+        present = {s.index for s in self.sigma if s.sign > 0}
+        lacking = (Symbol(i, 1) for i in range(1, self.d + 1) if i not in present)
+        return self.d - len(present), lacking
 
     def extended(self) -> "GeneratorSet":
         return GeneratorSet(self.d, self.sigma | {s.inverse() for s in self.sigma})

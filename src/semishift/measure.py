@@ -214,7 +214,7 @@ class MarkovTreeChain:
         require_exact(p, "p")
         trans = []
         for key, rows in matrices.items():
-            sym = key if isinstance(key, Symbol) else Symbol.from_signed(int(key))
+            sym = key if isinstance(key, Symbol) else Symbol.from_signed(key)
             for k, row in enumerate(rows):
                 require_exact(row, f"P[{sym}] row {k}")
             trans.append((sym, tuple(tuple(Fraction(x) for x in row) for row in rows)))
@@ -324,8 +324,7 @@ def is_invariant_chain(chain: MarkovTreeChain) -> CheckResult:
     inside Sigma, detailed balance p_k P^{a^-1}[k][l] = p_l P^a[l][k].
     """
     _require_valid(chain)
-    syms = chain.gs.symbols()
-    for sym in syms:
+    for sym in chain.gs.symbols():
         rows = chain.matrix[sym]
         for l in range(len(chain.alphabet)):
             lhs = sum((chain.p[k] * rows[k][l] for k in range(len(chain.p))), ZERO)
@@ -333,36 +332,19 @@ def is_invariant_chain(chain: MarkovTreeChain) -> CheckResult:
                 return CheckResult(
                     False, f"(p P^{sym})[{l}] = {lhs} != p[{l}] = {chain.p[l]}"
                 )
-    for sym in syms:
-        inv = sym.inverse()
-        if sym.sign > 0 and inv in chain.gs.sigma:
-            fwd, bwd = chain.matrix[sym], chain.matrix[inv]
-            for k in range(len(chain.p)):
-                for l in range(len(chain.p)):
-                    lhs = chain.p[k] * bwd[k][l]
-                    rhs = chain.p[l] * fwd[l][k]
-                    if lhs != rhs:
-                        return CheckResult(
-                            False,
-                            f"balance fails: p[{k}] P^{inv}[{k}][{l}] = {lhs} "
-                            f"!= p[{l}] P^{sym}[{l}][{k}] = {rhs}",
-                        )
+    for sym, inv in chain.gs.inverse_pairs():
+        fwd, bwd = chain.matrix[sym], chain.matrix[inv]
+        for k in range(len(chain.p)):
+            for l in range(len(chain.p)):
+                lhs = chain.p[k] * bwd[k][l]
+                rhs = chain.p[l] * fwd[l][k]
+                if lhs != rhs:
+                    return CheckResult(
+                        False,
+                        f"balance fails: p[{k}] P^{inv}[{k}][{l}] = {lhs} "
+                        f"!= p[{l}] P^{sym}[{l}][{k}] = {rhs}",
+                    )
     return CheckResult(True)
-
-
-def _constraint_indices(
-    chain: MarkovTreeChain, constraints: Mapping[Word, Collection]
-) -> dict[Word, frozenset[int]]:
-    index = chain.symbol_index
-    out: dict[Word, frozenset[int]] = {}
-    for w, allowed in constraints.items():
-        idxs = []
-        for c in allowed:
-            if c not in index:
-                raise ValidationError(f"symbol {c!r} is not in the chain alphabet")
-            idxs.append(index[c])
-        out[w] = frozenset(idxs)
-    return out
 
 
 def eval_constrained(
@@ -375,11 +357,16 @@ def eval_constrained(
     """
     _require_valid(chain)
     hull = _ancestor_closure(constraints, chain.gs)
-    allowed = _constraint_indices(chain, constraints)
     scale, p, matrices = chain.integer_form
-    n = len(p)
+    n, index = len(p), chain.symbol_index
     # Each row is D^(size of its subtree - 1) times the exact row.
-    rows = {w.letters: [1 if k in ok else 0 for k in range(n)] for w, ok in allowed.items()}
+    rows: dict[tuple[Symbol, ...], list[int]] = {}
+    for w, allowed in constraints.items():
+        row = rows[w.letters] = [0] * n
+        for c in allowed:
+            if c not in index:
+                raise ValidationError(f"symbol {c!r} is not in the chain alphabet")
+            row[index[c]] = 1
     # Leaves first, each vertex folding its finished row into its parent's;
     # the identity sorts last and has no parent.
     for t in sorted(hull, key=len, reverse=True)[:-1]:
@@ -480,13 +467,11 @@ def extend_chain(chain: MarkovTreeChain) -> MarkovTreeChain:
     inv = is_invariant_chain(chain)
     if not inv:
         raise NotInvariant(inv.witness or "chain is not invariant")
-    if not chain.gs.covers_positive():
-        missing = [
-            str(Symbol(i, 1))
-            for i in range(1, chain.gs.d + 1)
-            if Symbol(i, 1) not in chain.gs.sigma
-        ]
-        raise SigmaIncomplete(f"Sigma lacks positive generators: {', '.join(missing)}")
+    count, lacking = chain.gs.missing_positive()
+    if count:
+        shown = ", ".join(map(str, itertools.islice(lacking, 10)))
+        more = f", ... ({count} in all)" if count > 10 else ""
+        raise SigmaIncomplete(f"Sigma lacks positive generators: {shown}{more}")
     full = chain.gs.extended()
     n = len(chain.alphabet)
     matrices: dict[Symbol, Matrix] = dict(chain.transitions)

@@ -90,14 +90,10 @@ class OrbitAutomaton:
             raise ValidationError(f"base state {self.base} out of range")
         # When Sigma holds both signs of a generator, the two arrows must
         # be mutually inverse or the states cannot encode one orbit.
-        for sym in self.gs.sigma:
-            inv = sym.inverse()
-            if sym.sign > 0 and inv in self.gs.sigma:
-                fwd, bwd = self.delta[sym], self.delta[inv]
-                if not _is_permutation(fwd) or perm_inverse(fwd) != bwd:
-                    raise ValidationError(
-                        f"delta[{sym}] and delta[{inv}] are not inverse bijections"
-                    )
+        for sym, inv in self.gs.inverse_pairs():
+            fwd, bwd = self.delta[sym], self.delta[inv]
+            if not _is_permutation(fwd) or perm_inverse(fwd) != bwd:
+                raise ValidationError(f"delta[{sym}] and delta[{inv}] are not inverse bijections")
         rows = self.delta.values()
         if len(_closure(self.base, lambda q: [row[q] for row in rows])) != n:
             raise ValidationError("every state must be reachable from the base")
@@ -139,7 +135,7 @@ class GroupOrbitAutomaton(OrbitAutomaton):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.gs.sigma != {s.inverse() for s in self.gs.sigma}:
+        if not self.gs.symmetric:
             raise ValidationError("Sigma must be closed under inverses")
 
 
@@ -253,13 +249,9 @@ def _validate_morphism(
         if not _is_permutation(p):
             raise ValidationError(f"theta[{sym}] = {p} is not a permutation")
         out[sym] = p
-    for sym in gs.sigma:
-        inv = sym.inverse()
-        if sym.sign > 0 and inv in gs.sigma:
-            if out[inv] != perm_inverse(out[sym]):
-                raise ValidationError(
-                    f"theta[{inv}] must be the inverse of theta[{sym}]"
-                )
+    for sym, inv in gs.inverse_pairs():
+        if out[inv] != perm_inverse(out[sym]):
+            raise ValidationError(f"theta[{inv}] must be the inverse of theta[{sym}]")
     return out, degree
 
 
@@ -354,13 +346,12 @@ def lift_to_group(o: OrbitAutomaton) -> GroupOrbitAutomaton:
     bad = next((s for s in m.gs.symbols() if not _is_permutation(m.delta[s])), None)
     if bad is not None:
         raise NotPeriodic(f"delta[{bad}] is not a bijection on the orbit")
-    delta: dict[Symbol, tuple[int, ...]] = dict(m.delta)
-    for sym in m.gs.sigma:
-        inv = sym.inverse()
-        if inv not in delta:
-            delta[inv] = perm_inverse(m.delta[sym])
+    full = m.gs.extended()
+    delta = dict(m.delta)
+    for sym in full.sigma - m.gs.sigma:
+        delta[sym] = perm_inverse(m.delta[sym.inverse()])
     return GroupOrbitAutomaton(
-        gs=m.gs.extended(),
+        gs=full,
         alphabet=m.alphabet,
         labels=m.labels,
         delta=delta,
@@ -373,6 +364,8 @@ class PeriodicMeasure(MixtureMeasure):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if not all(isinstance(o, OrbitAutomaton) for o in self.components):
+            raise ValidationError("every component of a periodic measure must be an OrbitAutomaton")
         if not all(_acts_bijectively(o.minimal) for o in self.components):
             raise NotPeriodic("every orbit in a periodic measure must be periodic")
 

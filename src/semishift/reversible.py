@@ -10,10 +10,12 @@ consistent family over all of Z^d.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Protocol, Sequence
+from functools import cached_property
+from typing import ClassVar, Collection, Iterable, Mapping, Protocol, Sequence
 
 from .algebra import LatticeVector, vec_add, vec_min, vec_sub
 from .errors import MembershipError, ValidationError
@@ -133,7 +135,7 @@ class LatticeMarkov:
     p: tuple[Fraction, ...]
     P: tuple[tuple[Fraction, ...], ...]
 
-    d: int = 1
+    d: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         require_distinct_symbols(self.alphabet)
@@ -148,7 +150,7 @@ class LatticeMarkov:
                 raise ValidationError("p is not a fixed vector of P")
 
     def eval(self, pattern: LatticePattern) -> Fraction:
-        _check_pattern(pattern, 1, self.alphabet)
+        _check_pattern(pattern, self.d, self.alphabet)
         if len(pattern) == 0:
             return ONE
         sites = sorted((v[0], self.alphabet.index(c)) for v, c in pattern.items())
@@ -172,15 +174,15 @@ class LatticeTable:
         if len(self.box) != self.d or any(b < 1 for b in self.box):
             raise ValidationError("box must list one positive extent per dimension")
         require_distribution([mass for _, mass in self.table], "table masses")
-        sites = self._box_sites()
+        size = math.prod(self.box)
         for pat, _ in self.table:
-            if pat.domain() != sites:
+            # the size first, so a huge declared box is never enumerated
+            if len(pat) != size or pat.domain() != self._box_sites:
                 raise ValidationError(f"table pattern {pat.render()} must fill the box")
 
+    @cached_property
     def _box_sites(self) -> tuple[LatticeVector, ...]:
-        return tuple(
-            sorted(itertools.product(*(range(b) for b in self.box)))
-        )
+        return tuple(itertools.product(*map(range, self.box)))
 
     def eval(self, pattern: LatticePattern) -> Fraction:
         _check_pattern(pattern, self.d, self.alphabet)

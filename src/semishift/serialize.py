@@ -136,9 +136,8 @@ def generator_set_out(gs: GeneratorSet) -> dict:
 
 @_reader("generator set")
 def generator_set_in(data: dict, where: str) -> GeneratorSet:
-    return GeneratorSet.from_signed(
-        _need(data, "sigma", where), d=int(_need(data, "d", where))
-    )
+    sigma = [_int_in(v, "sigma entry", where) for v in _need(data, "sigma", where)]
+    return GeneratorSet.from_signed(sigma, d=_int_in(_need(data, "d", where), "d", where))
 
 
 def chain_out(chain: MarkovTreeChain) -> dict:
@@ -208,11 +207,7 @@ def automaton_in(data: dict, where: str) -> OrbitAutomaton:
         )
         for key, row in _need(data, "delta", where).items()
     }
-    cls = (
-        GroupOrbitAutomaton
-        if gs.sigma == {s.inverse() for s in gs.sigma}
-        else OrbitAutomaton
-    )
+    cls = GroupOrbitAutomaton if gs.symmetric else OrbitAutomaton
     return cls(
         gs=gs,
         alphabet=alphabet,
@@ -254,7 +249,8 @@ def lattice_pattern_out(pattern: LatticePattern) -> dict:
 def lattice_pattern_in(data: dict, where: str) -> LatticePattern:
     entries = _need(data, "entries", where)
     return LatticePattern.of(
-        [(tuple(int(x) for x in v), _symbol_in(c)) for v, c in entries]
+        [(tuple(_int_in(x, "site coordinate", where) for x in v), _symbol_in(c))
+         for v, c in entries]
     )
 
 
@@ -295,7 +291,9 @@ def _table_entry_in(entry: Any, where: str, i: int) -> tuple[LatticePattern, Fra
 
 
 _GS: Field = ("gs", generator_set_in, generator_set_out)
-_D: Field = ("d", lambda data, where: int(_need(data, "d", where)), lambda d: {"d": d})
+_D: Field = (
+    "d", lambda data, where: _int_in(_need(data, "d", where), "d", where), lambda d: {"d": d}
+)
 _ALPHABET = _seq("alphabet", lambda c, where, i: _symbol_in(c), _symbol_out)
 
 
@@ -365,7 +363,7 @@ MEASURE_KINDS: dict[str, MeasureKind] = {
         LatticeTable,
         _D,
         _ALPHABET,
-        _seq("box", lambda b, where, i: int(b), int),
+        _seq("box", lambda b, where, i: _int_in(b, "box extent", where), int),
         _seq(
             "table",
             _table_entry_in,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -163,3 +164,34 @@ def test_tree_hull_contains_input_and_validates():
         assert EPSILON in hull.vertices
         assert len(hull.edges) == len(hull.vertices) - 1
         assert all(Word(v.letters[1:]) in hull.vertices for v in hull.vertices if v)
+
+
+def test_symbol_refuses_a_bool_or_non_int_index():
+    for index in (True, 1.0, 1.5, "1"):
+        with pytest.raises(ValueError, match="must be an int"):
+            Symbol(index, 1)
+    for value in (True, -1.0, 1.7, "2"):
+        with pytest.raises(ValueError, match="must be an int"):
+            Symbol.from_signed(value)
+
+
+def test_generator_set_sign_structure():
+    signed = GeneratorSet.from_signed((2, -3, 1, -1, 3), d=4)
+    a1, a3 = Symbol(1, 1), Symbol(3, 1)
+    assert signed.inverse_pairs() == ((a1, a1.inverse()), (a3, a3.inverse()))
+    assert not signed.symmetric
+    assert GeneratorSet.from_signed((1, -1, 2, -2)).symmetric
+    assert GeneratorSet.from_signed((-1,)).symmetric is False
+    assert GeneratorSet.from_signed((1, 2)).inverse_pairs() == ()
+    count, lacking = signed.missing_positive()
+    assert (count, list(lacking)) == (1, [Symbol(4, 1)])
+    count, lacking = GeneratorSet.from_signed((1, -2)).missing_positive()
+    assert (count, list(lacking)) == (1, [Symbol(2, 1)])
+    assert GeneratorSet.from_signed((1, 2)).missing_positive()[0] == 0
+
+
+def test_missing_positive_never_scans_up_to_d():
+    huge = GeneratorSet.from_signed((1, 3, -5), d=10**18)
+    count, lacking = huge.missing_positive()
+    assert count == 10**18 - 2
+    assert [s.index for s in itertools.islice(lacking, 4)] == [2, 4, 5, 6]

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -604,3 +605,64 @@ def test_repeated_alphabet_symbol_exits_two(tmp_path):
             code, text = execute([*argv, "--measure", str(path)])
             assert code == 2
             assert text.endswith("alphabet must be nonempty without repeats")
+
+
+def run_on(tmp_path, argv, **files):
+    """Write each keyword's JSON, unless None, to ``<name>.json`` and run argv on those paths."""
+    paths = {}
+    for name, data in files.items():
+        if data is not None:
+            paths[name] = tmp_path / f"{name}.json"
+            write_json(paths[name], data)
+    return execute([a.format(**paths) for a in argv])
+
+
+HUGE = 10**8
+FAIR_CHAIN = {"kind": "chain", "d": 1, "sigma": [1], "alphabet": [0, 1],
+              "p": ["1/2", "1/2"], "P": {"1": [["1/2", "1/2"]] * 2}}
+LATTICE_TABLE = {"kind": "lattice-table", "d": 1, "alphabet": [0, 1], "box": [1],
+                 "table": [[{"entries": [[[0], 0]]}, "1/2"], [{"entries": [[[0], 1]]}, "1/2"]]}
+ROOT = {"entries": [[[0], 0]]}
+EXTEND = ["extend", "--chain", "{measure}"]
+WINDOW_EVAL = ["window-eval", "--measure", "{measure}", "--pattern", "{pattern}"]
+
+
+def test_extend_refuses_a_huge_rank_at_once(tmp_path):
+    start = time.process_time()
+    code, text = run_on(tmp_path, EXTEND, measure={**measure_out(worked_chain(2)), "d": HUGE})
+    assert time.process_time() - start < 1
+    assert code == 2
+    assert text == (
+        "error: SigmaIncomplete: Sigma lacks positive generators: "
+        f"a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, ... ({HUGE - 2} in all)"
+    )
+
+
+def test_window_eval_refuses_a_huge_box_at_once(tmp_path):
+    table = {**LATTICE_TABLE, "box": [HUGE], "table": [[ROOT, "1/1"]]}
+    start = time.process_time()
+    code, text = run_on(tmp_path, WINDOW_EVAL, measure=table, pattern=ROOT)
+    assert time.process_time() - start < 1
+    assert code == 2
+    assert text.endswith("table pattern {(0,)=0} must fill the box")
+
+
+@pytest.mark.parametrize(
+    "argv, measure, pattern, message",
+    [
+        (EXTEND, {**FAIR_CHAIN, "d": 1.9}, None, "d 1.9"),
+        (EXTEND, {**FAIR_CHAIN, "d": "1"}, None, "d '1'"),
+        (EXTEND, {**FAIR_CHAIN, "sigma": [1.0]}, None, "sigma entry 1.0"),
+        (EXTEND, {**FAIR_CHAIN, "sigma": [True]}, None, "sigma entry True"),
+        (WINDOW_EVAL, {**LATTICE_BERNOULLI, "d": 1.0}, ROOT, "d 1.0"),
+        (WINDOW_EVAL, LATTICE_BERNOULLI, {"entries": [[[0.7], 0]]}, "site coordinate 0.7"),
+        (WINDOW_EVAL, {**LATTICE_TABLE, "box": [1.5]}, ROOT, "box extent 1.5"),
+    ],
+    ids=["d-float", "d-string", "sigma-float", "sigma-bool", "lattice-d", "lattice-site",
+         "box"],
+)
+def test_integer_fields_are_read_exactly(tmp_path, argv, measure, pattern, message):
+    code, text = run_on(tmp_path, argv, measure=measure, pattern=pattern)
+    assert code == 2
+    assert text.startswith("error: ParseError: ")
+    assert text.endswith(f"{message} is not an integer")

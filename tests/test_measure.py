@@ -242,8 +242,19 @@ def test_extend_chain_errors():
         GeneratorSet(2, frozenset({Symbol(1, 1)})), (0, 1),
         (F(1, 2), F(1, 2)), {Symbol(1, 1): ((F(1, 2), F(1, 2)),) * 2},
     )
-    with pytest.raises(SigmaIncomplete):
+    with pytest.raises(SigmaIncomplete, match="lacks positive generators: a2$"):
         extend_chain(partial)
+
+
+def test_extend_chain_caps_the_missing_generator_list():
+    ten = "a2, a3, a4, a5, a6, a7, a8, a9, a10, a11"
+    for d, tail in ((11, ""), (12, ", ... (11 in all)"), (10**12, ", ... (999999999999 in all)")):
+        chain = MarkovTreeChain.make(
+            GeneratorSet(d, frozenset({Symbol(1, 1)})), (0, 1), HALF, {1: FLAT}
+        )
+        with pytest.raises(SigmaIncomplete) as exc:
+            extend_chain(chain)
+        assert str(exc.value) == f"Sigma lacks positive generators: {ten}{tail}"
 
 
 def test_extend_chain_random_invariant_and_pushforward():
@@ -415,6 +426,9 @@ def test_chain_make_refuses_inexact_entries():
             MarkovTreeChain.make(gs, (0, 1), inexact, {1: FLAT})
         with pytest.raises(ValidationError, match=r"P\[a1\] row 1 must be ints or Fractions"):
             MarkovTreeChain.make(gs, (0, 1), HALF, {1: (HALF, inexact)})
+    for key in (1.7, True, "1"):
+        with pytest.raises(ValueError, match="signed generator value must be an int"):
+            MarkovTreeChain.make(gs, (0, 1), HALF, {key: (HALF, HALF)})
     # sums and signs are left to validate_chain, which reports them
     chain = MarkovTreeChain.make(gs, (0, 1), (1, 1), {1: (HALF, (F(3, 2), F(-1, 2)))})
     assert validate_chain(chain).problems == (

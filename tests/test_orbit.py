@@ -6,6 +6,7 @@ import pytest
 import semishift.orbit
 from helpers import oracle_monoid, random_automaton, swap_orbit, two_point_orbit
 from semishift import (
+    BernoulliMeasure,
     BudgetExhausted,
     EPSILON,
     FactorizationError,
@@ -318,6 +319,14 @@ def test_periodic_measure_is_a_mixture_of_its_orbits():
         PeriodicMeasure(orbits, (F(1),))
     with pytest.raises(NotPeriodic):
         PeriodicMeasure((two_point_orbit(),), (F(1),))
+
+
+def test_periodic_measure_refuses_a_component_that_is_not_an_orbit():
+    orbit = swap_orbit()
+    fair = BernoulliMeasure(orbit.gs, orbit.alphabet, (F(1, 2), F(1, 2)))
+    for components, weights in (((fair,), (F(1),)), ((orbit, fair), (F(1, 2), F(1, 2)))):
+        with pytest.raises(ValidationError, match="must be an OrbitAutomaton"):
+            PeriodicMeasure(components, weights)
 
 
 def test_periodic_measure_eval_membership_error():

@@ -208,6 +208,19 @@ def test_lattice_validation_errors():
         LatticeTable(1, (0, 1), (0,), ())
 
 
+def test_lattice_markov_is_one_dimensional():
+    assert chain().d == LatticeMarkov.d == 1
+    with pytest.raises(TypeError):
+        LatticeMarkov((0, 1), Q, P_ROWS, d=2)
+
+
+def test_lattice_table_refuses_a_huge_box_before_enumerating_it():
+    pattern = lp({(0,): 0})
+    for box in ((10**12,), (10**6, 10**6)):
+        with pytest.raises(ValidationError, match="must fill the box"):
+            LatticeTable(len(box), (0,), box, ((pattern, F(1)),))
+
+
 def test_integer_entries_still_give_fraction_masses():
     pattern = lp({(0,): 0})
     for measure in (
