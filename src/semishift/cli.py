@@ -6,9 +6,9 @@ checked property holds or the construction succeeds, 1 when a property
 fails (the report carries a witness), 2 on malformed or invalid input.
 Rationals are printed as num/den; ``--human`` appends decimal
 approximations to six places, which are display-only and never
-authoritative.  Commands that build an object (extend, markovize,
-thm-a-construct, find-morphism, lift, counterexample) write it as JSON
-to ``--out``.
+authoritative.  Exact values print in full at any size.  Commands that
+build an object (extend, markovize, thm-a-construct, find-morphism, lift,
+counterexample) write it as JSON to ``--out``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -25,7 +26,9 @@ from .algebra import GeneratorSet, ball, parse_word, word_to_string
 from .errors import BudgetExhausted, ParseError, SemishiftError, ValidationError
 from .markovize import consistency_masses, markovize
 from .measure import (
+    CheckResult,
     MarkovTreeChain,
+    check_int_matrix,
     counterexample_analyze,
     counterexample_chain,
     extend_chain,
@@ -53,6 +56,7 @@ from .serialize import (
     automaton_out,
     block_alphabet_out,
     chain_in,
+    fraction_to_str,
     lattice_pattern_in,
     measure_in,
     measure_out,
@@ -65,13 +69,16 @@ from .serialize import (
 )
 
 Row = tuple[str, Any]
+# A handler only computes.  It returns (exit code, rows), plus the object
+# that --out writes when it built one; execute writes it and prints the rows.
+Report = tuple[int, list[Row]] | tuple[int, list[Row], Any]
 
 
 def _value_text(v: Any) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return fraction_to_str(v)
     return str(v)
 
 
@@ -82,24 +89,23 @@ def _approx_text(v: Any) -> str:
 
 
 def _render(rows: list[Row], args: argparse.Namespace) -> str:
+    # approx is "" without --human and for values that are not rationals
+    records = [(key, _value_text(v), _approx_text(v) if args.human else "") for key, v in rows]
     if args.fmt == "csv":
+        width = 3 if args.human else 2
         sink = io.StringIO()
         writer = csv.writer(sink, lineterminator="\n")
-        header = ["key", "value"] + (["approx"] if args.human else [])
-        writer.writerow(header)
-        for key, value in rows:
-            record = [key, _value_text(value)]
-            if args.human:
-                record.append(_approx_text(value))
-            writer.writerow(record)
+        writer.writerows(r[:width] for r in [("key", "value", "approx"), *records])
         return sink.getvalue().rstrip("\n")
-    lines = []
-    for key, value in rows:
-        line = f"{key}: {_value_text(value)}"
-        if args.human and _approx_text(value):
-            line += f" (~ {_approx_text(value)})"
-        lines.append(line)
-    return "\n".join(lines)
+    return "\n".join(f"{k}: {v}" + (f" (~ {a})" if a else "") for k, v, a in records)
+
+
+def _verdict(rows: list[Row], key: str, result: CheckResult) -> int:
+    """Append a check's outcome as ``key`` and, if it fails, its witness; return the exit code."""
+    rows.append((key, result.ok))
+    if not result.ok:
+        rows.append(("witness", result.witness))
+    return 0 if result.ok else 1
 
 
 def _read_measure(path: Path, lattice: bool = False):
@@ -113,7 +119,7 @@ def _read_measure(path: Path, lattice: bool = False):
     return measure
 
 
-def _cmd_validate_chain(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_validate_chain(args: argparse.Namespace) -> Report:
     """structural checks plus the invariance certificate for a chain"""
     chain = chain_in(read_json(args.chain), str(args.chain))
     diag = validate_chain(chain)
@@ -122,37 +128,27 @@ def _cmd_validate_chain(args: argparse.Namespace) -> tuple[int, list[Row]]:
         rows.append((f"problem[{i}]", problem))
     if not diag.ok:
         return 1, rows
-    res = is_invariant_chain(chain)
-    rows.append(("invariant", res.ok))
-    if not res.ok:
-        rows.append(("witness", res.witness))
-    return (0 if res.ok else 1), rows
+    return _verdict(rows, "invariant", is_invariant_chain(chain)), rows
 
 
-def _cmd_invariance_check(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_invariance_check(args: argparse.Namespace) -> Report:
     """is the measure shift-invariant (algebraic for chains, ball scan else)"""
     measure = _read_measure(args.measure)
     rows: list[Row] = []
     if isinstance(measure, MarkovTreeChain):
         rows.append(("method", "algebraic"))
-        res = is_invariant_chain(measure)
-        rows.append(("invariant", res.ok))
-        if not res.ok:
-            rows.append(("witness", res.witness))
-        return (0 if res.ok else 1), rows
-    rows.append(("method", "ball"))
-    rows.append(("radius", args.radius))
+        return _verdict(rows, "invariant", is_invariant_chain(measure)), rows
+    rows += [("method", "ball"), ("radius", args.radius)]
+    res = CheckResult(True)
     for sym in measure.gs.symbols():
         res = shift_invariance_check(measure, sym, args.radius)
         if not res.ok:
-            rows.append(("invariant", False))
-            rows.append(("witness", f"generator {sym}: {res.witness}"))
-            return 1, rows
-    rows.append(("invariant", True))
-    return 0, rows
+            res = CheckResult(False, f"generator {sym}: {res.witness}")
+            break
+    return _verdict(rows, "invariant", res), rows
 
 
-def _cmd_eval(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_eval(args: argparse.Namespace) -> Report:
     """exact mass of one cylinder pattern"""
     measure = _read_measure(args.measure)
     pattern = pattern_in(read_json(args.pattern))
@@ -160,7 +156,7 @@ def _cmd_eval(args: argparse.Namespace) -> tuple[int, list[Row]]:
     return 0, [("sites", len(pattern)), ("mass", mass)]
 
 
-def _cmd_extend(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_extend(args: argparse.Namespace) -> Report:
     """extend an invariant chain to the full signed generator set"""
     chain = chain_in(read_json(args.chain), str(args.chain))
     extended = extend_chain(chain)
@@ -170,24 +166,19 @@ def _cmd_extend(args: argparse.Namespace) -> tuple[int, list[Row]]:
         ("symbols", len(extended.gs.sigma)),
         ("invariant", res.ok),
     ]
-    if args.out is not None:
-        write_json(args.out, measure_out(extended))
-        rows.append(("out", args.out))
-    return (0 if res.ok else 1), rows
+    return (0 if res.ok else 1), rows, measure_out(extended)
 
 
-def _cmd_pushforward_check(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_pushforward_check(args: argparse.Namespace) -> Report:
     """does the extended chain restrict back to the original"""
     extended = chain_in(read_json(args.extended), str(args.extended))
     original = chain_in(read_json(args.chain), str(args.chain))
     res = pushforward_check(extended, original, args.radius)
-    rows: list[Row] = [("radius", args.radius), ("agree", res.ok)]
-    if not res.ok:
-        rows.append(("witness", res.witness))
-    return (0 if res.ok else 1), rows
+    rows: list[Row] = [("radius", args.radius)]
+    return _verdict(rows, "agree", res), rows
 
 
-def _cmd_markovize(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_markovize(args: argparse.Namespace) -> Report:
     """recode a measure as a Markov chain over order-m blocks"""
     measure = _read_measure(args.measure)
     result = markovize(measure, args.order)
@@ -202,17 +193,11 @@ def _cmd_markovize(args: argparse.Namespace) -> tuple[int, list[Row]]:
         rows.append((f"problem[{i}]", problem))
     if not result.invariance.ok:
         rows.append(("witness", result.invariance.witness))
-    if args.out is not None:
-        payload = {
-            **measure_out(result.chain),
-            "blocks": block_alphabet_out(result.blocks, measure.gs.d),
-        }
-        write_json(args.out, payload)
-        rows.append(("out", args.out))
-    return (0 if ok else 1), rows
+    blocks = block_alphabet_out(result.blocks, measure.gs.d)
+    return (0 if ok else 1), rows, {**measure_out(result.chain), "blocks": blocks}
 
 
-def _cmd_consistency(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_consistency(args: argparse.Namespace) -> Report:
     """does the markovization reproduce the measure on a ball pattern"""
     measure = _read_measure(args.measure)
     pattern = pattern_in(read_json(args.pattern))
@@ -227,7 +212,7 @@ def _cmd_consistency(args: argparse.Namespace) -> tuple[int, list[Row]]:
     return (0 if consistent else 1), rows
 
 
-def _cmd_orbit_analyze(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_orbit_analyze(args: argparse.Namespace) -> Report:
     """periodicity, transitivity, orbit size, transformation monoid"""
     automaton = automaton_in(read_json(args.automaton), str(args.automaton))
     size, group = transformation_monoid(automaton)
@@ -255,7 +240,7 @@ def _scalar(text: str, where: str) -> Any:
         raise ParseError(f"{where}: {exc}") from None
 
 
-def _cmd_thm_a_construct(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_thm_a_construct(args: argparse.Namespace) -> Report:
     """periodic point through a pattern, via a permutation morphism"""
     pattern = pattern_in(read_json(args.pattern))
     theta = morphism_in(read_json(args.morphism), str(args.morphism))
@@ -279,13 +264,10 @@ def _cmd_thm_a_construct(args: argparse.Namespace) -> tuple[int, list[Row]]:
         ("periodic", periodic),
         ("readout_matches", matches),
     ]
-    if args.out is not None:
-        write_json(args.out, automaton_out(automaton))
-        rows.append(("out", args.out))
-    return (0 if matches and periodic else 1), rows
+    return (0 if matches and periodic else 1), rows, automaton_out(automaton)
 
 
-def _cmd_find_morphism(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_find_morphism(args: argparse.Namespace) -> Report:
     """seeded search for a permutation morphism injective on a ball"""
     try:
         gs = GeneratorSet.from_signed([int(x) for x in args.sigma.split(",")])
@@ -308,13 +290,10 @@ def _cmd_find_morphism(args: argparse.Namespace) -> tuple[int, list[Row]]:
         rows.append(("reason", str(exc)))
         return 1, rows
     rows.append(("found", True))
-    if args.out is not None:
-        write_json(args.out, morphism_out(theta))
-        rows.append(("out", args.out))
-    return 0, rows
+    return 0, rows, morphism_out(theta)
 
 
-def _cmd_lift(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_lift(args: argparse.Namespace) -> Report:
     """lift a periodic automaton to a group orbit automaton"""
     automaton = automaton_in(read_json(args.automaton), str(args.automaton))
     lifted = lift_to_group(automaton)
@@ -324,13 +303,10 @@ def _cmd_lift(args: argparse.Namespace) -> tuple[int, list[Row]]:
         # lift_to_group refuses a non-periodic input and keeps its minimal form
         ("periodic", is_periodic(automaton)),
     ]
-    if args.out is not None:
-        write_json(args.out, automaton_out(lifted))
-        rows.append(("out", args.out))
-    return 0, rows
+    return 0, rows, automaton_out(lifted)
 
 
-def _cmd_distance(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_distance(args: argparse.Namespace) -> Report:
     """total variation of two measures over full ball patterns"""
     first = _read_measure(args.first)
     second = _read_measure(args.second)
@@ -348,21 +324,15 @@ def _load_matrices(source: str) -> list:
         data = read_json(Path(source))
     if not isinstance(data, list) or not data:
         raise ParseError("--matrices: expected a nonempty list of integer matrices")
-    for m in data:
-        if not (
-            isinstance(m, list)
-            and len(m) == 2
-            and all(isinstance(row, list) and len(row) == 2 for row in m)
-        ):
-            raise ParseError(f"--matrices: {json.dumps(m)} is not a 2x2 matrix")
-        for row in m:
-            for x in row:
-                if type(x) is not int:
-                    raise ParseError(f"--matrices: entry {x!r} is not an integer")
+    try:
+        for m in data:
+            check_int_matrix(m)
+    except ValidationError as exc:
+        raise ParseError(f"--matrices: {exc}") from None
     return data
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_counterexample(args: argparse.Namespace) -> Report:
     """non-extensible chain from linear maps and a kernel word"""
     matrices = _load_matrices(args.matrices)
     word = parse_word(args.word)
@@ -382,23 +352,21 @@ def _cmd_counterexample(args: argparse.Namespace) -> tuple[int, list[Row]]:
         ("single_site_mass", report.single_site_mass),
         ("bound_coefficient", report.bound_coefficient),
     ]
-    code = 0
-    if args.delta is not None:
-        delta = parse_fraction(args.delta, "--delta")
-        chain = counterexample_chain(matrices, prime, delta)
-        violated = report.violated_by(delta)
-        rows.append(("delta", delta))
-        rows.append(("violates_bound", violated))
-        rows.append(("chain_symbols", len(chain.alphabet)))
-        rows.append(("chain_invariant", is_invariant_chain(chain).ok))
-        if args.out is not None:
-            write_json(args.out, measure_out(chain))
-            rows.append(("out", args.out))
-        code = 0 if violated else 1
-    return code, rows
+    if args.delta is None:
+        return 0, rows
+    delta = parse_fraction(args.delta, "--delta")
+    chain = counterexample_chain(matrices, prime, delta)
+    violated = report.violated_by(delta)
+    rows += [
+        ("delta", delta),
+        ("violates_bound", violated),
+        ("chain_symbols", len(chain.alphabet)),
+        ("chain_invariant", is_invariant_chain(chain).ok),
+    ]
+    return (0 if violated else 1), rows, measure_out(chain)
 
 
-def _cmd_window_eval(args: argparse.Namespace) -> tuple[int, list[Row]]:
+def _cmd_window_eval(args: argparse.Namespace) -> Report:
     """mass of a lattice-window pattern under an orthant oracle"""
     measure = _read_measure(args.measure, lattice=True)
     pattern = lattice_pattern_in(read_json(args.pattern))
@@ -426,7 +394,7 @@ _OUT = ("--out", {"type": Path})
 _RADIUS = ("--radius", {"type": _non_negative_int, "default": 2})
 _ORDER = ("--order", {"type": _non_negative_int, "required": True})
 
-Handler = Callable[[argparse.Namespace], tuple[int, list[Row]]]
+Handler = Callable[[argparse.Namespace], Report]
 
 # subcommand -> (handler, argument specs); a handler's docstring is its help
 COMMANDS: dict[str, tuple[Handler, tuple]] = {
@@ -511,17 +479,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def execute(argv: Sequence[str] | None = None) -> tuple[int, str]:
-    """Parse arguments and run one command; returns (exit code, report text)."""
+    """Parse arguments and run one command; returns (exit code, report text).
+
+    Python's int-to-text digit limit is lifted while the command runs and
+    restored afterwards, so exact values of any size are read and printed.
+    """
     args = build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
-        code, rows = args.handler(args)
-    except (ParseError, ValidationError) as exc:
-        code, rows = 2, [("error", f"{type(exc).__name__}: {exc}")]
-    except SemishiftError as exc:
-        code, rows = 1, [("error", f"{type(exc).__name__}: {exc}")]
-    except OSError as exc:
-        code, rows = 2, [("error", str(exc))]
-    return code, _render(rows, args)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            code, rows, *payload = args.handler(args)
+            if payload and args.out is not None:
+                write_json(args.out, payload[0])
+                rows.append(("out", args.out))
+        except (ParseError, ValidationError) as exc:
+            code, rows = 2, [("error", f"{type(exc).__name__}: {exc}")]
+        except SemishiftError as exc:
+            code, rows = 1, [("error", f"{type(exc).__name__}: {exc}")]
+        except OSError as exc:
+            code, rows = 2, [("error", str(exc))]
+        return code, _render(rows, args)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

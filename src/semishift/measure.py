@@ -596,8 +596,21 @@ class MixtureMeasure:
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
 
+def check_int_matrix(m: Sequence[Sequence[int]]) -> None:
+    """Raise ValidationError unless ``m`` is a 2x2 matrix of Python ints (a bool is not one)."""
+    if not (
+        isinstance(m, (list, tuple))
+        and len(m) == 2
+        and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in m)
+    ):
+        raise ValidationError(f"{m!r} is not a 2x2 matrix")
+    bad = [x for row in m for x in row if type(x) is not int]
+    if bad:
+        raise ValidationError(f"entry {bad[0]!r} is not an integer")
+
+
 def _mat_mod(m: Sequence[Sequence[int]], p: int) -> IntMatrix:
-    return tuple(tuple(int(x) % p for x in row) for row in m)  # type: ignore[return-value]
+    return tuple(tuple(x % p for x in row) for row in m)  # type: ignore[return-value]
 
 
 def _mat_mul_mod(x: IntMatrix, y: IntMatrix, p: int) -> IntMatrix:
@@ -628,6 +641,7 @@ def _invertible_mod(matrices: Sequence[Sequence[Sequence[int]]], p: int) -> list
     """Each matrix reduced mod p; raises NonInvertibleModP at the first singular one."""
     mods = []
     for m in matrices:
+        check_int_matrix(m)
         mods.append(_mat_mod(m, p))
         _mat_inv_mod(mods[-1], p)
     return mods

@@ -1,11 +1,12 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from helpers import swap_orbit, worked_chain
-from semishift import GeneratorSet, Symbol, parse_word
+from semishift import GeneratorSet, LatticePattern, Symbol, parse_word, window_measure
 from semishift.cli import execute, main
 from semishift.serialize import (
     automaton_in,
@@ -503,6 +504,53 @@ def test_window_eval_far_apart_sites(tmp_path):
     # P has eigenvalues 1 and 1/4, so P^n[0][1] = p[1] (1 - 4^-n).
     mass = F(1, 3) * F(2, 3) * (1 - F(1, 4**3000))
     assert f"mass: {mass.numerator}/{mass.denominator}" in text.splitlines()
+
+
+def _int_digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_window_eval_prints_a_mass_past_the_int_digit_limit(tmp_path, capsys):
+    measure = tmp_path / "lattice.json"
+    write_json(measure, LATTICE_CHAIN)
+    pat = tmp_path / "win.json"
+    write_json(pat, {"entries": [[[0], 0], [[8000], 1]]})
+    argv = ["window-eval", "--measure", str(measure), "--pattern", str(pat)]
+    limit = _int_digit_limit()
+    assert main(argv) == 0
+    assert _int_digit_limit() == limit  # the CLI restores the interpreter's limit
+    lines = capsys.readouterr().out.splitlines()
+    mass = window_measure(
+        measure_in(read_json(measure)), LatticePattern.of({(0,): 0, (8000,): 1})
+    )
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(mass.numerator)) > 4300
+        assert lines == ["sites: 2", f"mass: {mass.numerator}/{mass.denominator}"]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert main(argv + ["--human"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(f" (~ {float(mass):.6f})")
+
+
+def test_extend_reads_and_writes_rationals_past_the_int_digit_limit(tmp_path):
+    # an identity chain is invariant for any p; N has 5001 digits
+    big = "1" + "0" * 5000
+    chain = {
+        "kind": "chain", "d": 1, "sigma": [1], "alphabet": [0, 1],
+        "p": [f"1/{big}", f"{'9' * 5000}/{big}"], "P": {"1": [["1", "0"], ["0", "1"]]},
+    }
+    write_json(tmp_path / "chain.json", chain)
+    out = tmp_path / "ext.json"
+    code, text = execute(["extend", "--chain", str(tmp_path / "chain.json"), "--out", str(out)])
+    assert code == 0, text
+    assert read_json(out)["p"] == chain["p"]
+    code, text = execute(
+        ["eval", "--measure", str(out), "--pattern", str(pattern_file(tmp_path, {"": 0}))]
+    )
+    assert (code, text) == (0, f"sites: 1\nmass: 1/{big}")
 
 
 def test_window_eval_unknown_symbol_exits_two(tmp_path):

@@ -138,6 +138,7 @@ CASES: dict[str, list[str]] = {
     "eval-outside": ["eval", "--measure", "chain.json", "--pattern", "outside.json"],
     "eval-lattice": ["eval", "--measure", "lmarkov.json", "--pattern", "root.json"],
     "extend": ["extend", "--chain", "chain.json", "--out", "out_ext.json"],
+    "extend-missing-dir": ["extend", "--chain", "chain.json", "--out", "nodir/x.json"],
     "extend-signed": ["extend", "--chain", "signed.json"],
     "extend-skew": ["extend", "--chain", "skew.json"],
     "pushforward": ["pushforward-check", "--extended", "chain.json", "--chain", "chain.json",
@@ -148,6 +149,8 @@ CASES: dict[str, list[str]] = {
                            "--out", "out_blocks.json"],
     "markovize-chain": ["markovize", "--measure", "chain1.json", "--order", "1",
                         "--out", "out_chain_blocks.json", "--human"],
+    "markovize-skew": ["markovize", "--measure", "skew.json", "--order", "1",
+                       "--out", "out_skew_blocks.json"],
     "consistency": ["consistency", "--measure", "swap.json", "--order", "1",
                     "--pattern", "pair.json"],
     "consistency-chain": ["consistency", "--measure", "chain1.json", "--order", "1",
@@ -161,6 +164,9 @@ CASES: dict[str, list[str]] = {
                                "--morphism", "theta.json", "--fill", "0"],
     "find-morphism": ["find-morphism", "--sigma", "1,2", "--radius", "1", "--degree", "4",
                       "--seed", "9", "--out", "out_theta.json"],
+    "find-morphism-budget-out": ["find-morphism", "--sigma", "1,2", "--radius", "1",
+                                 "--degree", "4", "--seed", "9", "--budget", "0",
+                                 "--out", "out_theta.json"],
     "find-morphism-budget": ["find-morphism", "--sigma", "1,2", "--radius", "2",
                              "--degree", "2", "--seed", "1", "--budget", "10"],
     "find-morphism-bad-sigma": ["find-morphism", "--sigma", "1,x", "--radius", "1",
@@ -178,6 +184,11 @@ CASES: dict[str, list[str]] = {
     "counterexample-large-delta": ["counterexample", "--matrices", MATRICES, "--word",
                                    "a1a2A1A2", "--prime", "5", "--delta", "1/100",
                                    "--human"],
+    "counterexample-large-delta-out": ["counterexample", "--matrices", MATRICES, "--word",
+                                       "a1a2A1A2", "--prime", "5", "--delta", "1/100",
+                                       "--out", "out_cx.json"],
+    "counterexample-no-delta-out": ["counterexample", "--matrices", MATRICES, "--word",
+                                    "a1a2A1A2", "--prime", "5", "--out", "out_cx.json"],
     "counterexample-bad-matrices": ["counterexample", "--matrices", "[[[1,2],[0,x]]]",
                                     "--word", "a1", "--prime", "5"],
     "counterexample-bad-delta": ["counterexample", "--matrices", MATRICES, "--word",

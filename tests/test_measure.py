@@ -493,6 +493,25 @@ def test_counterexample_analyze_errors():
         counterexample_analyze((MATRIX_A,), w("a1a1a1a1a1"), 5)
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1]], "is not a 2x2 matrix"),
+        ([[1, 2], [0]], "is not a 2x2 matrix"),
+        ([[1, 2], [0, 1], [1, 1]], "is not a 2x2 matrix"),
+        ([1, 2], "is not a 2x2 matrix"),
+        ([[1.0, 2], [0, 1]], "entry 1.0 is not an integer"),
+        ([[1, 2], [0, 1.7]], "entry 1.7 is not an integer"),
+        ([[True, 2], [0, 1]], "entry True is not an integer"),
+    ],
+)
+def test_counterexample_refuses_a_matrix_that_is_not_2x2_integer(matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        counterexample_analyze([matrix], w("a1"), 5)
+    with pytest.raises(ValidationError, match=message):
+        counterexample_chain([MATRIX_A, matrix], 5, F(1, 1000))
+
+
 def test_balance_transform_matches_extend():
     # the helper transform and the library extension agree entrywise
     rng = random.Random(12)
