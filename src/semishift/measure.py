@@ -146,7 +146,13 @@ def require_pattern(pattern: Pattern, gs: GeneratorSet, alphabet: Collection) ->
 
 
 class CylinderMeasure(Protocol):
-    """Anything that evaluates cylinder patterns over a fixed S exactly."""
+    """Anything that evaluates cylinder patterns over a fixed S exactly.
+
+    A measure may add ``masses(sites) -> (numerators, denominator)``: every
+    full pattern's mass on the sites as a list of ints over one positive
+    int, in ``itertools.product`` order.  The ball scans read any other
+    measure through ``eval``, pattern by pattern, over the denominator 1.
+    """
 
     gs: GeneratorSet
     alphabet: tuple
@@ -256,8 +262,8 @@ class MarkovTreeChain:
     def eval(self, pattern: Pattern) -> Fraction:
         return eval_cylinder(self, pattern)
 
-    def masses(self, sites: Sequence[Word]) -> list[Fraction]:
-        """Every full pattern's mass on the sites, in ``itertools.product`` order.
+    def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
+        """Every full pattern's mass on the sites in product order, over D^|hull|.
 
         One leaves-first pass over the hull folds each vertex's table into
         its parent's.  A vertex's table maps, for each of its labels, the
@@ -288,8 +294,7 @@ class MarkovTreeChain:
         for f, table in zip(p, tables[0]):
             for index, weight in table.items():
                 out[index] += f * weight
-        denominator = scale ** len(hull)
-        return [Fraction(x, denominator) for x in out]
+        return out, scale ** len(hull)
 
 
 def validate_chain(chain: MarkovTreeChain) -> ChainDiagnostics:
@@ -398,18 +403,26 @@ def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> Iterable[
     """The mass of every full pattern on the ordered sites.
 
     Patterns run in ``itertools.product(measure.alphabet, repeat=len(sites))``
-    order, the first site varying slowest.  A measure with a ``masses``
-    method computes the whole list in one pass; any other measure is
+    order, the first site varying slowest.  A measure's ``masses`` gives
+    ``(numerators, denominator)`` for the whole list; any other measure is
     evaluated pattern by pattern, lazily, so a scan that stops at its
     first witness evaluates nothing after it.
     """
+    numerators, denominator = _scaled_masses(measure, sites)
+    if isinstance(numerators, list):
+        return [Fraction(x, denominator) for x in numerators]
+    return numerators
+
+
+def _scaled_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[Iterable, int]:
+    """The measure's ``masses(sites)``, or its lazy ``eval`` masses over 1."""
     sites = tuple(sites)
     if len(set(sites)) != len(sites):
         raise ValueError("pattern has a repeated site")
     batched = getattr(measure, "masses", None)
     if batched is not None:
         return batched(sites)
-    return _eval_each(measure, sites, measure.alphabet)
+    return _eval_each(measure, sites, measure.alphabet), 1
 
 
 def _eval_each(
@@ -428,11 +441,11 @@ def _pattern_at(sites: Sequence[Word], alphabet: Sequence, i: int) -> Pattern:
     return Pattern(tuple(zip(sites, reversed(combo))))
 
 
-def _first_difference(lhs: Iterable[Fraction], rhs: Iterable[Fraction]):
-    """(index, lhs, rhs) of the first entry where the two differ, or None."""
-    for i, (x, y) in enumerate(zip(lhs, rhs)):
-        if x != y:
-            return i, x, y
+def _first_difference(xs: Iterable, dx: int, ys: Iterable, dy: int):
+    """(index, x/dx, y/dy) of the first entry where the two masses differ, or None."""
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if x * dy != y * dx:
+            return i, Fraction(x, dx), Fraction(y, dy)
     return None
 
 
@@ -444,7 +457,7 @@ def shift_invariance_check(
     for rr in range(r + 1):
         sites = sorted_words(ball(measure.gs, rr))
         moved = [word_mul(w, shift) for w in sites]
-        diff = _first_difference(pattern_masses(measure, sites), pattern_masses(measure, moved))
+        diff = _first_difference(*_scaled_masses(measure, sites), *_scaled_masses(measure, moved))
         if diff is not None:
             i, lhs, rhs = diff
             pattern = _pattern_at(sites, measure.alphabet, i)
@@ -490,11 +503,11 @@ def pushforward_check(
     """Do the two chains agree on every full pattern over the original B_r?"""
     sites = sorted_words(ball(original.gs, r))
     if tuple(extended.alphabet) == tuple(original.alphabet):
-        lhs, rhs = pattern_masses(extended, sites), pattern_masses(original, sites)
+        lhs, rhs = _scaled_masses(extended, sites), _scaled_masses(original, sites)
     else:
         # Symbols are matched by name, pattern by pattern, as eval matches them.
-        lhs, rhs = (_eval_each(m, sites, original.alphabet) for m in (extended, original))
-    diff = _first_difference(lhs, rhs)
+        lhs, rhs = ((_eval_each(m, sites, original.alphabet), 1) for m in (extended, original))
+    diff = _first_difference(*lhs, *rhs)
     if diff is None:
         return CheckResult(True)
     i, x, y = diff
@@ -513,10 +526,8 @@ def weak_star_distance(
     if tuple(m1.alphabet) != tuple(m2.alphabet):
         raise ValidationError("measures have different alphabets")
     sites = sorted_words(ball(m1.gs, order))
-    return sum(
-        (abs(x - y) for x, y in zip(pattern_masses(m1, sites), pattern_masses(m2, sites))),
-        ZERO,
-    )
+    (xs, d1), (ys, d2) = _scaled_masses(m1, sites), _scaled_masses(m2, sites)
+    return Fraction(sum(abs(x * d2 - y * d1) for x, y in zip(xs, ys)), d1 * d2)
 
 
 @dataclass(frozen=True)
@@ -544,14 +555,17 @@ class BernoulliMeasure:
             out *= self.probs[self._index[c]]
         return out
 
-    def masses(self, sites: Sequence[Word]) -> list[Fraction]:
-        """Every full pattern's mass on the sites, as iterated outer products."""
+    def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
+        """Every full pattern's mass on the sites: outer products of the
+        probabilities times L, the lcm of their denominators, over L^len(sites)."""
         for w in sites:
             require_in_semigroup(w, self.gs)
-        out = [ONE]
+        scale = math.lcm(*(q.denominator for q in self.probs))
+        weights = [q.numerator * (scale // q.denominator) for q in self.probs]
+        out = [1]
         for _ in sites:
-            out = [x * q for x in out for q in self.probs]
-        return out
+            out = [x * q for x in out for q in weights]
+        return out, scale ** len(sites)
 
 
 @dataclass(frozen=True)
@@ -584,10 +598,14 @@ class MixtureMeasure:
             ZERO,
         )
 
-    def masses(self, sites: Sequence[Word]) -> list[Fraction]:
-        """Every full pattern's mass on the sites: the weighted sum of the components' lists."""
-        columns = [pattern_masses(m, sites) for m in self.components]
-        return [sum(map(mul, self.weights, column), ZERO) for column in zip(*columns)]
+    def masses(self, sites: Sequence[Word]) -> tuple[list, int]:
+        """Every full pattern's mass: the components' numerators over one common
+        denominator, weighted and summed (an eval-only component's are Fractions)."""
+        parts = [_scaled_masses(m, sites) for m in self.components]
+        scales = [w.denominator * d for w, (_, d) in zip(self.weights, parts)]
+        common = math.lcm(*scales)
+        coefficients = [w.numerator * (common // s) for w, s in zip(self.weights, scales)]
+        return [sum(map(mul, coefficients, c)) for c in zip(*(xs for xs, _ in parts))], common
 
 
 # -- Theorem-E style family: a chain that is invariant over the free

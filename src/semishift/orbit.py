@@ -30,7 +30,7 @@ from .algebra import (
     sorted_words,
 )
 from .errors import BudgetExhausted, FactorizationError, NotPeriodic, ValidationError
-from .measure import ZERO, MixtureMeasure, Pattern, require_distinct_symbols, require_pattern
+from .measure import MixtureMeasure, Pattern, require_distinct_symbols, require_pattern
 
 Perm = tuple[int, ...]
 
@@ -112,6 +112,18 @@ class OrbitAutomaton:
         m = self.minimal
         shown = tuple(c for _, c in pattern.items())
         return Fraction(_shown(m, pattern.domain()).count(shown), m.n_states())
+
+    def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
+        """Every full pattern's count of minimal states showing it, over their number."""
+        m = self.minimal
+        index = {c: i for i, c in enumerate(self.alphabet)}
+        out = [0] * len(index) ** len(sites)
+        for shown, hits in Counter(_shown(m, sites)).items():
+            code = 0
+            for c in shown:
+                code = code * len(index) + index[c]
+            out[code] = hits
+        return out, m.n_states()
 
 
 def _shown(o: OrbitAutomaton, sites: Sequence[Word]) -> list[tuple]:
@@ -375,22 +387,6 @@ class PeriodicMeasure(MixtureMeasure):
 
     def eval(self, pattern: Pattern) -> Fraction:
         return periodic_measure_eval(self, pattern)
-
-    def masses(self, sites: Sequence[Word]) -> list[Fraction]:
-        """Every full pattern's mass on the sites, in ``itertools.product`` order.
-
-        Each minimal orbit's states are counted by the pattern they show.
-        """
-        index = {c: i for i, c in enumerate(self.alphabet)}
-        out = [ZERO] * len(index) ** len(sites)
-        for o, weight in zip(self.orbits, self.weights):
-            m = o.minimal
-            for shown, hits in Counter(_shown(m, sites)).items():
-                code = 0
-                for c in shown:
-                    code = code * len(index) + index[c]
-                out[code] += weight * Fraction(hits, m.n_states())
-        return out
 
 
 def periodic_measure_eval(pm: PeriodicMeasure, pattern: Pattern) -> Fraction:

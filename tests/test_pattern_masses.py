@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -211,6 +211,13 @@ class OracleMeasure:
         return oracle_eval(self.chain, pattern)
 
 
+def measure_of(kind: str, rng: random.Random, signed, n: int):
+    """A built-in measure of the kind, or an eval-only chain for ``oracle``."""
+    if kind == "oracle":
+        return OracleMeasure(random_invariant_chain(rng, signed, n))
+    return build(kind, rng, signed, n)[0]
+
+
 @given(st.sampled_from(SIGMAS), st.integers(1, 2), st.integers(0, 2**32))
 def test_fallback_matches_batched_chain(signed, n, seed):
     chain = random_invariant_chain(random.Random(seed), signed, n)
@@ -225,6 +232,29 @@ def test_fallback_is_lazy():
     assert oracle.calls == 0
     next(iter(masses))
     assert oracle.calls == 1
+
+
+@settings(max_examples=15)  # the reference evaluates every component pattern by pattern
+@given(st.sampled_from(SIGMAS), st.integers(1, 2), st.integers(0, 2**32))
+def test_mixture_with_an_oracle_component_matches_eval(signed, n, seed):
+    rng = random.Random(seed)
+    parts = [measure_of(kind, rng, signed, n) for kind in KINDS + ("oracle",)]
+    mixture = MixtureMeasure(tuple(parts), positive_distribution(rng, len(parts)))
+    for sites in site_lists(mixture.gs, n):
+        expected = [mixture.eval(p) for p in patterns(sites, mixture.alphabet)]
+        assert pattern_masses(mixture, sites) == expected
+
+
+@given(st.sampled_from(KINDS), st.sampled_from(SIGMAS), st.integers(1, 3), st.integers(0, 2**32))
+def test_masses_are_integer_numerators_over_one_denominator(kind, signed, n, seed):
+    measure, _ = build(kind, random.Random(seed), signed, n)
+    # A periodic measure's components are orbit automata; a mixture's are the other kinds.
+    for m in (measure, *getattr(measure, "components", ())):
+        for sites in site_lists(measure.gs, n):
+            numerators, denominator = m.masses(sites)
+            assert type(denominator) is int and denominator > 0
+            assert all(type(x) is int for x in numerators)
+            assert [F(x, denominator) for x in numerators] == pattern_masses(m, sites)
 
 
 def naive_invariance(measure, a, r):
@@ -243,6 +273,19 @@ def naive_pushforward(extended, original, r):
         if lhs != rhs:
             return f"pattern {pattern.render()}: extended gives {lhs}, original {rhs}"
     return None
+
+
+@given(st.integers(0, 2**32))
+def test_oracle_scan_evaluates_no_pattern_past_its_witness(seed):
+    rng = random.Random(seed)
+    oracle = OracleMeasure(random_eigenvector_violation(rng, rng.choice(((1,), (1, 2))), 2))
+    for a in oracle.gs.symbols():
+        oracle.calls = 0
+        witness = naive_invariance(oracle, a, 2)
+        naive_calls, oracle.calls = oracle.calls, 0
+        result = shift_invariance_check(oracle, a, 2)
+        assert (result.ok, result.witness) == (witness is None, witness)
+        assert oracle.calls <= naive_calls
 
 
 def skew_mixture(rng):
@@ -288,13 +331,21 @@ def test_pushforward_matches_symbols_by_name():
     assert pushforward_check(swapped, original, 2).ok
 
 
-def test_distance_matches_naive_sum():
-    rng = random.Random(11)
-    chain = random_invariant_chain(rng, (1, -1), 2)
-    bern = BernoulliMeasure(chain.gs, (0, 1), (F(1, 3), F(2, 3)))
-    sites = sorted_words(ball(chain.gs, 2))
-    naive = sum((abs(chain.eval(p) - bern.eval(p)) for p in patterns(sites, (0, 1))), F(0))
-    assert weak_star_distance(chain, bern, 2) == naive
+@settings(max_examples=20)  # each example evaluates five measures pattern by pattern
+@given(st.sampled_from(SIGMAS), st.integers(1, 3), st.integers(0, 2**32))
+def test_distance_matches_naive_sum(signed, n, seed):
+    """Every ordered pair of kinds, an eval-only side included, on B_1 and B_2."""
+    rng = random.Random(seed)
+    measures = [measure_of(kind, rng, signed, n) for kind in KINDS + ("oracle",)]
+    for r in (1, 2):
+        sites = sorted_words(ball(measures[0].gs, r))
+        if n ** len(sites) > MAX_PATTERNS:
+            break
+        evals = [[m.eval(p) for p in patterns(sites, m.alphabet)] for m in measures]
+        for (m1, e1), (m2, e2) in itertools.product(zip(measures, evals), repeat=2):
+            distance = weak_star_distance(m1, m2, r)
+            assert type(distance) is Fraction
+            assert distance == sum((abs(x - y) for x, y in zip(e1, e2)), F(0))
 
 
 @pytest.mark.parametrize("kind", KINDS)
