@@ -16,6 +16,7 @@ leading letter.  All tree operations below use this convention.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -42,20 +43,47 @@ def vec_min(vectors: Iterable[LatticeVector]) -> LatticeVector:
     return tuple(min(col) for col in zip(*vs, strict=True))
 
 
-@dataclass(frozen=True)
 class Symbol:
-    """A signed generator: a_i for sign +1, its inverse for sign -1."""
+    """A signed generator: a_i for sign +1, its inverse for sign -1.
 
-    index: int
-    sign: int
+    Symbols are interned: ``Symbol(i, s)`` always returns the same object,
+    which holds its inverse.  Hashing and ``==`` are therefore ``object``'s
+    identity slots, which run in C in every dict, set and tuple of symbols.
+    """
 
-    def __post_init__(self) -> None:
-        if type(self.index) is not int:
-            raise ValueError(f"generator index must be an int, got {self.index!r}")
-        if self.index < 1:
-            raise ValueError(f"generator index must be >= 1, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"generator sign must be +1 or -1, got {self.sign}")
+    __slots__ = ("index", "sign", "_inverse")
+    _interned: dict[int, tuple["Symbol", "Symbol"]] = {}
+
+    def __new__(cls, index: int, sign: int) -> "Symbol":
+        # Validate before the lookup: True and 1.0 hash equal to 1.
+        if type(index) is not int:
+            raise ValueError(f"generator index must be an int, got {index!r}")
+        if index < 1:
+            raise ValueError(f"generator index must be >= 1, got {index}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"generator sign must be +1 or -1, got {sign}")
+        pair = cls._interned.get(index)
+        if pair is None:
+            pos, neg = object.__new__(cls), object.__new__(cls)
+            for sym, s, inv in ((pos, 1, neg), (neg, -1, pos)):
+                object.__setattr__(sym, "index", index)
+                object.__setattr__(sym, "sign", s)
+                object.__setattr__(sym, "_inverse", inv)
+            # setdefault is atomic, so threads that race here agree on one pair.
+            pair = cls._interned.setdefault(index, (pos, neg))
+        return pair[0] if sign == 1 else pair[1]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an interned Symbol")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an interned Symbol")
+
+    def __reduce__(self) -> tuple:
+        return (Symbol, (self.index, self.sign))
+
+    def __repr__(self) -> str:
+        return f"Symbol(index={self.index}, sign={self.sign})"
 
     @classmethod
     def from_signed(cls, value: int) -> "Symbol":
@@ -70,7 +98,7 @@ class Symbol:
         return self.index * self.sign
 
     def inverse(self) -> "Symbol":
-        return Symbol(self.index, -self.sign)
+        return self._inverse
 
     def key(self) -> tuple[int, int]:
         return (self.index, 0 if self.sign > 0 else 1)
@@ -80,7 +108,7 @@ class Symbol:
 
 
 def _is_reduced(letters: tuple[Symbol, ...]) -> bool:
-    return all(letters[i] != letters[i + 1].inverse() for i in range(len(letters) - 1))
+    return all(a is not b.inverse() for a, b in zip(letters, letters[1:]))
 
 
 @dataclass(frozen=True)
@@ -145,18 +173,11 @@ def word_mul(u: Word, v: Word) -> Word:
     """Concatenate and cancel at the seam."""
     stack = list(u.letters)
     for s in v.letters:
-        if stack and stack[-1] == s.inverse():
+        if stack and stack[-1] is s.inverse():
             stack.pop()
         else:
             stack.append(s)
     return Word(tuple(stack))
-
-
-def prepend(g: Symbol, w: Word) -> Word:
-    """The reduced product g * w, a Cayley neighbour of w."""
-    if w.letters and w.letters[0] == g.inverse():
-        return Word(w.letters[1:])
-    return Word((g,) + w.letters)
 
 
 def sorted_words(words: Iterable[Word]) -> tuple[Word, ...]:
@@ -178,6 +199,8 @@ class GeneratorSet:
         for s in self.sigma:
             if not isinstance(s, Symbol):
                 raise ValueError(f"Sigma entries must be Symbols, got {s!r}")
+        # Symbols hash by identity, so name the offender in a fixed order.
+        for s in self.symbols():
             if s.index > self.d:
                 raise ValueError(f"generator {s} exceeds rank d={self.d}")
 
@@ -229,22 +252,30 @@ def require_in_semigroup(w: Word, gs: GeneratorSet) -> None:
         raise MembershipError(f"site {w or 'the empty word'} is not in <Sigma>+")
 
 
-def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
-    """All elements of S reachable from the identity in at most r steps."""
+def spheres(gs: GeneratorSet, r: int) -> Iterator[list[Word]]:
+    """The elements of S of reduced length 0, 1, .., r, one list per length, lazily.
+
+    A word of length k + 1 is g * w for exactly one g in Sigma and one w of
+    length k (its leading letter and its tail), so no word repeats.  Each
+    list follows Sigma's set order, which is no fixed order.
+    """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    seen = {EPSILON}
-    frontier = [EPSILON]
+    sphere = [EPSILON]
+    yield sphere
     for _ in range(r):
-        nxt = []
-        for w in frontier:
-            for g in gs.sigma:
-                v = prepend(g, w)
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return frozenset(seen)
+        sphere = [
+            Word((g,) + w.letters)
+            for w in sphere
+            for g in gs.sigma
+            if not w.letters or w.letters[0] is not g.inverse()
+        ]
+        yield sphere
+
+
+def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
+    """All elements of S reachable from the identity in at most r steps."""
+    return frozenset(itertools.chain.from_iterable(spheres(gs, r)))
 
 
 def _ancestor_closure(words: Iterable[Word], gs: GeneratorSet) -> set[tuple[Symbol, ...]]:

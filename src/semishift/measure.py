@@ -35,6 +35,7 @@ from .algebra import (
     ball,
     require_in_semigroup,
     sorted_words,
+    spheres,
     word_mul,
 )
 from .errors import (
@@ -452,11 +453,18 @@ def _first_difference(xs: Iterable, dx: int, ys: Iterable, dy: int):
 def shift_invariance_check(
     measure: CylinderMeasure, a: Symbol, r: int
 ) -> CheckResult:
-    """Compare every pattern on B_r with its a-translate, radius by radius."""
+    """Compare every pattern on B_r with its a-translate, radius by radius.
+
+    The sorted B_rr is the sorted B_(rr-1) followed by the sorted sphere
+    of radius rr, so each radius extends the site lists of the last.
+    """
     shift = Word((a,))
-    for rr in range(r + 1):
-        sites = sorted_words(ball(measure.gs, rr))
-        moved = [word_mul(w, shift) for w in sites]
+    sites: list[Word] = []
+    moved: list[Word] = []
+    for sphere in spheres(measure.gs, r):
+        layer = sorted_words(sphere)
+        sites += layer
+        moved += [word_mul(w, shift) for w in layer]
         diff = _first_difference(*_scaled_masses(measure, sites), *_scaled_masses(measure, moved))
         if diff is not None:
             i, lhs, rhs = diff

@@ -1,5 +1,9 @@
+import copy
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -17,6 +21,7 @@ from semishift import (
     word_mul,
     word_to_string,
 )
+from semishift.algebra import spheres
 
 
 def w(text):
@@ -89,7 +94,7 @@ def test_in_semigroup_examples():
 def test_in_semigroup_closed_under_products():
     rng = random.Random(55)
     gs = GeneratorSet.from_signed((1, -1, 2))
-    symbols = list(gs.sigma)
+    symbols = gs.symbols()
     for _ in range(100):
         word = EPSILON
         for _ in range(rng.randrange(9)):
@@ -118,6 +123,21 @@ def test_ball_monotone():
     gs = GeneratorSet.from_signed((1, -1, 2))
     for r in range(4):
         assert ball(gs, r) <= ball(gs, r + 1)
+
+
+def test_spheres_are_the_sigma_words_of_each_length():
+    for signed in ((1,), (1, -1, 2), (2, -2, 1, -3)):
+        gs = GeneratorSet.from_signed(signed)
+        for k, sphere in enumerate(spheres(gs, 3)):
+            expected = set()
+            for letters in itertools.product(gs.symbols(), repeat=k):
+                try:
+                    expected.add(Word(letters))
+                except ValueError:
+                    pass
+            assert len(sphere) == len(expected) and set(sphere) == expected
+    with pytest.raises(ValueError):
+        next(spheres(gs, -1))
 
 
 def test_tree_hull_examples():
@@ -173,6 +193,70 @@ def test_symbol_refuses_a_bool_or_non_int_index():
     for value in (True, -1.0, 1.7, "2"):
         with pytest.raises(ValueError, match="must be an int"):
             Symbol.from_signed(value)
+    for sign in (True, False, 1.0, -1.0, "1"):
+        with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
+            Symbol(1, sign)
+
+
+def test_symbol_hash_and_eq_are_object_identity():
+    # A Python-level __hash__ or __eq__ would put one call per letter back
+    # into every dict, set and tuple hash of symbols.
+    assert Symbol.__hash__ is object.__hash__
+    assert Symbol.__eq__ is object.__eq__
+
+
+def test_symbols_are_interned():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(st.integers(-(2**70), 2**70).filter(bool))
+    def check(value):
+        s = Symbol.from_signed(value)
+        assert s is Symbol(abs(value), 1 if value > 0 else -1)
+        assert s.inverse() is not s and s.inverse().inverse() is s
+        assert (s.signed, s.inverse().signed) == (value, -value)
+        assert all(t is s for t in parse_word(f"{s}.{s}").letters)
+        word = Word((s, s))
+        for copied in (pickle.loads(pickle.dumps(word)), copy.copy(word), copy.deepcopy(word)):
+            assert all(t is s for t in copied.letters)
+        for copied in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+            assert copied is s
+        with pytest.raises(AttributeError):
+            s.index = s.index + 1
+        for index, sign in ((True, s.sign), (float(s.index), s.sign), (s.index, True),
+                            (s.index, float(s.sign)), (s.index, 0), (-s.index, s.sign)):
+            with pytest.raises(ValueError):
+                Symbol(index, sign)
+        assert Symbol(s.index, s.sign) is s
+        assert (type(s.index), type(s.sign)) == (int, int)
+        assert (s.index, s.sign) == (abs(value), 1 if value > 0 else -1)
+
+    check()
+
+
+def test_racing_threads_intern_one_pair_per_index():
+    indices = range(10**9, 10**9 + 3000)
+    built = [[] for _ in range(4)]
+    start = threading.Barrier(len(built))
+
+    def build(out):
+        start.wait(timeout=30)
+        out.extend(Symbol(i, s) for i in indices for s in (-1, 1))
+
+    threads = [threading.Thread(target=build, args=(out,)) for out in built]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in built:
+        assert len(out) == 6000 and all(s is Symbol(s.index, s.sign) for s in out)
+        assert all(s.inverse() is Symbol(s.index, -s.sign) for s in out)
 
 
 def test_generator_set_sign_structure():
