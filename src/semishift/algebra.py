@@ -278,19 +278,23 @@ def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
     return frozenset(itertools.chain.from_iterable(spheres(gs, r)))
 
 
-def _ancestor_closure(words: Iterable[Word], gs: GeneratorSet) -> set[tuple[Symbol, ...]]:
-    """Letter tuples of the sites and every suffix of them, the identity included.
+def _hull(words: Iterable[Word], gs: GeneratorSet) -> tuple[list[int], list, list[int]]:
+    """The sites' hull, closed under removing leading letters, as ``(parent, letter, site)``.
 
+    Vertex 0 is the identity and vertex i > 0 is ``letter[i]`` times vertex
+    ``parent[i] < i``; ``site[j]`` is the j-th word's vertex.  Each site is
+    read once, right to left, one lookup per letter keyed by (parent, letter).
     Raises MembershipError for the first site outside S.
     """
-    closure: set[tuple[Symbol, ...]] = {()}
+    vertex: dict[tuple[int, Symbol], int] = {}
+    site = []
     for w in words:
         require_in_semigroup(w, gs)
-        letters = w.letters
-        while letters not in closure:
-            closure.add(letters)
-            letters = letters[1:]
-    return closure
+        v = 0
+        for g in reversed(w.letters):
+            v = vertex.setdefault((v, g), len(vertex) + 1)
+        site.append(v)
+    return [-1, *(u for u, _ in vertex)], [None, *(g for _, g in vertex)], site
 
 
 # Edge, Tree and tree_hull remain only because the benchmark tracer wraps tree_hull by name.
@@ -309,7 +313,10 @@ class Tree:
 
 
 def tree_hull(words: Iterable[Word], gs: GeneratorSet) -> Tree:
-    """The smallest tree rooted at the identity that contains the sites: their ancestor closure."""
-    vertices = frozenset(Word(t) for t in _ancestor_closure(words, gs))
-    edges = frozenset((Word(v.letters[1:]), v, v.letters[0]) for v in vertices if v)
-    return Tree(vertices, EPSILON, edges)
+    """The smallest tree rooted at the identity that contains the sites: their hull."""
+    parent, letter, _ = _hull(words, gs)
+    vertices, edges = [EPSILON], set()
+    for up, g in zip(parent[1:], letter[1:]):
+        vertices.append(Word((g,) + vertices[up].letters))
+        edges.add((vertices[up], vertices[-1], g))
+    return Tree(frozenset(vertices), EPSILON, frozenset(edges))

@@ -31,7 +31,7 @@ from .algebra import (
     GeneratorSet,
     Symbol,
     Word,
-    _ancestor_closure,
+    _hull,
     ball,
     require_in_semigroup,
     sorted_words,
@@ -273,29 +273,27 @@ class MarkovTreeChain:
         folds.  The pass iterates, so a deep hull needs no deep stack.
         """
         _require_valid(self)
-        hull = sorted(_ancestor_closure(sites, self.gs), key=len)
+        parent, letter, site = _hull(sites, self.gs)
         scale, p, matrices = self.integer_form
         n = len(p)
-        position = {t: i for i, t in enumerate(hull)}
-        stride = [0] * len(hull)
-        for j, w in enumerate(reversed(sites)):
-            stride[position[w.letters]] = n**j
+        stride = [0] * len(parent)
+        for j, v in enumerate(reversed(site)):
+            stride[v] = n**j
         tables = [[{k * s: 1} for k in range(n)] for s in stride]
-        for i in range(len(hull) - 1, 0, -1):
-            t = hull[i]
-            child, parent = tables[i], tables[position[t[1:]]]
-            for k, row in enumerate(matrices[t[0]]):
+        for i in range(len(parent) - 1, 0, -1):
+            child, up = tables[i], tables[parent[i]]
+            for k, row in enumerate(matrices[letter[i]]):
                 below: dict[int, int] = {}
                 for x, f in enumerate(row):
                     if f:
                         for index, weight in child[x].items():
                             below[index] = below.get(index, 0) + f * weight
-                parent[k] = {a + b: u * v for a, u in parent[k].items() for b, v in below.items()}
+                up[k] = {a + b: u * v for a, u in up[k].items() for b, v in below.items()}
         out = [0] * n ** len(sites)
         for f, table in zip(p, tables[0]):
             for index, weight in table.items():
                 out[index] += f * weight
-        return out, scale ** len(hull)
+        return out, scale ** len(parent)
 
 
 def validate_chain(chain: MarkovTreeChain) -> ChainDiagnostics:
@@ -362,30 +360,24 @@ def eval_constrained(
     unconstrained hull vertices and get marginalized.
     """
     _require_valid(chain)
-    hull = _ancestor_closure(constraints, chain.gs)
+    parent, letter, site = _hull(constraints, chain.gs)
     scale, p, matrices = chain.integer_form
     n, index = len(p), chain.symbol_index
     # Each row is D^(size of its subtree - 1) times the exact row.
-    rows: dict[tuple[Symbol, ...], list[int]] = {}
-    for w, allowed in constraints.items():
-        row = rows[w.letters] = [0] * n
+    rows = [[1] * n for _ in parent]
+    for v, allowed in zip(site, constraints.values()):
+        row = rows[v] = [0] * n
         for c in allowed:
             if c not in index:
                 raise ValidationError(f"symbol {c!r} is not in the chain alphabet")
             row[index[c]] = 1
-    # Leaves first, each vertex folding its finished row into its parent's;
-    # the identity sorts last and has no parent.
-    for t in sorted(hull, key=len, reverse=True)[:-1]:
-        sub = rows[t]
-        parent = rows.get(t[1:])
-        if parent is None:
-            parent = rows[t[1:]] = [1] * n
-        weights = matrices[t[0]]
-        for k, x in enumerate(parent):
+    # Leaves first: a child's index exceeds its parent's.
+    for i in range(len(parent) - 1, 0, -1):
+        up, weights, sub = rows[parent[i]], matrices[letter[i]], rows[i]
+        for k, x in enumerate(up):
             if x:
-                parent[k] = x * sum(map(mul, weights[k], sub))
-    root = rows.get((), [1] * n)
-    return Fraction(sum(map(mul, p, root)), scale ** len(hull))
+                up[k] = x * sum(map(mul, weights[k], sub))
+    return Fraction(sum(map(mul, p, rows[0])), scale ** len(parent))
 
 
 def eval_cylinder(chain: MarkovTreeChain, pattern: Pattern) -> Fraction:

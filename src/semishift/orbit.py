@@ -24,7 +24,7 @@ from .algebra import (
     GeneratorSet,
     Symbol,
     Word,
-    _ancestor_closure,
+    _hull,
     ball,
     require_in_semigroup,
     sorted_words,
@@ -128,12 +128,13 @@ class OrbitAutomaton:
 
 def _shown(o: OrbitAutomaton, sites: Sequence[Word]) -> list[tuple]:
     """What each state's configuration shows at the sites, state by state."""
-    # reached[t][q]: the state whose label q's configuration shows at t
-    reached: dict[tuple, Sequence[int]] = {(): range(o.n_states())}
-    for t in sorted(_ancestor_closure(sites, o.gs), key=len)[1:]:
-        row = o.delta[t[0]]
-        reached[t] = [row[q] for q in reached[t[1:]]]
-    columns = [[o.labels[q] for q in reached[w.letters]] for w in sites]
+    parent, letter, site = _hull(sites, o.gs)
+    # reached[v][q]: the state whose label q's configuration shows at vertex v
+    reached: list[Sequence[int]] = [range(o.n_states())]
+    for up, g in zip(parent[1:], letter[1:]):
+        row = o.delta[g]
+        reached.append([row[q] for q in reached[up]])
+    columns = [[o.labels[q] for q in reached[v]] for v in site]
     return list(zip(*columns)) if sites else [()] * o.n_states()
 
 

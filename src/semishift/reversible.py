@@ -217,8 +217,6 @@ def window_measure(measure: LatticeMeasure, pattern: LatticePattern) -> Fraction
     if len(pattern) == 0:
         return ONE
     base = tuple(min(x, 0) for x in lower_bound(pattern.domain()))
-    if all(x == 0 for x in base):
-        return measure.eval(pattern)
     moved = LatticePattern(tuple((vec_sub(v, base), c) for v, c in pattern.items()))
     return measure.eval(moved)
 

@@ -7,6 +7,7 @@ completion, so an agreement with the package is meaningful.
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 from semishift import (
@@ -141,6 +142,15 @@ def oracle_hull(sites):
             hull.add(w)
             w = Word(w.letters[1:])
     return sorted(hull, key=Word.key)
+
+
+def traced_peak(compute):
+    """``compute()`` and the peak number of bytes Python allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return compute(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def oracle_eval(chain: MarkovTreeChain, pattern) -> Fraction:

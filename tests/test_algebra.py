@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from helpers import oracle_hull
 from semishift import (
     EPSILON,
     GeneratorSet,
@@ -21,7 +22,7 @@ from semishift import (
     word_mul,
     word_to_string,
 )
-from semishift.algebra import spheres
+from semishift.algebra import _hull, spheres
 
 
 def w(text):
@@ -184,6 +185,50 @@ def test_tree_hull_contains_input_and_validates():
         assert EPSILON in hull.vertices
         assert len(hull.edges) == len(hull.vertices) - 1
         assert all(Word(v.letters[1:]) in hull.vertices for v in hull.vertices if v)
+
+
+def test_hull_parent_array_matches_the_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        """Sigma over d <= 3 and sites of up to 6 letters grown on shared tails."""
+        d = draw(st.integers(1, 3))
+        signed = range(-d, d + 1)
+        gs = GeneratorSet.from_signed(
+            draw(st.lists(st.sampled_from([x for x in signed if x]), min_size=1, unique=True)), d
+        )
+        letters = gs.symbols()
+        sites = []
+        for _ in range(draw(st.integers(0, 6))):
+            tail = draw(st.sampled_from([()] + [v.letters for v in sites]))
+            grown = list(tail)
+            for _ in range(draw(st.integers(0, 6 - len(tail)))):
+                options = [g for g in letters if not grown or g is not grown[0].inverse()]
+                grown.insert(0, draw(st.sampled_from(options)))
+            sites.append(Word(tuple(grown)))
+        outside = [Symbol.from_signed(x) for x in range(-d - 1, d + 2) if x]
+        stranger = draw(st.sampled_from([g for g in outside if g not in gs.sigma]))
+        return gs, sites, stranger, draw(st.integers(0, len(sites)))
+
+    @hypothesis.given(cases())
+    def check(case):
+        gs, sites, stranger, at = case
+        parent, letter, site = _hull(sites, gs)
+        assert len(parent) == len(letter) and len(site) == len(sites)
+        vertices = [EPSILON]
+        for i in range(1, len(parent)):
+            assert 0 <= parent[i] < i
+            vertices.append(Word((letter[i],) + vertices[parent[i]].letters))
+        assert len(set(vertices)) == len(vertices)
+        assert sorted(vertices, key=Word.key) == oracle_hull(sites)
+        assert [vertices[v] for v in site] == sites
+        bad = Word((stranger,))
+        with pytest.raises(MembershipError):
+            _hull([*sites[:at], bad, *sites[at:]], gs)
+
+    check()
 
 
 def test_symbol_refuses_a_bool_or_non_int_index():

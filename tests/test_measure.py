@@ -13,6 +13,7 @@ from helpers import (
     random_invariant_chain,
     rerooted_eval,
     swap_orbit,
+    traced_peak,
     worked_chain,
 )
 from semishift import (
@@ -38,6 +39,7 @@ from semishift import (
     SigmaIncomplete,
     Symbol,
     ValidationError,
+    Word,
     all_patterns,
     ball,
     counterexample_analyze,
@@ -139,6 +141,25 @@ def test_eval_cylinder_examples():
 def test_eval_cylinder_membership_error():
     with pytest.raises(MembershipError):
         eval_cylinder(worked_chain(2), pat({"A1": 0}))
+
+
+# The hull of a1^5000 has 5001 vertices; keeping every suffix as a tuple
+# of letters would hold about 12.5 million references.
+LONG_SITE = Word((Symbol(1, 1),) * 5000)
+
+
+def test_cylinder_on_a_long_site_costs_memory_linear_in_its_letters():
+    chain = worked_chain(1)
+    value, peak = traced_peak(lambda: eval_cylinder(chain, Pattern.of({LONG_SITE: 0})))
+    assert value == F(1, 3) and peak < 48 * 2**20
+
+
+def test_masses_on_a_long_site_cost_memory_linear_in_its_letters():
+    chain = worked_chain(1)
+    (numerators, denominator), peak = traced_peak(lambda: chain.masses([LONG_SITE]))
+    assert denominator == 12**5001
+    assert [F(x, denominator) for x in numerators] == [F(1, 3), F(2, 3)]
+    assert peak < 64 * 2**20
 
 
 def test_eval_matches_bruteforce_and_oracle():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import semishift.orbit
-from helpers import oracle_monoid, random_automaton, swap_orbit, two_point_orbit
+from helpers import oracle_monoid, random_automaton, swap_orbit, traced_peak, two_point_orbit
 from semishift import (
     BernoulliMeasure,
     BudgetExhausted,
@@ -20,6 +20,7 @@ from semishift import (
     PeriodicMeasure,
     Symbol,
     ValidationError,
+    Word,
     ball,
     find_separating_morphism,
     in_semigroup,
@@ -305,6 +306,13 @@ def test_orbit_evaluates_as_the_uniform_measure_on_its_minimal_orbit():
     assert tail.minimal.n_states() == 2
     assert tail.eval(Pattern.of({EPSILON: 1})) == F(1, 2)
     assert tail.eval(Pattern.of({EPSILON: 0, w("a1"): 1})) == F(1, 2)
+
+
+def test_orbit_eval_on_a_long_site_keeps_one_row_per_hull_vertex():
+    site = Word((A,) * 5000)
+    orbit = swap_orbit()
+    value, peak = traced_peak(lambda: orbit.eval(Pattern.of({site: 0})))
+    assert value == F(1, 2) and peak < 16 * 2**20
 
 
 def test_periodic_measure_is_a_mixture_of_its_orbits():
