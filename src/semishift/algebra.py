@@ -23,25 +23,6 @@ from typing import Iterable, Iterator
 
 from .errors import MembershipError, ParseError
 
-# Vectors in Z^d, used by the lattice-window operations; membership in
-# N^d means every coordinate is nonnegative.
-LatticeVector = tuple[int, ...]
-
-
-def vec_add(u: LatticeVector, v: LatticeVector) -> LatticeVector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: LatticeVector, v: LatticeVector) -> LatticeVector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_min(vectors: Iterable[LatticeVector]) -> LatticeVector:
-    vs = list(vectors)
-    if not vs:
-        raise ValueError("need at least one vector")
-    return tuple(min(col) for col in zip(*vs, strict=True))
-
 
 class Symbol:
     """A signed generator: a_i for sign +1, its inverse for sign -1.
@@ -123,12 +104,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return word_mul(self, other)
-
-    def inverse(self) -> "Word":
-        return Word(tuple(s.inverse() for s in reversed(self.letters)))
 
     def key(self) -> tuple:
         return (len(self.letters), tuple(s.key() for s in self.letters))

@@ -26,9 +26,9 @@ from .measure import (
     CylinderMeasure,
     MarkovTreeChain,
     Pattern,
-    _scaled_masses,
     eval_constrained,
     is_invariant_chain,
+    pattern_masses,
     require_distinct_symbols,
     require_pattern,
 )
@@ -62,7 +62,7 @@ def support_alphabet(measure: CylinderMeasure, order: int) -> BlockAlphabet:
     sites = sorted_words(ball(measure.gs, order))
     blocks = []
     masses = []
-    numerators, denominator = _scaled_masses(measure, sites)
+    numerators, denominator = pattern_masses(measure, sites)
     combos = itertools.product(tuple(measure.alphabet), repeat=len(sites))
     for combo, x in zip(combos, numerators):
         if x > 0:

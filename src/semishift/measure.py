@@ -90,9 +90,6 @@ class Pattern:
     def __getitem__(self, w: Word) -> object:
         return self._lookup[w]
 
-    def with_entry(self, w: Word, symbol: object) -> "Pattern":
-        return Pattern(self.entries + ((w, symbol),))
-
     def translated(self, a: Symbol) -> "Pattern":
         """Keys move to t*a: the pattern seen by the a-shifted configuration."""
         shift = Word((a,))
@@ -392,23 +389,15 @@ def all_patterns(sites: Iterable[Word], alphabet: Sequence) -> Iterator[Pattern]
         yield Pattern(tuple(zip(ordered, combo)))
 
 
-def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> Iterable[Fraction]:
-    """The mass of every full pattern on the ordered sites.
+def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[Iterable, int]:
+    """The mass of every full pattern on the ordered sites, as ``(numerators, denominator)``.
 
     Patterns run in ``itertools.product(measure.alphabet, repeat=len(sites))``
-    order, the first site varying slowest.  A measure's ``masses`` gives
-    ``(numerators, denominator)`` for the whole list; any other measure is
-    evaluated pattern by pattern, lazily, so a scan that stops at its
+    order, the first site varying slowest.  A measure's ``masses`` gives the
+    whole list of ints over one denominator; any other measure is evaluated
+    pattern by pattern, lazily and over 1, so a scan that stops at its
     first witness evaluates nothing after it.
     """
-    numerators, denominator = _scaled_masses(measure, sites)
-    if isinstance(numerators, list):
-        return [Fraction(x, denominator) for x in numerators]
-    return numerators
-
-
-def _scaled_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[Iterable, int]:
-    """The measure's ``masses(sites)``, or its lazy ``eval`` masses over 1."""
     sites = tuple(sites)
     if len(set(sites)) != len(sites):
         raise ValueError("pattern has a repeated site")
@@ -457,7 +446,7 @@ def shift_invariance_check(
         layer = sorted_words(sphere)
         sites += layer
         moved += [word_mul(w, shift) for w in layer]
-        diff = _first_difference(*_scaled_masses(measure, sites), *_scaled_masses(measure, moved))
+        diff = _first_difference(*pattern_masses(measure, sites), *pattern_masses(measure, moved))
         if diff is not None:
             i, lhs, rhs = diff
             pattern = _pattern_at(sites, measure.alphabet, i)
@@ -503,7 +492,7 @@ def pushforward_check(
     """Do the two chains agree on every full pattern over the original B_r?"""
     sites = sorted_words(ball(original.gs, r))
     if tuple(extended.alphabet) == tuple(original.alphabet):
-        lhs, rhs = _scaled_masses(extended, sites), _scaled_masses(original, sites)
+        lhs, rhs = pattern_masses(extended, sites), pattern_masses(original, sites)
     else:
         # Symbols are matched by name, pattern by pattern, as eval matches them.
         lhs, rhs = ((_eval_each(m, sites, original.alphabet), 1) for m in (extended, original))
@@ -526,7 +515,7 @@ def weak_star_distance(
     if tuple(m1.alphabet) != tuple(m2.alphabet):
         raise ValidationError("measures have different alphabets")
     sites = sorted_words(ball(m1.gs, order))
-    (xs, d1), (ys, d2) = _scaled_masses(m1, sites), _scaled_masses(m2, sites)
+    (xs, d1), (ys, d2) = pattern_masses(m1, sites), pattern_masses(m2, sites)
     return Fraction(sum(abs(x * d2 - y * d1) for x, y in zip(xs, ys)), d1 * d2)
 
 
@@ -601,7 +590,7 @@ class MixtureMeasure:
     def masses(self, sites: Sequence[Word]) -> tuple[list, int]:
         """Every full pattern's mass: the components' numerators over one common
         denominator, weighted and summed (an eval-only component's are Fractions)."""
-        parts = [_scaled_masses(m, sites) for m in self.components]
+        parts = [pattern_masses(m, sites) for m in self.components]
         scales = [w.denominator * d for w, (_, d) in zip(self.weights, parts)]
         common = math.lcm(*scales)
         coefficients = [w.numerator * (common // s) for w, s in zip(self.weights, scales)]
@@ -669,16 +658,34 @@ def _apply_mod(m: IntMatrix, v: tuple[int, int], p: int) -> tuple[int, int]:
     return ((m[0][0] * v[0] + m[0][1] * v[1]) % p, (m[1][0] * v[0] + m[1][1] * v[1]) % p)
 
 
+# Miller-Rabin over these bases decides primality exactly below the bound
+# (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; a number at or above the bound is refused."""
+    if n >= _PRIME_BOUND:
+        raise ValidationError(f"{n} is too large: primality is decided only below {_PRIME_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

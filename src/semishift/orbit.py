@@ -386,9 +386,6 @@ class PeriodicMeasure(MixtureMeasure):
     def orbits(self) -> tuple[OrbitAutomaton, ...]:
         return self.components
 
-    def eval(self, pattern: Pattern) -> Fraction:
-        return periodic_measure_eval(self, pattern)
-
 
 def periodic_measure_eval(pm: PeriodicMeasure, pattern: Pattern) -> Fraction:
     """Weighted fraction of orbit points whose configuration shows the pattern."""

@@ -17,9 +17,19 @@ from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Collection, Iterable, Mapping, Protocol, Sequence
 
-from .algebra import LatticeVector, vec_add, vec_min, vec_sub
 from .errors import MembershipError, ValidationError
-from .measure import ONE, ZERO, CheckResult, require_distinct_symbols, require_distribution
+from .measure import ONE, ZERO, CheckResult, Matrix, require_distinct_symbols, require_distribution
+
+# Vectors in Z^d; membership in N^d means every coordinate is nonnegative.
+LatticeVector = tuple[int, ...]
+
+
+def vec_add(u: LatticeVector, v: LatticeVector) -> LatticeVector:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vec_sub(u: LatticeVector, v: LatticeVector) -> LatticeVector:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 @dataclass(frozen=True)
@@ -101,9 +111,6 @@ class LatticeBernoulli:
         for _, c in pattern.items():
             out *= self.probs[self.alphabet.index(c)]
         return out
-
-
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -202,7 +209,7 @@ def lower_bound(window: Collection[LatticeVector]) -> LatticeVector:
     """Componentwise minimum of a nonempty window."""
     if not window:
         raise ValidationError("window must be nonempty")
-    return vec_min(window)
+    return tuple(min(col) for col in zip(*window, strict=True))
 
 
 def window_measure(measure: LatticeMeasure, pattern: LatticePattern) -> Fraction:

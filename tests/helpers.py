@@ -144,6 +144,18 @@ def oracle_hull(sites):
     return sorted(hull, key=Word.key)
 
 
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division up to the square root of n."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
 def traced_peak(compute):
     """``compute()`` and the peak number of bytes Python allocated while it ran."""
     tracemalloc.start()

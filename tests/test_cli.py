@@ -100,6 +100,24 @@ def test_counterexample_example_no_delta():
     assert "cycle_length: 4" in text
 
 
+def test_counterexample_with_a_large_prime():
+    code, text = execute(
+        ["counterexample", "--matrices", MATRICES, "--word", "a1a2A1A2",
+         "--prime", str(2**61 - 1)]
+    )
+    assert code == 0
+    assert f"prime: {2**61 - 1}" in text
+
+
+def test_counterexample_prime_past_the_decided_bound_exits_two():
+    code, text = execute(
+        ["counterexample", "--matrices", MATRICES, "--word", "a1a2A1A2",
+         "--prime", "3317044064679887385961981"]
+    )
+    assert code == 2
+    assert "decided only below 3317044064679887385961981" in text
+
+
 def test_counterexample_with_delta(tmp_path):
     out = tmp_path / "cx.json"
     code, text = execute(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from helpers import (
     rerooted_eval,
     swap_orbit,
     traced_peak,
+    trial_division_is_prime,
     worked_chain,
 )
 from semishift import (
@@ -54,6 +56,7 @@ from semishift import (
     validate_chain,
     weak_star_distance,
 )
+from semishift.measure import _is_prime
 
 F = Fraction
 GS2 = GeneratorSet.from_signed((1, 2))
@@ -184,7 +187,7 @@ def test_eval_single_site_additivity():
         pattern = Pattern.of({s: rng.randrange(2) for s in sites})
         extra = rng.choice([v for v in words if v not in sites])
         total = sum(
-            eval_cylinder(chain, pattern.with_entry(extra, c)) for c in (0, 1)
+            eval_cylinder(chain, Pattern(pattern.entries + ((extra, c),))) for c in (0, 1)
         )
         assert total == eval_cylinder(chain, pattern)
 
@@ -512,6 +515,30 @@ def test_counterexample_analyze_errors():
         counterexample_analyze((MATRIX_A, MATRIX_B), EPSILON, 5)
     with pytest.raises(NoWitness):
         counterexample_analyze((MATRIX_A,), w("a1a1a1a1a1"), 5)
+
+
+def test_prime_test_agrees_with_trial_division():
+    assert [n for n in range(2 * 10**5) if _is_prime(n) != trial_division_is_prime(n)] == []
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(151, 751, 28351), (149491, 747451, 34233211), (399165290221, 798330580441)],
+)
+def test_strong_pseudoprimes_are_composite(factors):
+    # Strong pseudoprimes to every prime base up to 7, 31 and 37 in turn.
+    assert not _is_prime(math.prod(factors))
+
+
+def test_prime_test_decides_large_primes_and_refuses_past_its_bound():
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime((2**19 - 1) * (2**61 - 1))
+    # The bound is itself composite and a strong pseudoprime to all 13 bases.
+    bound = 1287836182261 * 2575672364521
+    with pytest.raises(ValidationError, match=str(bound)):
+        _is_prime(bound)
+    with pytest.raises(ValidationError, match=str(bound)):
+        counterexample_analyze((MATRIX_A, MATRIX_B), w("a1a2A1A2"), 2**89 - 1)
 
 
 @pytest.mark.parametrize(

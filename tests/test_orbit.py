@@ -354,7 +354,7 @@ def test_periodic_measure_additivity():
         pattern = Pattern.of({s: rng.randrange(2) for s in sites})
         extra = rng.choice([v for v in words if v not in sites])
         total = sum(
-            periodic_measure_eval(mix, pattern.with_entry(extra, c))
+            periodic_measure_eval(mix, Pattern(pattern.entries + ((extra, c),)))
             for c in (0, 1)
         )
         assert total == periodic_measure_eval(mix, pattern)

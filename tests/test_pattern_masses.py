@@ -12,6 +12,7 @@ a translate is not in root-first order, and the hull of a translate or
 a sphere has vertices that are no sites.
 """
 
+import importlib
 import itertools
 import math
 import random
@@ -45,6 +46,7 @@ from semishift import (
     pushforward_check,
     shift_invariance_check,
     sorted_words,
+    support_alphabet,
     weak_star_distance,
     word_mul,
 )
@@ -67,6 +69,12 @@ def site_lists(gs: GeneratorSet, n: int):
         for g in gs.symbols():
             yield [word_mul(w, Word((g,))) for w in sites]
         yield [w for w in sites if len(w) == r]
+
+
+def fractions(masses):
+    """The engine's ``(numerators, denominator)`` as a list of Fractions."""
+    numerators, denominator = masses
+    return [F(x, denominator) for x in numerators]
 
 
 def patterns(sites, alphabet):
@@ -178,8 +186,7 @@ KINDS = ("chain", "bernoulli", "periodic", "mixture")
 def test_masses_match_references(kind, signed, n, seed):
     measure, reference = build(kind, random.Random(seed), signed, n)
     for sites in site_lists(measure.gs, n):
-        masses = pattern_masses(measure, sites)
-        assert all(type(x) is Fraction for x in masses)
+        masses = fractions(pattern_masses(measure, sites))
         assert masses == [reference(p) for p in patterns(sites, measure.alphabet)]
 
 
@@ -223,13 +230,13 @@ def test_fallback_matches_batched_chain(signed, n, seed):
     chain = random_invariant_chain(random.Random(seed), signed, n)
     oracle = OracleMeasure(chain)
     for sites in site_lists(chain.gs, n):
-        assert list(pattern_masses(oracle, sites)) == pattern_masses(chain, sites)
+        assert fractions(pattern_masses(oracle, sites)) == fractions(pattern_masses(chain, sites))
 
 
 def test_fallback_is_lazy():
     oracle = OracleMeasure(random_invariant_chain(random.Random(5), (1, 2), 2))
-    masses = pattern_masses(oracle, sorted_words(ball(oracle.gs, 1)))
-    assert oracle.calls == 0
+    masses, denominator = pattern_masses(oracle, sorted_words(ball(oracle.gs, 1)))
+    assert oracle.calls == 0 and denominator == 1
     next(iter(masses))
     assert oracle.calls == 1
 
@@ -242,7 +249,7 @@ def test_mixture_with_an_oracle_component_matches_eval(signed, n, seed):
     mixture = MixtureMeasure(tuple(parts), positive_distribution(rng, len(parts)))
     for sites in site_lists(mixture.gs, n):
         expected = [mixture.eval(p) for p in patterns(sites, mixture.alphabet)]
-        assert pattern_masses(mixture, sites) == expected
+        assert fractions(pattern_masses(mixture, sites)) == expected
 
 
 @given(st.sampled_from(KINDS), st.sampled_from(SIGMAS), st.integers(1, 3), st.integers(0, 2**32))
@@ -254,7 +261,7 @@ def test_masses_are_integer_numerators_over_one_denominator(kind, signed, n, see
             numerators, denominator = m.masses(sites)
             assert type(denominator) is int and denominator > 0
             assert all(type(x) is int for x in numerators)
-            assert [F(x, denominator) for x in numerators] == pattern_masses(m, sites)
+            assert pattern_masses(m, sites) == (numerators, denominator)
 
 
 def naive_invariance(measure, a, r):
@@ -362,3 +369,31 @@ def test_repeated_site_is_refused():
     chain = random_invariant_chain(random.Random(1), (1, 2), 2)
     with pytest.raises(ValueError, match="repeated site"):
         pattern_masses(chain, [Word(), Word()])
+
+
+def test_library_calls_the_engine_by_its_public_name(monkeypatch):
+    # ``import semishift.markovize as m`` binds the function: the package re-exports it.
+    modules = [importlib.import_module(f"semishift.{name}") for name in ("measure", "markovize")]
+    calls = []
+
+    def counting(measure, sites):
+        calls.append(measure)
+        return pattern_masses(measure, sites)
+
+    for module in modules:
+        monkeypatch.setattr(module, "pattern_masses", counting)
+    chain = random_invariant_chain(random.Random(2), (1, 2), 2)
+    fair = BernoulliMeasure(chain.gs, chain.alphabet, (F(1, 2), F(1, 2)))
+    mixture = MixtureMeasure((chain, fair), (F(1, 3), F(2, 3)))
+    sites = sorted_words(ball(chain.gs, 1))
+    scans = {
+        "shift_invariance_check": lambda: shift_invariance_check(chain, Symbol(1, 1), 1),
+        "pushforward_check": lambda: pushforward_check(chain, chain, 1),
+        "weak_star_distance": lambda: weak_star_distance(chain, fair, 1),
+        "support_alphabet": lambda: support_alphabet(chain, 1),
+        "MixtureMeasure.masses": lambda: mixture.masses(sites),
+    }
+    for name, scan in scans.items():
+        calls.clear()
+        scan()
+        assert calls, f"{name} does not call pattern_masses"
