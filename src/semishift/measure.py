@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .algebra import (
@@ -263,34 +263,106 @@ class MarkovTreeChain:
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's mass on the sites in product order, over D^|hull|.
 
-        One leaves-first pass over the hull folds each vertex's table into
-        its parent's.  A vertex's table maps, for each of its labels, the
-        pattern index of the sites below it to their weight: zero entries
-        drop out, and a hull vertex that is not a site is summed out as it
-        folds.  The pass iterates, so a deep hull needs no deep stack.
+        A chain with no zero matrix entry gives every full pattern a positive
+        mass, so it folds its hull root first into one flat list; any other
+        chain folds leaves first through dicts that drop zero weights.
         """
         _require_valid(self)
-        parent, letter, site = _hull(sites, self.gs)
+        hull = _hull(sites, self.gs)
         scale, p, matrices = self.integer_form
-        n = len(p)
-        stride = [0] * len(parent)
-        for j, v in enumerate(reversed(site)):
-            stride[v] = n**j
-        tables = [[{k * s: 1} for k in range(n)] for s in stride]
-        for i in range(len(parent) - 1, 0, -1):
-            child, up = tables[i], tables[parent[i]]
-            for k, row in enumerate(matrices[letter[i]]):
-                below: dict[int, int] = {}
-                for x, f in enumerate(row):
-                    if f:
-                        for index, weight in child[x].items():
-                            below[index] = below.get(index, 0) + f * weight
-                up[k] = {a + b: u * v for a, u in up[k].items() for b, v in below.items()}
-        out = [0] * n ** len(sites)
-        for f, table in zip(p, tables[0]):
-            for index, weight in table.items():
-                out[index] += f * weight
-        return out, scale ** len(parent)
+        zero_free = all(map(all, itertools.chain.from_iterable(matrices.values())))
+        fold = _fold_top_down if zero_free else _fold_by_dict
+        return fold(hull, p, matrices), scale ** len(hull[0])
+
+
+Hull = tuple[list[int], list, list[int]]
+
+
+def _fold_by_dict(hull: Hull, p: tuple[int, ...], matrices: Mapping[Symbol, IntRows]) -> list[int]:
+    """The hull's weights per full site pattern, leaves first.
+
+    A vertex's table maps, for each of its labels, the pattern index of the
+    sites below it to their weight: zero entries drop out, and a hull vertex
+    that is not a site is summed out as it folds into its parent's table.
+    The pass iterates, so a deep hull needs no deep stack.
+    """
+    parent, letter, site = hull
+    n = len(p)
+    stride = [0] * len(parent)
+    for j, v in enumerate(reversed(site)):
+        stride[v] = n**j
+    tables = [[{k * s: 1} for k in range(n)] for s in stride]
+    for i in range(len(parent) - 1, 0, -1):
+        child, up = tables[i], tables[parent[i]]
+        for k, row in enumerate(matrices[letter[i]]):
+            below: dict[int, int] = {}
+            for x, f in enumerate(row):
+                if f:
+                    for index, weight in child[x].items():
+                        below[index] = below.get(index, 0) + f * weight
+            up[k] = {a + b: u * v for a, u in up[k].items() for b, v in below.items()}
+    out = [0] * n ** len(site)
+    for f, table in zip(p, tables[0]):
+        for index, weight in table.items():
+            out[index] += f * weight
+    return out
+
+
+def _fold_top_down(hull: Hull, p: tuple[int, ...], matrices: Mapping[Symbol, IntRows]) -> list[int]:
+    """The hull's weights per full site pattern, root first.
+
+    ``cur`` holds one weight per labelling of the vertices in ``live``, the
+    first of them varying slowest.  Vertex i, placed after its parent,
+    becomes the fastest digit: each weight times the row of D*P[letter[i]]
+    picked by the parent's label.  A vertex that is no site is summed out
+    once its last child is placed, and the site digits are put in the
+    sites' order at the end.
+    """
+    parent, letter, site = hull
+    n = len(p)
+    if not site:
+        return [sum(p)]
+    drop = {}
+    if len(site) < len(parent):
+        # Each hidden vertex, keyed by its last child.
+        last_child = {u: i for i, u in enumerate(parent)}
+        drop = {last_child[u]: u for u in set(range(len(parent))).difference(site)}
+    cur, live = list(p), [0]
+    for i in range(1, len(parent)):
+        rows = matrices[letter[i]]
+        below = len(live) - 1 - live.index(parent[i])
+        if below:
+            rows = [row for row in rows for _ in range(n**below)]
+        cur = [c * f for c, row in zip(cur, itertools.cycle(rows)) for f in row]
+        live.append(i)
+        if i in drop:
+            u = drop[i]
+            cur = _sum_out(cur, n, n ** (len(live) - 1 - live.index(u)))
+            live.remove(u)
+    if live == site:
+        return cur
+    # Reorder the site digits, now in index order, into ``site``: the
+    # trailing run already in place moves as whole slices.
+    m, position = len(site), {v: k for k, v in enumerate(live)}
+    moved = m
+    while position[site[moved - 1]] == moved - 1:
+        moved -= 1
+    block, offsets = n ** (m - moved), [0]
+    for v in site[:moved]:
+        stride = n ** (m - 1 - position[v])
+        offsets = [o + x for o in offsets for x in range(0, n * stride, stride)]
+    out: list[int] = []
+    for o in offsets:
+        out += cur[o : o + block]
+    return out
+
+
+def _sum_out(cur: list[int], n: int, below: int) -> list[int]:
+    """Sum out the digit with ``below`` weights per step of it."""
+    out: list[int] = []
+    for b in range(0, len(cur), n * below):
+        out += map(sum, zip(*(cur[b + x * below : b + (x + 1) * below] for x in range(n))))
+    return out
 
 
 def validate_chain(chain: MarkovTreeChain) -> ChainDiagnostics:
@@ -589,12 +661,16 @@ class MixtureMeasure:
 
     def masses(self, sites: Sequence[Word]) -> tuple[list, int]:
         """Every full pattern's mass: the components' numerators over one common
-        denominator, weighted and summed (an eval-only component's are Fractions)."""
+        denominator, weighted and added one component at a time (an eval-only
+        component's are Fractions)."""
         parts = [pattern_masses(m, sites) for m in self.components]
         scales = [w.denominator * d for w, (_, d) in zip(self.weights, parts)]
         common = math.lcm(*scales)
-        coefficients = [w.numerator * (common // s) for w, s in zip(self.weights, scales)]
-        return [sum(map(mul, coefficients, c)) for c in zip(*(xs for xs, _ in parts))], common
+        total = None
+        for w, s, (xs, _) in zip(self.weights, scales, parts):
+            scaled = map(mul, xs, itertools.repeat(w.numerator * (common // s)))
+            total = list(scaled if total is None else map(add, total, scaled))
+        return total, common
 
 
 # -- Theorem-E style family: a chain that is invariant over the free

@@ -9,7 +9,9 @@ the pattern for periodic measures, and the weighted sum of those for
 mixtures.  Site lists are sorted balls, their translates by every
 generator and their spheres, over Sigma with and without inverse pairs;
 a translate is not in root-first order, and the hull of a translate or
-a sphere has vertices that are no sites.
+a sphere has vertices that are no sites.  The chain's two folds are also
+called directly, on site lists whose hull order differs from product
+order, against ``oracle_eval``.
 """
 
 import importlib
@@ -26,14 +28,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     oracle_eval,
+    oracle_hull,
     positive_distribution,
     random_balance_violation,
     random_eigenvector_violation,
     random_invariant_chain,
 )
 from semishift import (
+    EPSILON,
     BernoulliMeasure,
     GeneratorSet,
+    MarkovTreeChain,
     MembershipError,
     MixtureMeasure,
     OrbitAutomaton,
@@ -50,7 +55,9 @@ from semishift import (
     weak_star_distance,
     word_mul,
 )
-from semishift.measure import pattern_masses
+from semishift import measure as measure_module
+from semishift.algebra import _hull
+from semishift.measure import _fold_by_dict, _fold_top_down, pattern_masses
 
 F = Fraction
 SIGMAS = ((1,), (1, 2), (1, -1), (1, -1, 2), (-1, 2))
@@ -262,6 +269,94 @@ def test_masses_are_integer_numerators_over_one_denominator(kind, signed, n, see
             assert type(denominator) is int and denominator > 0
             assert all(type(x) is int for x in numerators)
             assert pattern_masses(m, sites) == (numerators, denominator)
+
+
+def random_chain(rng: random.Random, signed, n: int, zeros: bool) -> MarkovTreeChain:
+    """A valid chain, not necessarily invariant.  With ``zeros`` and n > 1 the
+    first row of the first matrix has a zero entry, and any row may have more."""
+    gs = GeneratorSet.from_signed(signed)
+    matrices = {}
+    for s in gs.symbols():
+        rows = []
+        for _ in range(n):
+            weights = [rng.randint(1, 6) for _ in range(n)]
+            if zeros and n > 1:
+                least = 0 if matrices or rows else 1
+                for k in rng.sample(range(n), rng.randint(least, n - 1)):
+                    weights[k] = 0
+            rows.append(tuple(F(x, sum(weights)) for x in weights))
+        matrices[s] = tuple(rows)
+    return MarkovTreeChain.make(gs, tuple(range(n)), positive_distribution(rng, n), matrices)
+
+
+# Largest number of hull labellings the oracle enumerates for one site list.
+MAX_LABELLINGS = 729
+SHAPES = ("empty", "identity", "ball", "translate", "punctured", "sphere", "shuffled", "deep")
+
+
+def shaped_sites(shape: str, rng: random.Random, gs: GeneratorSet, n: int) -> list:
+    """A site list of the shape, cut short until its hull is small enough.
+
+    ``translate`` moves a ball by a generator g: without g^-1 in Sigma no
+    site is the identity, and the hidden root has the one child g.
+    ``punctured`` drops the identity from such a translate: with g^-1 in
+    Sigma the hidden root then has several children.  ``shuffled`` and
+    ``deep`` list sites out of hull order; ``deep`` draws words of length
+    up to 4.
+    """
+    g = Word((rng.choice(gs.symbols()),))
+    r = rng.randint(1, 2)
+    if shape == "empty":
+        sites = []
+    elif shape == "identity":
+        sites = [EPSILON]
+    elif shape == "ball":
+        sites = list(sorted_words(ball(gs, r)))
+    elif shape in ("translate", "punctured"):
+        sites = [word_mul(w, g) for w in sorted_words(ball(gs, r))]
+        if shape == "punctured":
+            sites = [w for w in sites if w != EPSILON]
+    elif shape == "sphere":
+        sites = [w for w in sorted_words(ball(gs, r + 1)) if len(w) == r + 1]
+    else:
+        words = sorted_words(ball(gs, 2 if shape == "shuffled" else 4))
+        sites = rng.sample(words, min(len(words), 6))
+    while n ** len(oracle_hull(sites)) > MAX_LABELLINGS:
+        sites.pop()
+    return sites
+
+
+@given(
+    st.sampled_from(SHAPES),
+    st.sampled_from(SIGMAS),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_both_folds_match_the_oracle(shape, signed, n, zeros, seed):
+    rng = random.Random(seed)
+    chain = random_chain(rng, signed, n, zeros)
+    sites = shaped_sites(shape, rng, chain.gs, n)
+    hull = _hull(sites, chain.gs)
+    scale, p, matrices = chain.integer_form
+    denominator = scale ** len(hull[0])
+    expected = [oracle_eval(chain, q) * denominator for q in patterns(sites, chain.alphabet)]
+    assert _fold_by_dict(hull, p, matrices) == expected
+    assert _fold_top_down(hull, p, matrices) == expected
+
+
+def test_a_chain_with_a_zero_entry_folds_by_dict(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the top-down fold ran")
+
+    rng = random.Random(4)
+    sparse, dense = random_chain(rng, (1, 2), 3, True), random_chain(rng, (1, 2), 3, False)
+    sites = [word_mul(w, Word((Symbol(1, 1),))) for w in sorted_words(ball(sparse.gs, 1))]
+    expected = fractions(sparse.masses(sites))
+    monkeypatch.setattr(measure_module, "_fold_top_down", refuse)
+    assert fractions(sparse.masses(sites)) == expected
+    with pytest.raises(AssertionError, match="top-down"):
+        dense.masses(sites)
 
 
 def naive_invariance(measure, a, r):
