@@ -60,9 +60,7 @@ class Pattern:
     entries: tuple[tuple[Word, object], ...]
 
     def __post_init__(self) -> None:
-        keys = [w for w, _ in self.entries]
-        if len(set(keys)) != len(keys):
-            raise ValueError("pattern has a repeated site")
+        require_distinct_sites([w for w, _ in self.entries])
         canonical = tuple(sorted(self.entries, key=lambda e: e[0].key()))
         object.__setattr__(self, "entries", canonical)
 
@@ -132,6 +130,11 @@ def require_distribution(values: Sequence, what: str, positive: bool = False) ->
     sign = "positive" if positive else "nonnegative"
     if any(x <= 0 if positive else x < 0 for x in values) or sum(values, ZERO) != 1:
         raise ValidationError(f"{what} must be {sign} and sum to 1")
+
+
+def require_distinct_sites(sites: Sequence[Word]) -> None:
+    if len(set(sites)) != len(sites):
+        raise ValueError("pattern has a repeated site")
 
 
 def require_pattern(pattern: Pattern, gs: GeneratorSet, alphabet: Collection) -> None:
@@ -263,98 +266,50 @@ class MarkovTreeChain:
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's mass on the sites in product order, over D^|hull|.
 
-        A chain with no zero matrix entry gives every full pattern a positive
-        mass, so it folds its hull root first into one flat list; any other
-        chain folds leaves first through dicts that drop zero weights.
+        One root-first pass over the hull keeps ``cur``, one integer weight
+        per labelling of the vertices in ``live``, the first of them varying
+        slowest.  Vertex i, placed after its parent, becomes the fastest
+        digit: each weight times the row of D*P[letter[i]] picked by the
+        parent's label.  A vertex that is no site is summed out once its
+        last child is placed, and the site digits are put in the sites'
+        order at the end.
         """
+        require_distinct_sites(sites)
         _require_valid(self)
-        hull = _hull(sites, self.gs)
+        parent, letter, site = _hull(sites, self.gs)
         scale, p, matrices = self.integer_form
-        zero_free = all(map(all, itertools.chain.from_iterable(matrices.values())))
-        fold = _fold_top_down if zero_free else _fold_by_dict
-        return fold(hull, p, matrices), scale ** len(hull[0])
-
-
-Hull = tuple[list[int], list, list[int]]
-
-
-def _fold_by_dict(hull: Hull, p: tuple[int, ...], matrices: Mapping[Symbol, IntRows]) -> list[int]:
-    """The hull's weights per full site pattern, leaves first.
-
-    A vertex's table maps, for each of its labels, the pattern index of the
-    sites below it to their weight: zero entries drop out, and a hull vertex
-    that is not a site is summed out as it folds into its parent's table.
-    The pass iterates, so a deep hull needs no deep stack.
-    """
-    parent, letter, site = hull
-    n = len(p)
-    stride = [0] * len(parent)
-    for j, v in enumerate(reversed(site)):
-        stride[v] = n**j
-    tables = [[{k * s: 1} for k in range(n)] for s in stride]
-    for i in range(len(parent) - 1, 0, -1):
-        child, up = tables[i], tables[parent[i]]
-        for k, row in enumerate(matrices[letter[i]]):
-            below: dict[int, int] = {}
-            for x, f in enumerate(row):
-                if f:
-                    for index, weight in child[x].items():
-                        below[index] = below.get(index, 0) + f * weight
-            up[k] = {a + b: u * v for a, u in up[k].items() for b, v in below.items()}
-    out = [0] * n ** len(site)
-    for f, table in zip(p, tables[0]):
-        for index, weight in table.items():
-            out[index] += f * weight
-    return out
-
-
-def _fold_top_down(hull: Hull, p: tuple[int, ...], matrices: Mapping[Symbol, IntRows]) -> list[int]:
-    """The hull's weights per full site pattern, root first.
-
-    ``cur`` holds one weight per labelling of the vertices in ``live``, the
-    first of them varying slowest.  Vertex i, placed after its parent,
-    becomes the fastest digit: each weight times the row of D*P[letter[i]]
-    picked by the parent's label.  A vertex that is no site is summed out
-    once its last child is placed, and the site digits are put in the
-    sites' order at the end.
-    """
-    parent, letter, site = hull
-    n = len(p)
-    if not site:
-        return [sum(p)]
-    drop = {}
-    if len(site) < len(parent):
+        n, denominator = len(p), scale ** len(parent)
+        if not site:
+            return [sum(p)], denominator
         # Each hidden vertex, keyed by its last child.
         last_child = {u: i for i, u in enumerate(parent)}
         drop = {last_child[u]: u for u in set(range(len(parent))).difference(site)}
-    cur, live = list(p), [0]
-    for i in range(1, len(parent)):
-        rows = matrices[letter[i]]
-        below = len(live) - 1 - live.index(parent[i])
-        if below:
-            rows = [row for row in rows for _ in range(n**below)]
-        cur = [c * f for c, row in zip(cur, itertools.cycle(rows)) for f in row]
-        live.append(i)
-        if i in drop:
-            u = drop[i]
-            cur = _sum_out(cur, n, n ** (len(live) - 1 - live.index(u)))
-            live.remove(u)
-    if live == site:
-        return cur
-    # Reorder the site digits, now in index order, into ``site``: the
-    # trailing run already in place moves as whole slices.
-    m, position = len(site), {v: k for k, v in enumerate(live)}
-    moved = m
-    while position[site[moved - 1]] == moved - 1:
-        moved -= 1
-    block, offsets = n ** (m - moved), [0]
-    for v in site[:moved]:
-        stride = n ** (m - 1 - position[v])
-        offsets = [o + x for o in offsets for x in range(0, n * stride, stride)]
-    out: list[int] = []
-    for o in offsets:
-        out += cur[o : o + block]
-    return out
+        cur, live = list(p), [0]
+        for i in range(1, len(parent)):
+            rows = matrices[letter[i]]
+            below = len(live) - 1 - live.index(parent[i])
+            if below:
+                rows = [row for row in rows for _ in range(n**below)]
+            cur = [c * f for c, row in zip(cur, itertools.cycle(rows)) for f in row]
+            live.append(i)
+            if i in drop:
+                u = drop[i]
+                cur = _sum_out(cur, n, n ** (len(live) - 1 - live.index(u)))
+                live.remove(u)
+        # Reorder the site digits, now in index order, into ``site``: the
+        # trailing run already in place moves as whole slices.
+        m, position = len(site), {v: k for k, v in enumerate(live)}
+        moved = m
+        while moved and position[site[moved - 1]] == moved - 1:
+            moved -= 1
+        block, offsets = n ** (m - moved), [0]
+        for v in site[:moved]:
+            stride = n ** (m - 1 - position[v])
+            offsets = [o + x for o in offsets for x in range(0, n * stride, stride)]
+        out: list[int] = []
+        for o in offsets:
+            out += cur[o : o + block]
+        return out, denominator
 
 
 def _sum_out(cur: list[int], n: int, below: int) -> list[int]:
@@ -468,14 +423,14 @@ def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[Ite
     order, the first site varying slowest.  A measure's ``masses`` gives the
     whole list of ints over one denominator; any other measure is evaluated
     pattern by pattern, lazily and over 1, so a scan that stops at its
-    first witness evaluates nothing after it.
+    first witness evaluates nothing after it.  Every built-in ``masses``,
+    and the pattern-by-pattern path, refuses a repeated site.
     """
     sites = tuple(sites)
-    if len(set(sites)) != len(sites):
-        raise ValueError("pattern has a repeated site")
     batched = getattr(measure, "masses", None)
     if batched is not None:
         return batched(sites)
+    require_distinct_sites(sites)
     return _eval_each(measure, sites, measure.alphabet), 1
 
 
@@ -619,6 +574,7 @@ class BernoulliMeasure:
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's mass on the sites: outer products of the
         probabilities times L, the lcm of their denominators, over L^len(sites)."""
+        require_distinct_sites(sites)
         for w in sites:
             require_in_semigroup(w, self.gs)
         scale = math.lcm(*(q.denominator for q in self.probs))

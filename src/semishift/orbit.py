@@ -30,7 +30,13 @@ from .algebra import (
     sorted_words,
 )
 from .errors import BudgetExhausted, FactorizationError, NotPeriodic, ValidationError
-from .measure import MixtureMeasure, Pattern, require_distinct_symbols, require_pattern
+from .measure import (
+    MixtureMeasure,
+    Pattern,
+    require_distinct_sites,
+    require_distinct_symbols,
+    require_pattern,
+)
 
 Perm = tuple[int, ...]
 
@@ -115,6 +121,7 @@ class OrbitAutomaton:
 
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's count of minimal states showing it, over their number."""
+        require_distinct_sites(sites)
         m = self.minimal
         index = {c: i for i, c in enumerate(self.alphabet)}
         out = [0] * len(index) ** len(sites)

@@ -9,9 +9,9 @@ the pattern for periodic measures, and the weighted sum of those for
 mixtures.  Site lists are sorted balls, their translates by every
 generator and their spheres, over Sigma with and without inverse pairs;
 a translate is not in root-first order, and the hull of a translate or
-a sphere has vertices that are no sites.  The chain's two folds are also
-called directly, on site lists whose hull order differs from product
-order, against ``oracle_eval``.
+a sphere has vertices that are no sites.  The chain's root-first fold is
+also checked against ``oracle_eval`` on site lists whose hull order
+differs from product order, for chains with and without a zero entry.
 """
 
 import importlib
@@ -55,9 +55,7 @@ from semishift import (
     weak_star_distance,
     word_mul,
 )
-from semishift import measure as measure_module
-from semishift.algebra import _hull
-from semishift.measure import _fold_by_dict, _fold_top_down, pattern_masses
+from semishift.measure import pattern_masses
 
 F = Fraction
 SIGMAS = ((1,), (1, 2), (1, -1), (1, -1, 2), (-1, 2))
@@ -333,30 +331,13 @@ def shaped_sites(shape: str, rng: random.Random, gs: GeneratorSet, n: int) -> li
     st.booleans(),
     st.integers(0, 2**32),
 )
-def test_both_folds_match_the_oracle(shape, signed, n, zeros, seed):
+def test_chain_masses_match_the_oracle(shape, signed, n, zeros, seed):
     rng = random.Random(seed)
     chain = random_chain(rng, signed, n, zeros)
     sites = shaped_sites(shape, rng, chain.gs, n)
-    hull = _hull(sites, chain.gs)
-    scale, p, matrices = chain.integer_form
-    denominator = scale ** len(hull[0])
-    expected = [oracle_eval(chain, q) * denominator for q in patterns(sites, chain.alphabet)]
-    assert _fold_by_dict(hull, p, matrices) == expected
-    assert _fold_top_down(hull, p, matrices) == expected
-
-
-def test_a_chain_with_a_zero_entry_folds_by_dict(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the top-down fold ran")
-
-    rng = random.Random(4)
-    sparse, dense = random_chain(rng, (1, 2), 3, True), random_chain(rng, (1, 2), 3, False)
-    sites = [word_mul(w, Word((Symbol(1, 1),))) for w in sorted_words(ball(sparse.gs, 1))]
-    expected = fractions(sparse.masses(sites))
-    monkeypatch.setattr(measure_module, "_fold_top_down", refuse)
-    assert fractions(sparse.masses(sites)) == expected
-    with pytest.raises(AssertionError, match="top-down"):
-        dense.masses(sites)
+    numerators, denominator = chain.masses(sites)
+    assert denominator == chain.integer_form[0] ** len(oracle_hull(sites))
+    assert numerators == [oracle_eval(chain, q) * denominator for q in patterns(sites, chain.alphabet)]
 
 
 def naive_invariance(measure, a, r):
@@ -461,9 +442,19 @@ def test_generator_outside_sigma_raises_membership_error(kind):
 
 
 def test_repeated_site_is_refused():
-    chain = random_invariant_chain(random.Random(1), (1, 2), 2)
+    rng = random.Random(1)
+    chain = random_invariant_chain(rng, (1, 2), 2)
+    repeated = [Word(), Word((Symbol(1, 1),)), Word()]
     with pytest.raises(ValueError, match="repeated site"):
-        pattern_masses(chain, [Word(), Word()])
+        pattern_masses(chain, repeated)
+    # Each kind's own ``masses`` refuses too, and so does the pattern-by-pattern path.
+    measures = [build(kind, rng, (1, 2), 2)[0] for kind in KINDS]
+    for m in [*measures, *measures[2].orbits, OracleMeasure(chain)]:
+        with pytest.raises(ValueError, match="repeated site"):
+            pattern_masses(m, repeated)
+        if hasattr(m, "masses"):
+            with pytest.raises(ValueError, match="repeated site"):
+                m.masses(repeated)
 
 
 def test_library_calls_the_engine_by_its_public_name(monkeypatch):
