@@ -151,8 +151,12 @@ class CylinderMeasure(Protocol):
 
     A measure may add ``masses(sites) -> (numerators, denominator)``: every
     full pattern's mass on the sites as a list of ints over one positive
-    int, in ``itertools.product`` order.  The ball scans read any other
-    measure through ``eval``, pattern by pattern, over the denominator 1.
+    int, in ``itertools.product`` order.  The masses are a consistent
+    family: summing out the trailing sites, which vary fastest, sums
+    blocks of consecutive entries, and the block sums over the same
+    denominator are the masses on the leading sites.  The ball scans read
+    any other measure through ``eval``, pattern by pattern, over the
+    denominator 1.
     """
 
     gs: GeneratorSet
@@ -458,31 +462,72 @@ def _first_difference(xs: Iterable, dx: int, ys: Iterable, dy: int):
     return None
 
 
+def _agree(xs: list, dx: int, ys: list, dy: int) -> bool:
+    """Is x/dx == y/dy for every pair of entries?  The lists are brought
+    over one denominator and compared in C."""
+    g = math.gcd(dx, dy)
+    if dy != g:
+        xs = list(map(mul, xs, itertools.repeat(dy // g)))
+    if dx != g:
+        ys = list(map(mul, ys, itertools.repeat(dx // g)))
+    return xs == ys
+
+
+def _block_sums(xs: Sequence, block: int) -> list:
+    """Sums of consecutive runs of ``block`` entries."""
+    return [sum(xs[b : b + block]) for b in range(0, len(xs), block)]
+
+
 def shift_invariance_check(
     measure: CylinderMeasure, a: Symbol, r: int
 ) -> CheckResult:
-    """Compare every pattern on B_r with its a-translate, radius by radius.
+    """Compare every pattern on B_r with its a-translate, from radius 0 up.
 
     The sorted B_rr is the sorted B_(rr-1) followed by the sorted sphere
-    of radius rr, so each radius extends the site lists of the last.
+    of radius rr, so B_rr and its translate are prefixes of the site
+    lists of B_r and its translate.  A measure with ``masses`` is folded
+    once per side, on B_r: its masses on B_rr are the sums of blocks of
+    n^(|B_r| - |B_rr|) consecutive entries, over the same denominator, so
+    agreement on B_r settles every radius.  Only when the two sides
+    differ are the smaller radii read, as block sums from radius 0 up,
+    and the first difference is the witness, the same one a radius by
+    radius scan reports.  An eval-only measure is scanned lazily, radius
+    by radius, and evaluates no pattern past its first witness.
     """
     shift = Word((a,))
     sites: list[Word] = []
     moved: list[Word] = []
+    sizes: list[int] = []
+    batched = getattr(measure, "masses", None) is not None
+    diff = None
     for sphere in spheres(measure.gs, r):
         layer = sorted_words(sphere)
         sites += layer
         moved += [word_mul(w, shift) for w in layer]
-        diff = _first_difference(*pattern_masses(measure, sites), *pattern_masses(measure, moved))
-        if diff is not None:
-            i, lhs, rhs = diff
-            pattern = _pattern_at(sites, measure.alphabet, i)
-            return CheckResult(
-                False,
-                f"pattern {pattern.render()} has measure {lhs}, "
-                f"its {a}-translate {rhs}",
-            )
-    return CheckResult(True)
+        sizes.append(len(sites))
+        if not batched:
+            diff = _first_difference(*pattern_masses(measure, sites), *pattern_masses(measure, moved))
+            if diff is not None:
+                break
+    if batched:
+        (xs, dx), (ys, dy) = pattern_masses(measure, sites), pattern_masses(measure, moved)
+        if not _agree(xs, dx, ys, dy):
+            n = len(measure.alphabet)
+            for size in sizes:
+                block = n ** (len(sites) - size)
+                diff = _first_difference(_block_sums(xs, block), dx, _block_sums(ys, block), dy)
+                if diff is not None:
+                    sites = sites[:size]
+                    break
+    if diff is None:
+        return CheckResult(True)
+    i, lhs, rhs = diff
+    pattern = _pattern_at(sites, measure.alphabet, i)
+    return CheckResult(
+        False,
+        f"pattern {pattern.render()} has measure {lhs}, "
+        f"its {a}-translate {rhs}",
+    )
 
 
 def extend_chain(chain: MarkovTreeChain) -> MarkovTreeChain:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import ClassVar, Collection, Iterable, Mapping, Protocol, Sequence
+from typing import ClassVar, Collection, Iterable, Mapping, Protocol
 
 from .errors import MembershipError, ValidationError
 from .measure import ONE, ZERO, CheckResult, Matrix, require_distinct_symbols, require_distribution
@@ -228,39 +227,32 @@ def window_measure(measure: LatticeMeasure, pattern: LatticePattern) -> Fraction
     return measure.eval(moved)
 
 
-def _sample_patterns(
-    sites: Sequence[LatticeVector], alphabet: Sequence, trials: int, rng: random.Random
-) -> Iterable[LatticePattern]:
-    count = len(alphabet) ** len(sites)
-    if count <= trials:
-        for combo in itertools.product(tuple(alphabet), repeat=len(sites)):
-            yield LatticePattern(tuple(zip(sites, combo)))
-    else:
-        for _ in range(trials):
-            combo = tuple(rng.choice(tuple(alphabet)) for _ in sites)
-            yield LatticePattern(tuple(zip(sites, combo)))
-
-
 def window_consistency(
     measure: LatticeMeasure,
     window: Collection[LatticeVector],
     cover: Collection[LatticeVector],
     trials: int,
-    seed: int = 0,
 ) -> CheckResult:
-    """Marginalizing the cover back down must reproduce the window mass."""
+    """Marginalizing the cover back down must reproduce the window mass.
+
+    Every full pattern on the window is checked; a window with more than
+    ``trials`` patterns is refused with ValidationError.
+    """
     window = tuple(sorted(tuple(v) for v in window))
     cover = tuple(sorted(tuple(v) for v in cover))
     if not set(window) <= set(cover):
         raise ValidationError("the cover must contain the window")
+    count = len(measure.alphabet) ** len(window)
+    if count > trials:
+        raise ValidationError(f"the window has {count} patterns, more than trials = {trials}")
     extra = tuple(v for v in cover if v not in set(window))
-    rng = random.Random(seed)
-    for pattern in _sample_patterns(window, measure.alphabet, trials, rng):
+    for combo in itertools.product(tuple(measure.alphabet), repeat=len(window)):
+        pattern = LatticePattern(tuple(zip(window, combo)))
         lhs = window_measure(measure, pattern)
         rhs = ZERO
-        for combo in itertools.product(tuple(measure.alphabet), repeat=len(extra)):
+        for completion in itertools.product(tuple(measure.alphabet), repeat=len(extra)):
             rhs += window_measure(
-                measure, LatticePattern(pattern.items() + tuple(zip(extra, combo)))
+                measure, LatticePattern(pattern.items() + tuple(zip(extra, completion)))
             )
         if lhs != rhs:
             return CheckResult(

@@ -483,3 +483,89 @@ def test_library_calls_the_engine_by_its_public_name(monkeypatch):
         calls.clear()
         scan()
         assert calls, f"{name} does not call pattern_masses"
+
+
+def counted_folds(monkeypatch, measure) -> list:
+    """Patch the engine in ``semishift.measure``; return the list of the site
+    lists it is called with for ``measure`` itself (a mixture's masses also
+    call it once per component)."""
+    module = importlib.import_module("semishift.measure")
+    calls = []
+
+    def counting(m, sites):
+        if m is measure:
+            calls.append(tuple(sites))
+        return pattern_masses(m, sites)
+
+    monkeypatch.setattr(module, "pattern_masses", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_passing_scan_folds_each_side_once(kind, monkeypatch):
+    measure, _ = build(kind, random.Random(11), (1, 2), 2)
+    calls = counted_folds(monkeypatch, measure)
+    sites = sorted_words(ball(measure.gs, 2))
+    for a in measure.gs.symbols():
+        calls.clear()
+        assert shift_invariance_check(measure, a, 2).ok
+        assert calls == [tuple(sites), tuple(word_mul(w, Word((a,))) for w in sites)]
+
+
+@pytest.mark.parametrize("kind", ("eigen", "balance"))
+def test_a_failing_scan_folds_each_side_once(kind, monkeypatch):
+    rng = random.Random(13)
+    for _ in range(5):
+        if kind == "eigen":
+            measure = random_eigenvector_violation(rng, (1, 2), 2)
+        else:
+            measure = random_balance_violation(rng, 3)
+        calls = counted_folds(monkeypatch, measure)
+        failed = 0
+        for a in measure.gs.symbols():
+            calls.clear()
+            failed += not shift_invariance_check(measure, a, 2).ok
+            assert len(calls) == 2
+        assert failed
+
+
+def marginal_measure(kind: str, rng: random.Random, signed, n: int):
+    """A measure for the marginal property: the built-in kinds, valid chains
+    that need not be invariant (with or without zero entries), a chain that
+    breaks detailed balance, and a mixture with an eval-only component."""
+    if kind in ("zeros", "skewed"):
+        return random_chain(rng, signed, n, zeros=kind == "zeros")
+    if kind == "balance":
+        return random_balance_violation(rng, max(n, 2))
+    if kind == "oracle-mixture":
+        parts = [measure_of(k, rng, signed, n) for k in ("chain", "oracle")]
+        return MixtureMeasure(tuple(parts), positive_distribution(rng, 2))
+    return build(kind, rng, signed, n)[0]
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(KINDS + ("zeros", "skewed", "balance", "oracle-mixture")),
+    st.sampled_from(SIGMAS),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+)
+def test_block_sums_on_a_ball_are_the_masses_on_smaller_balls(kind, signed, n, seed):
+    """The contract the batched scan reads: B_rr is a prefix of the sorted B_r,
+    so the masses on B_rr, and on its a-translate, are block sums of those
+    on B_r and on its a-translate, over the same denominator."""
+    measure = marginal_measure(kind, random.Random(seed), signed, n)
+    gs, n = measure.gs, len(measure.alphabet)
+    for r in range(3):
+        sites = sorted_words(ball(gs, r))
+        if n ** len(sites) > MAX_PATTERNS:
+            break
+        for a in (None, *gs.symbols()):
+            moved = sites if a is None else [word_mul(w, Word((a,))) for w in sites]
+            masses = fractions(pattern_masses(measure, moved))
+            for rr in range(r + 1):
+                small = sorted_words(ball(gs, rr))
+                assert sites[: len(small)] == small
+                block = n ** (len(sites) - len(small))
+                sums = [sum(masses[b : b + block], F(0)) for b in range(0, len(masses), block)]
+                assert sums == fractions(pattern_masses(measure, moved[: len(small)]))

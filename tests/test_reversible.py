@@ -136,6 +136,14 @@ def test_window_consistency_requires_containment():
         window_consistency(bern(), [(0,)], [(1,)], trials=4)
 
 
+def test_window_consistency_refuses_more_patterns_than_trials():
+    # 2^3 = 8 window patterns: checking only 4 of them would prove nothing
+    window = [(0,), (1,), (2,)]
+    with pytest.raises(ValidationError, match="8 patterns"):
+        window_consistency(bern(), window, window + [(3,)], trials=4)
+    assert window_consistency(bern(), window, window + [(3,)], trials=8).ok
+
+
 def test_translation_invariance_examples():
     pattern = lp({(-1,): 0, (1,): 1})
     assert window_translation_invariance(bern(), pattern, (5,)).ok
