@@ -1,5 +1,7 @@
 """Reduced words, generator sets, Cayley balls, and rooted trees.
 
+``Record`` gives the package's value classes frozen field semantics.
+
 Sites of a configuration are reduced words over free-group generators
 ``a_1 .. a_d`` and their inverses.  A generator set Sigma picks out the
 subsemigroup S of all products of Sigma-letters, always taken with the
@@ -18,10 +20,90 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Any, Iterable, Iterator
 
 from .errors import MembershipError, ParseError
+
+
+class Record:
+    """A frozen value: its annotated fields, set once by the constructor.
+
+    A subclass lists its fields as class annotations, in order, with an
+    optional default as the class attribute; ``ClassVar`` annotations are
+    no fields, and a subclass inherits its base's fields before its own.
+    The constructor takes them by position or keyword, then runs
+    ``__post_init__``.  Instances compare equal only within one class,
+    hash over their fields and refuse assignment and deletion.  Fields
+    live in the instance ``__dict__``, so ``cached_property``, pickle and
+    ``copy`` work unchanged.  Classes are built without ``dataclasses``,
+    whose import and generated methods cost every process start-up.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        own = [
+            name
+            for name, note in cls.__annotations__.items()
+            if not str(note).startswith(("ClassVar", "typing.ClassVar"))
+            and name not in cls._fields
+        ]
+        cls._fields = names = (*cls._fields, *own)
+        cls._defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+        # attrgetter of one name returns the value itself, which is key enough.
+        cls._key = attrgetter(*names)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        # object.__setattr__, not __dict__.update: touching __dict__ would turn
+        # the instance's inline attribute values into a dict, and every later
+        # attribute read would take a slower path.
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict[str, Any]) -> tuple:
+        """Every field's value, in order, from the arguments and the defaults."""
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} fields, got {len(args)}")
+        for name in names[len(args) :]:
+            if name in kwargs:
+                args += (kwargs.pop(name),)
+            elif name in cls._defaults:
+                args += (cls._defaults[name],)
+            else:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unexpected or repeated fields {', '.join(kwargs)}")
+        return args
+
+    def __post_init__(self) -> None:
+        """Check the fields; a subclass overrides it."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
 
 
 class Symbol:
@@ -92,15 +174,25 @@ def _is_reduced(letters: tuple[Symbol, ...]) -> bool:
     return all(a is not b.inverse() for a, b in zip(letters, letters[1:]))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A reduced word; the empty tuple is the identity."""
 
     letters: tuple[Symbol, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not _is_reduced(self.letters):
-            raise ValueError(f"word is not reduced: {self.letters}")
+    # Words are built, hashed and compared on every hot path, so these three
+    # are written out instead of taken from Record's generic ones.
+    def __init__(self, letters: tuple[Symbol, ...] = ()) -> None:
+        if not _is_reduced(letters):
+            raise ValueError(f"word is not reduced: {letters}")
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -159,8 +251,7 @@ def sorted_words(words: Iterable[Word]) -> tuple[Word, ...]:
     return tuple(sorted(words, key=Word.key))
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Record):
     """Sigma together with the ambient rank d; generates S = <Sigma>+."""
 
     d: int
@@ -278,8 +369,7 @@ def _hull(words: Iterable[Word], gs: GeneratorSet) -> tuple[list[int], list, lis
 Edge = tuple[Word, Word, Symbol]
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(Record):
     """A finite connected set of sites with its induced rooted edges."""
 
     vertices: frozenset[Word]

@@ -13,11 +13,10 @@ the identity matches, so no configurations are ever materialized.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import EPSILON, GeneratorSet, Word, ball, sorted_words
+from .algebra import EPSILON, GeneratorSet, Record, Word, ball, sorted_words
 from .errors import MembershipError, OracleNotNormalized
 from .measure import (
     ZERO,
@@ -34,8 +33,7 @@ from .measure import (
 )
 
 
-@dataclass(frozen=True)
-class BlockAlphabet:
+class BlockAlphabet(Record):
     """Positive-mass full patterns on the m-ball, with their masses."""
 
     order: int
@@ -71,8 +69,7 @@ def support_alphabet(measure: CylinderMeasure, order: int) -> BlockAlphabet:
     return BlockAlphabet(order, sites, tuple(blocks), tuple(masses))
 
 
-@dataclass(frozen=True)
-class MarkovizationResult:
+class MarkovizationResult(Record):
     """Block chain plus its structural and invariance check results."""
 
     chain: MarkovTreeChain
@@ -119,8 +116,7 @@ def markovize(measure: CylinderMeasure, order: int) -> MarkovizationResult:
     )
 
 
-@dataclass(frozen=True)
-class MarkovizedMeasure:
+class MarkovizedMeasure(Record):
     """The block chain pulled back through the sliding-window recoding."""
 
     result: MarkovizationResult

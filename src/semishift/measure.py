@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
@@ -29,6 +28,7 @@ from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .algebra import (
     GeneratorSet,
+    Record,
     Symbol,
     Word,
     _hull,
@@ -53,8 +53,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     """A finite partial configuration: finitely many sites with symbols."""
 
     entries: tuple[tuple[Word, object], ...]
@@ -165,19 +164,22 @@ class CylinderMeasure(Protocol):
     def eval(self, pattern: Pattern) -> Fraction: ...
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Boolean outcome with a witness description on failure."""
 
     ok: bool
     witness: str | None = None
 
+    # Every scan returns one, so the constructor is written out.
+    def __init__(self, ok: bool, witness: str | None = None) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
+
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class ChainDiagnostics:
+class ChainDiagnostics(Record):
     problems: tuple[str, ...]
 
     @property
@@ -192,8 +194,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 IntRows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class MarkovTreeChain:
+class MarkovTreeChain(Record):
     """Alphabet, initial vector p, and one transition matrix per generator."""
 
     gs: GeneratorSet
@@ -565,6 +566,9 @@ def pushforward_check(
     sites = sorted_words(ball(original.gs, r))
     if tuple(extended.alphabet) == tuple(original.alphabet):
         lhs, rhs = pattern_masses(extended, sites), pattern_masses(original, sites)
+        # Compared in C first; the Python loop below only finds the witness.
+        if _agree(*lhs, *rhs):
+            return CheckResult(True)
     else:
         # Symbols are matched by name, pattern by pattern, as eval matches them.
         lhs, rhs = ((_eval_each(m, sites, original.alphabet), 1) for m in (extended, original))
@@ -591,8 +595,7 @@ def weak_star_distance(
     return Fraction(sum(abs(x * d2 - y * d1) for x, y in zip(xs, ys)), d1 * d2)
 
 
-@dataclass(frozen=True)
-class BernoulliMeasure:
+class BernoulliMeasure(Record):
     """Product measure: independent sites, identical marginals."""
 
     gs: GeneratorSet
@@ -630,8 +633,7 @@ class BernoulliMeasure:
         return out, scale ** len(sites)
 
 
-@dataclass(frozen=True)
-class MixtureMeasure:
+class MixtureMeasure(Record):
     """Finite convex combination of measures over the same S and alphabet."""
 
     components: tuple
@@ -800,8 +802,7 @@ def counterexample_chain(
     return MarkovTreeChain.make(gs, alphabet, p_vec, mats)
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(Record):
     """Obstruction data for extending the chain along a kernel word.
 
     Any group extension would force single_site_mass <= bound_coefficient

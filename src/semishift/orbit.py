@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .algebra import (
     GeneratorSet,
+    Record,
     Symbol,
     Word,
     _hull,
@@ -69,8 +69,7 @@ def _closure(start: Hashable, step: Callable[[Any], Iterable[Hashable]]) -> set:
     return seen
 
 
-@dataclass(frozen=True, eq=True)
-class OrbitAutomaton:
+class OrbitAutomaton(Record):
     """Deterministic, fully reachable, label-carrying transition system."""
 
     gs: GeneratorSet
@@ -145,7 +144,6 @@ def _shown(o: OrbitAutomaton, sites: Sequence[Word]) -> list[tuple]:
     return list(zip(*columns)) if sites else [()] * o.n_states()
 
 
-@dataclass(frozen=True, eq=True)
 class GroupOrbitAutomaton(OrbitAutomaton):
     """Orbit automaton with bijective moves for every signed generator.
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Collection, Iterable, Mapping, Protocol
 
+from .algebra import Record
 from .errors import MembershipError, ValidationError
 from .measure import ONE, ZERO, CheckResult, Matrix, require_distinct_symbols, require_distribution
 
@@ -31,8 +31,7 @@ def vec_sub(u: LatticeVector, v: LatticeVector) -> LatticeVector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-@dataclass(frozen=True)
-class LatticePattern:
+class LatticePattern(Record):
     """Finitely many lattice sites with symbols."""
 
     entries: tuple[tuple[LatticeVector, object], ...]
@@ -90,8 +89,7 @@ def _check_pattern(pattern: LatticePattern, d: int, alphabet: tuple) -> None:
             raise ValidationError(f"symbol {c!r} is not in the alphabet")
 
 
-@dataclass(frozen=True)
-class LatticeBernoulli:
+class LatticeBernoulli(Record):
     """Product measure on the orthant."""
 
     d: int
@@ -133,8 +131,7 @@ def _matrix_power(rows: Matrix, n: int) -> Matrix:
     return out
 
 
-@dataclass(frozen=True)
-class LatticeMarkov:
+class LatticeMarkov(Record):
     """Stationary one-dimensional chain: p positive with p P = p."""
 
     alphabet: tuple
@@ -166,8 +163,7 @@ class LatticeMarkov:
         return out
 
 
-@dataclass(frozen=True)
-class LatticeTable:
+class LatticeTable(Record):
     """User-supplied masses for the full patterns on a declared box."""
 
     d: int

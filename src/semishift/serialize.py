@@ -45,9 +45,20 @@ def fraction_to_str(x: Fraction) -> str:
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
+# The longest rational text read, in characters.  The CLI lifts Python's
+# 4300-digit limit on int text, which also guards against int parsing
+# that is quadratic in the digits (an 800000-digit p ran 34 s); this bound
+# keeps that guard while still reading, e.g., a 5000-digit numerator over
+# a 5001-digit denominator.
+MAX_RATIONAL_CHARS = 16_000
+
 
 def parse_fraction(text: Any, where: str = "value") -> Fraction:
     # only "num" or "num/den"; decimals would hide rounding in the files
+    if isinstance(text, str) and len(text) > MAX_RATIONAL_CHARS:
+        raise ParseError(
+            f"{where}: rational of {len(text)} characters is longer than {MAX_RATIONAL_CHARS}"
+        )
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise ParseError(f"{where}: cannot read rational {text!r}")
     try:

@@ -571,6 +571,23 @@ def test_extend_reads_and_writes_rationals_past_the_int_digit_limit(tmp_path):
     assert (code, text) == (0, f"sites: 1\nmass: 1/{big}")
 
 
+def test_a_20000_digit_rational_exits_two_at_once(tmp_path):
+    big = "1" + "0" * 19999
+    chain = {
+        "kind": "chain", "d": 1, "sigma": [1], "alphabet": [0, 1],
+        "p": [f"1/{big}", f"{'9' * 19999}/{big}"], "P": {"1": [["1", "0"], ["0", "1"]]},
+    }
+    write_json(tmp_path / "chain.json", chain)
+    argv = ["eval", "--measure", str(tmp_path / "chain.json"),
+            "--pattern", str(pattern_file(tmp_path, {"": 0}))]
+    start = time.process_time()
+    code, text = execute(argv)
+    assert time.process_time() - start < 1.0
+    assert code == 2
+    assert text.startswith("error: ParseError: ") and "20002 characters" in text
+    assert len(text) < 200
+
+
 def test_window_eval_unknown_symbol_exits_two(tmp_path):
     measure = tmp_path / "lattice.json"
     write_json(measure, LATTICE_CHAIN)

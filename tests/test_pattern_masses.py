@@ -405,6 +405,25 @@ def test_pushforward_witness_matches_naive_scan(seed):
         assert (result.ok, result.witness) == (witness is None, witness)
 
 
+def test_an_agreeing_pushforward_never_walks_the_lists(monkeypatch):
+    # The lists are compared in C; the Python walk only finds a witness.
+    module = importlib.import_module("semishift.measure")
+    walks = []
+    first_difference = module._first_difference
+
+    def counting(*args):
+        walks.append(args)
+        return first_difference(*args)
+
+    monkeypatch.setattr(module, "_first_difference", counting)
+    original = random_invariant_chain(random.Random(4), (1, 2), 2)
+    assert pushforward_check(extend_chain(original), original, 2).ok
+    assert walks == []
+    other = extend_chain(random_invariant_chain(random.Random(5), (1, 2), 2))
+    assert not pushforward_check(other, original, 2).ok
+    assert len(walks) == 1
+
+
 def test_pushforward_matches_symbols_by_name():
     rng = random.Random(3)
     original = random_invariant_chain(rng, (1, 2), 2)

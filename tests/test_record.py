@@ -1,0 +1,298 @@
+"""Value semantics of the package's record classes, and what importing the CLI loads.
+
+Every frozen value class derives from ``algebra.Record``.  The
+parametrized test below holds each of them to the same contract: fields
+by position and keyword, equality only within one class, a hash over the
+fields, a ``Name(field=value, ...)`` repr, no assignment or deletion, and
+pickle and copy round trips.
+"""
+
+import ast
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from helpers import swap_orbit, worked_chain
+from semishift import (
+    EPSILON,
+    BernoulliMeasure,
+    BlockAlphabet,
+    ChainDiagnostics,
+    CheckResult,
+    CounterexampleReport,
+    GeneratorSet,
+    GroupOrbitAutomaton,
+    LatticeBernoulli,
+    LatticeMarkov,
+    LatticePattern,
+    LatticeTable,
+    MarkovizationResult,
+    MarkovizedMeasure,
+    MarkovTreeChain,
+    MixtureMeasure,
+    OrbitAutomaton,
+    Pattern,
+    PeriodicMeasure,
+    Symbol,
+    Tree,
+    ValidationError,
+    Word,
+    counterexample_analyze,
+    lift_to_group,
+    markovize,
+    parse_word,
+    support_alphabet,
+    tree_hull,
+)
+from semishift.algebra import Record
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HALF = (F(1, 2), F(1, 2))
+A1, A2 = Symbol(1, 1), Symbol(2, 1)
+SHEARS = (((1, 1), (0, 1)), ((1, 0), (1, 1)))
+
+
+def gs12() -> GeneratorSet:
+    return GeneratorSet.from_signed((1, 2))
+
+
+def bernoulli(probs=(F(1, 3), F(2, 3))) -> BernoulliMeasure:
+    return BernoulliMeasure(gs12(), (0, 1), probs)
+
+
+def lattice_table(masses=(F(1, 2), F(1, 2))) -> LatticeTable:
+    table = tuple(
+        (LatticePattern.of({(0,): c}), mass) for c, mass in zip((0, 1), masses)
+    )
+    return LatticeTable(1, (0, 1), (1,), table)
+
+
+def lifted_swap(base: int = 0) -> GroupOrbitAutomaton:
+    g = lift_to_group(swap_orbit())
+    return GroupOrbitAutomaton(g.gs, g.alphabet, g.labels, g.delta, base)
+
+
+# class -> (build an instance, build one of the same class that differs in a field,
+# whether the fields hash).  Each call builds fresh objects, so equal
+# instances are never the same object.
+CASES = {
+    Word: (lambda: parse_word("a1A2"), lambda: parse_word("a1a2"), True),
+    GeneratorSet: (gs12, lambda: GeneratorSet.from_signed((1,)), True),
+    Tree: (
+        lambda: tree_hull([parse_word("a1a2")], gs12()),
+        lambda: tree_hull([parse_word("a2")], gs12()),
+        True,
+    ),
+    Pattern: (
+        lambda: Pattern.of({EPSILON: 0, Word((A1,)): 1}),
+        lambda: Pattern.of({EPSILON: 1, Word((A1,)): 1}),
+        True,
+    ),
+    CheckResult: (lambda: CheckResult(False, "w"), lambda: CheckResult(True), True),
+    ChainDiagnostics: (lambda: ChainDiagnostics(("p",)), lambda: ChainDiagnostics(()), True),
+    MarkovTreeChain: (worked_chain, lambda: worked_chain(2), True),
+    BernoulliMeasure: (bernoulli, lambda: bernoulli(HALF), True),
+    MixtureMeasure: (
+        lambda: MixtureMeasure((bernoulli(), bernoulli(HALF)), HALF),
+        lambda: MixtureMeasure((bernoulli(), bernoulli(HALF)), (F(1, 4), F(3, 4))),
+        True,
+    ),
+    CounterexampleReport: (
+        lambda: counterexample_analyze(SHEARS, parse_word("a1a2A1A2"), 5),
+        lambda: counterexample_analyze(SHEARS, parse_word("a1a2A1A2"), 7),
+        True,
+    ),
+    BlockAlphabet: (
+        lambda: support_alphabet(bernoulli(), 0),
+        lambda: support_alphabet(bernoulli(HALF), 0),
+        True,
+    ),
+    MarkovizationResult: (
+        lambda: markovize(bernoulli(), 0),
+        lambda: markovize(bernoulli(HALF), 0),
+        True,
+    ),
+    MarkovizedMeasure: (
+        lambda: MarkovizedMeasure(markovize(bernoulli(), 0)),
+        lambda: MarkovizedMeasure(markovize(bernoulli(HALF), 0)),
+        True,
+    ),
+    # delta is a dict, so automata and the measures holding them do not hash
+    OrbitAutomaton: (
+        swap_orbit,
+        lambda: OrbitAutomaton(gs12(), (0, 1), (1, 0), {A1: (1, 0), A2: (1, 0)}),
+        False,
+    ),
+    GroupOrbitAutomaton: (lifted_swap, lambda: lifted_swap(base=1), False),
+    PeriodicMeasure: (
+        lambda: PeriodicMeasure((swap_orbit(),), (F(1),)),
+        lambda: PeriodicMeasure((swap_orbit(), swap_orbit()), HALF),
+        False,
+    ),
+    LatticePattern: (
+        lambda: LatticePattern.of({(0, 1): "x"}),
+        lambda: LatticePattern.of({(1, 0): "x"}),
+        True,
+    ),
+    LatticeBernoulli: (
+        lambda: LatticeBernoulli(1, (0, 1), HALF),
+        lambda: LatticeBernoulli(2, (0, 1), HALF),
+        True,
+    ),
+    LatticeMarkov: (
+        lambda: LatticeMarkov((0, 1), HALF, (HALF, HALF)),
+        lambda: LatticeMarkov((0, 2), HALF, (HALF, HALF)),
+        True,
+    ),
+    LatticeTable: (lattice_table, lambda: lattice_table((F(1, 4), F(3, 4))), True),
+}
+
+
+def record_classes(cls=Record) -> set:
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub} | record_classes(sub)
+    return out
+
+
+def test_every_record_class_is_covered():
+    assert record_classes() == set(CASES)
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_record_semantics(cls):
+    make, make_other, hashable = CASES[cls]
+    x, twin, other = make(), make(), make_other()
+    assert type(x) is type(twin) is type(other) is cls
+    names = cls._fields
+    values = [getattr(x, name) for name in names]
+
+    # equality and hash by field, within the class
+    assert x == twin and not x != twin
+    assert x != other and other != x
+    assert x != object() and x != tuple(values)
+    if hashable:
+        assert hash(x) == hash(twin)
+        assert len({x, twin, other}) == 2
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
+
+    # construction by position and by keyword gives an equal value
+    assert cls(*values) == x
+    assert cls(**dict(zip(names, values))) == x
+    with pytest.raises(TypeError):
+        cls(*values, *values)
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, no_such_field=1)
+
+    # frozen: no field or other attribute is assigned or deleted
+    for name in (names[0], "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert getattr(x, names[0]) is values[0]
+
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(x) == f"{cls.__name__}({shown})"
+
+    for clone in (
+        pickle.loads(pickle.dumps(x)),
+        copy.copy(x),
+        copy.deepcopy(x),
+    ):
+        assert type(clone) is cls and clone == x
+        if hashable:
+            assert hash(clone) == hash(x)
+
+
+def test_repr_format():
+    assert repr(CheckResult(False, "w")) == "CheckResult(ok=False, witness='w')"
+    assert repr(Word((A1,))) == "Word(letters=(Symbol(index=1, sign=1),))"
+
+
+def test_fields_defaults_and_class_vars():
+    assert Word() == Word(()) == Word(letters=()) == EPSILON
+    assert CheckResult(True).witness is None
+    assert CheckResult(ok=False, witness="w") == CheckResult(False, "w")
+    o = swap_orbit()
+    assert OrbitAutomaton(o.gs, o.alphabet, o.labels, o.delta) == o
+    assert OrbitAutomaton(o.gs, o.alphabet, o.labels, o.delta).base == 0
+    assert GroupOrbitAutomaton._fields == OrbitAutomaton._fields
+    assert PeriodicMeasure._fields == MixtureMeasure._fields == ("components", "weights")
+    assert LatticeMarkov._fields == ("alphabet", "p", "P")  # d is a ClassVar
+    assert LatticeMarkov.d == 1
+    with pytest.raises(TypeError):
+        CheckResult()
+    with pytest.raises(TypeError, match="missing field 'd'"):
+        GeneratorSet(sigma=frozenset({A1}))
+
+
+def test_post_init_checks_run_on_every_construction():
+    with pytest.raises(ValueError, match="not reduced"):
+        Word((A1, A1.inverse()))
+    with pytest.raises(ValueError, match="rank d"):
+        GeneratorSet(d=0, sigma=frozenset({A1}))
+    o = lifted_swap()
+    with pytest.raises(ValidationError, match="closed under inverses"):
+        GroupOrbitAutomaton(gs12(), o.alphabet, o.labels, {A1: (1, 0), A2: (1, 0)})
+
+
+def test_group_automaton_never_equals_a_plain_one():
+    g = lifted_swap()
+    plain = OrbitAutomaton(**{name: getattr(g, name) for name in OrbitAutomaton._fields})
+    assert [getattr(plain, f) for f in plain._fields] == [getattr(g, f) for f in g._fields]
+    assert g != plain and plain != g
+    assert not (g == plain) and not (plain == g)
+
+
+def test_cached_properties_are_kept_per_instance():
+    p = Pattern.of({EPSILON: 0, Word((A1,)): 1})
+    assert "_lookup" not in vars(p)
+    assert p[Word((A1,))] == 1
+    assert vars(p)["_lookup"] is p._lookup
+    chain = worked_chain(2)
+    assert chain.matrix is chain.matrix
+    assert vars(chain)["matrix"][A2] == chain.transitions[1][1]
+    # the cached values travel with a pickled or copied instance
+    for clone in (pickle.loads(pickle.dumps(chain)), copy.copy(chain)):
+        assert clone == chain and clone.matrix == chain.matrix
+    restored = pickle.loads(pickle.dumps(p))
+    assert restored[EPSILON] == 0 and restored._lookup == p._lookup
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
+    every CLI process would pay for them at start-up."""
+    probe = (
+        "import sys; before = set(sys.modules); import semishift.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_package_source_calls_exec_eval_or_compile():
+    calls = []
+    for path in sorted((SRC / "semishift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in {"exec", "eval", "compile"}
+            ):
+                calls.append(f"{path.name}:{node.lineno} {node.func.id}")
+    assert calls == []

@@ -35,6 +35,7 @@ from semishift.serialize import (
     measure_out,
     morphism_in,
     morphism_out,
+    MAX_RATIONAL_CHARS,
     parse_fraction,
     pattern_in,
     pattern_out,
@@ -58,6 +59,14 @@ def test_fraction_strings():
     for bad in ("", "1/0", "0.5", "a/b", None):
         with pytest.raises(ParseError):
             parse_fraction(bad)
+
+
+def test_fraction_strings_longer_than_the_bound_are_refused_unread():
+    for text in ("1" * (MAX_RATIONAL_CHARS + 1), "1/" + "0" * MAX_RATIONAL_CHARS):
+        with pytest.raises(ParseError, match=f"{len(text)} characters") as info:
+            parse_fraction(text, "p")
+        assert str(info.value).startswith("p: ")
+        assert len(str(info.value)) < 100  # the text itself is not echoed
 
 
 def test_chain_round_trip():
