@@ -349,18 +349,26 @@ def _hull(words: Iterable[Word], gs: GeneratorSet) -> tuple[list[int], list, lis
 
     Vertex 0 is the identity and vertex i > 0 is ``letter[i]`` times vertex
     ``parent[i] < i``; ``site[j]`` is the j-th word's vertex.  Each site is
-    read once, right to left, one lookup per letter keyed by (parent, letter).
+    read once, right to left, one lookup per letter keyed by (parent, letter),
+    and a vertex joins ``parent`` and ``letter`` as that lookup creates it.
     Raises MembershipError for the first site outside S.
     """
     vertex: dict[tuple[int, Symbol], int] = {}
+    parent: list[int] = [-1]
+    letter: list = [None]
     site = []
     for w in words:
         require_in_semigroup(w, gs)
         v = 0
         for g in reversed(w.letters):
-            v = vertex.setdefault((v, g), len(vertex) + 1)
+            new = len(parent)
+            child = vertex.setdefault((v, g), new)
+            if child == new:
+                parent.append(v)
+                letter.append(g)
+            v = child
         site.append(v)
-    return [-1, *(u for u, _ in vertex)], [None, *(g for _, g in vertex)], site
+    return parent, letter, site
 
 
 # Edge, Tree and tree_hull remain only because the benchmark tracer wraps tree_hull by name.

@@ -8,7 +8,9 @@ unconstrained hull sites, by dynamic programming from the leaves to the
 root.  The dynamic program runs in integers: every entry of p and of the
 matrices is scaled by D, the lcm of their denominators, and the result
 is divided by D to the number of hull vertices once at the end, so it
-stays exact.
+stays exact.  A vertex fixed to one symbol carries no row: the entries
+its edges pick out of the scaled matrices are multiplied into one
+integer ``factor``, or into its parent's row when the parent is free.
 
 The invariance conditions are algebraic: p must be a left fixed vector
 of every transition matrix, and whenever Sigma contains a generator
@@ -262,6 +264,11 @@ class MarkovTreeChain(Record):
         )
 
     @cached_property
+    def integer_columns(self) -> dict[Symbol, IntRows]:
+        """D*P[g] per generator by columns: ``[g][c][k]`` is ``(D*P[g])[k][c]``."""
+        return {s: tuple(zip(*rows)) for s, rows in self.integer_form[2].items()}
+
+    @cached_property
     def diagnostics(self) -> ChainDiagnostics:
         return validate_chain(self)
 
@@ -386,27 +393,57 @@ def eval_constrained(
     """Measure of the event that each site's symbol lies in its allowed set.
 
     Generalizes cylinder evaluation; unordered sites not mentioned are
-    unconstrained hull vertices and get marginalized.
+    unconstrained hull vertices and get marginalized.  Every symbol and
+    site is checked before the fold.  A site with exactly one allowed
+    symbol is a fixed vertex, held as that symbol's index: an edge
+    between two fixed vertices multiplies the integer ``factor`` by one
+    entry of D*P[g], and one into a fixed parent by one dot product.
+    Every other vertex keeps a row, all ones until a child touches it;
+    a fixed child multiplies its parent's row by one column of D*P[g].
     """
     _require_valid(chain)
     parent, letter, site = _hull(constraints, chain.gs)
     scale, p, matrices = chain.integer_form
     n, index = len(p), chain.symbol_index
-    # Each row is D^(size of its subtree - 1) times the exact row.
-    rows = [[1] * n for _ in parent]
+    fixed = [-1] * len(parent)
+    # Each row is D^(size of its subtree - 1) times the exact row; None is all ones.
+    rows: list[list[int] | None] = [None] * len(parent)
     for v, allowed in zip(site, constraints.values()):
-        row = rows[v] = [0] * n
-        for c in allowed:
-            if c not in index:
-                raise ValidationError(f"symbol {c!r} is not in the chain alphabet")
-            row[index[c]] = 1
+        try:
+            ks = set(map(index.__getitem__, allowed))
+        except KeyError:
+            c = next(c for c in allowed if c not in index)
+            raise ValidationError(f"symbol {c!r} is not in the chain alphabet") from None
+        if len(ks) == 1:
+            fixed[v] = ks.pop()
+        else:
+            rows[v] = [int(k in ks) for k in range(n)]
+    columns = chain.integer_columns
+    factor = 1
     # Leaves first: a child's index exceeds its parent's.
     for i in range(len(parent) - 1, 0, -1):
-        up, weights, sub = rows[parent[i]], matrices[letter[i]], rows[i]
-        for k, x in enumerate(up):
-            if x:
-                up[k] = x * sum(map(mul, weights[k], sub))
-    return Fraction(sum(map(mul, p, rows[0])), scale ** len(parent))
+        if not factor:
+            break
+        u, weights = parent[i], matrices[letter[i]]
+        c, b, up = fixed[i], fixed[u], rows[u]
+        if b >= 0:
+            factor *= weights[b][c] if c >= 0 else sum(map(mul, weights[b], rows[i]))
+        elif c >= 0:
+            column = columns[letter[i]][c]
+            rows[u] = list(column) if up is None else list(map(mul, up, column))
+        elif up is None:
+            rows[u] = [sum(map(mul, row, rows[i])) for row in weights]
+        else:
+            sub = rows[i]
+            for k, x in enumerate(up):
+                if x:
+                    up[k] = x * sum(map(mul, weights[k], sub))
+    root = fixed[0]
+    if root >= 0:
+        factor *= p[root]
+    else:
+        factor *= sum(p) if rows[0] is None else sum(map(mul, p, rows[0]))
+    return Fraction(factor, scale ** len(parent))
 
 
 def eval_cylinder(chain: MarkovTreeChain, pattern: Pattern) -> Fraction:

@@ -51,6 +51,16 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # keeps that guard while still reading, e.g., a 5000-digit numerator over
 # a 5001-digit denominator.
 MAX_RATIONAL_CHARS = 16_000
+# The most characters of a refused input that an error message quotes.
+SHOWN_CHARS = 64
+
+
+def _shown(value: Any) -> str:
+    """``repr(value)``, or for a longer one its first SHOWN_CHARS characters and its length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return repr(value)
+    return f"{text[:SHOWN_CHARS]!r}... ({len(text)} characters)"
 
 
 def parse_fraction(text: Any, where: str = "value") -> Fraction:
@@ -60,11 +70,11 @@ def parse_fraction(text: Any, where: str = "value") -> Fraction:
             f"{where}: rational of {len(text)} characters is longer than {MAX_RATIONAL_CHARS}"
         )
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
-        raise ParseError(f"{where}: cannot read rational {text!r}")
+        raise ParseError(f"{where}: cannot read rational {_shown(text)}")
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise ParseError(f"{where}: cannot read rational {text!r}: {exc}") from exc
+        raise ParseError(f"{where}: cannot read rational {_shown(text)}: {exc}") from exc
 
 
 def _symbol_out(value: Any) -> Any:
@@ -81,6 +91,16 @@ def _symbol_in(value: Any) -> Any:
     return value
 
 
+def _json_int(literal: str) -> int:
+    # int() of a literal takes time quadratic in its digits, and the CLI
+    # lifts Python's own digit limit, so the rational bound holds here too.
+    if len(literal) > MAX_RATIONAL_CHARS:
+        raise ParseError(
+            f"integer of {len(literal)} characters is longer than {MAX_RATIONAL_CHARS}"
+        )
+    return int(literal)
+
+
 def read_json(path: str | Path) -> Any:
     path = Path(path)
     try:
@@ -88,9 +108,11 @@ def read_json(path: str | Path) -> Any:
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def write_json(path: str | Path, data: Any) -> None:

@@ -177,7 +177,7 @@ def oracle_eval_constrained(chain: MarkovTreeChain, constraints) -> Fraction:
     p at the root times one transition factor per edge; no DP.
     """
     idx = {c: i for i, c in enumerate(chain.alphabet)}
-    allowed = {w: sorted(idx[c] for c in cs) for w, cs in constraints.items()}
+    allowed = {w: sorted({idx[c] for c in cs}) for w, cs in constraints.items()}
     hull = oracle_hull(allowed)
     choices = [allowed.get(w, range(len(chain.alphabet))) for w in hull]
     total = ZERO

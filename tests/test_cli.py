@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import swap_orbit, worked_chain
-from semishift import GeneratorSet, LatticePattern, Symbol, parse_word, window_measure
+from semishift import (
+    BernoulliMeasure,
+    GeneratorSet,
+    LatticePattern,
+    Symbol,
+    parse_word,
+    window_measure,
+)
 from semishift.cli import execute, main
 from semishift.serialize import (
     automaton_in,
@@ -586,6 +593,37 @@ def test_a_20000_digit_rational_exits_two_at_once(tmp_path):
     assert code == 2
     assert text.startswith("error: ParseError: ") and "20002 characters" in text
     assert len(text) < 200
+
+
+def test_a_400000_digit_json_integer_exits_two_at_once(tmp_path):
+    # int() reads a literal in time quadratic in its digits, and the CLI
+    # lifts Python's digit limit: an unused key must not be read at all.
+    measure = tmp_path / "bern.json"
+    head = json.dumps(measure_out(BernoulliMeasure(GS2, (0, 1), (F(1, 2), F(1, 2)))))
+    measure.write_text(head[:-1] + ', "note": ' + "7" * 400_000 + "}")
+    argv = ["eval", "--measure", str(measure),
+            "--pattern", str(pattern_file(tmp_path, {"": 0}))]
+    start = time.process_time()
+    code, text = execute(argv)
+    assert time.process_time() - start < 0.5
+    assert (code, text) == (
+        2, f"error: ParseError: {measure}: integer of 400000 characters is longer than 16000"
+    )
+
+
+def test_a_long_malformed_rational_is_quoted_in_part(tmp_path):
+    measure = tmp_path / "bern.json"
+    probs = ["0." + "5" * 15_000, "1/2"]
+    write_json(measure, {"kind": "bernoulli", "d": 2, "sigma": [1, 2],
+                         "alphabet": [0, 1], "probs": probs})
+    argv = ["eval", "--measure", str(measure),
+            "--pattern", str(pattern_file(tmp_path, {"": 0}))]
+    code, text = execute(argv)
+    assert code == 2
+    assert text == (
+        f"error: ParseError: {measure}: probs: cannot read rational "
+        f"'0.{'5' * 62}'... (15002 characters)"
+    )
 
 
 def test_window_eval_unknown_symbol_exits_two(tmp_path):

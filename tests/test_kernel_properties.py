@@ -2,8 +2,9 @@
 
 Chains are drawn with zero transition entries, unrelated denominators in
 p and in each row of each generator's matrix, and Sigma with or without
-inverse pairs.  Constraints put nonempty allowed-symbol sets, multi-symbol ones
-included, on up to four sites of depth up to four.
+inverse pairs.  Constraints put allowed-symbol sets on up to four sites of depth
+up to four: single symbols, several, none (as ``MarkovizedMeasure.eval`` passes
+for a symbol no block shows), and tuples that repeat a symbol.
 Every value is compared with ``oracle_eval_constrained``, which sums over
 every admissible labelling of a hull it computes itself.
 """
@@ -74,7 +75,11 @@ def constrained(draw, singletons=False):
     """A chain and up to four constrained sites in S of depth <= 4."""
     chain = draw(chains())
     symbols = st.sampled_from(chain.alphabet)
-    sets = st.tuples(symbols) if singletons else st.frozensets(symbols, min_size=1)
+    sets = (
+        st.tuples(symbols)
+        if singletons
+        else st.one_of(st.frozensets(symbols), st.lists(symbols, min_size=2, max_size=3).map(tuple))
+    )
     constraints = {}
     for _ in range(draw(st.integers(1, 4))):
         w = draw(words(chain.gs.symbols()))
@@ -124,6 +129,41 @@ def test_site_outside_semigroup_raises_membership_error(case, data):
         eval_constrained(chain, {**constraints, site: chain.alphabet[:1]})
     with pytest.raises(MembershipError):
         eval_cylinder(chain, Pattern.of({site: chain.alphabet[0]}))
+
+
+# Sigma = {a1}; P[a1] never leads from x to y, so the edge from a fixed x
+# to a fixed y has weight 0 and the fold may stop there.
+A1 = Symbol.from_signed(1)
+ZERO_EDGE = MarkovTreeChain.make(
+    GeneratorSet.from_signed((1,)),
+    ("x", "y"),
+    (Fraction(1, 2), Fraction(1, 2)),
+    {1: [[1, 0], [Fraction(1, 2), Fraction(1, 2)]]},
+)
+# a1a1 -> a1a1a1 is the highest vertex pair, so the leaves-first fold meets it first.
+ZERO_TAIL = {Word((A1, A1)): ("x",), Word((A1, A1, A1)): ("y",)}
+
+
+def test_a_zero_edge_gives_zero():
+    value = eval_constrained(ZERO_EDGE, {Word((A1,)): ("x", "y"), **ZERO_TAIL})
+    assert type(value) is Fraction and value == 0
+    assert value == oracle_eval_constrained(ZERO_EDGE, {Word((A1,)): ("x", "y"), **ZERO_TAIL})
+
+
+@pytest.mark.parametrize("first", (True, False))
+def test_bad_input_is_refused_even_after_a_zero_edge(first):
+    def around(bad):
+        return {**bad, **ZERO_TAIL} if first else {**ZERO_TAIL, **bad}
+
+    with pytest.raises(ValidationError, match="'unknown' is not in the chain alphabet"):
+        eval_constrained(ZERO_EDGE, around({Word((A1,)): ("x", "unknown")}))
+    with pytest.raises(ValidationError, match="'unknown' is not in the chain alphabet"):
+        eval_cylinder(ZERO_EDGE, Pattern.of(around({Word((A1,)): "unknown"})))
+    outside = Word((Symbol.from_signed(2),))
+    with pytest.raises(MembershipError, match=f"site {outside} is not in"):
+        eval_constrained(ZERO_EDGE, around({outside: ("x",)}))
+    with pytest.raises(MembershipError, match=f"site {outside} is not in"):
+        eval_cylinder(ZERO_EDGE, Pattern.of(around({outside: "x"})))
 
 
 @given(constrained(singletons=True), st.sampled_from(("p", "row", "negative")))

@@ -69,6 +69,31 @@ def test_fraction_strings_longer_than_the_bound_are_refused_unread():
         assert len(str(info.value)) < 100  # the text itself is not echoed
 
 
+def test_long_malformed_rationals_show_a_prefix_and_their_length():
+    # short inputs keep their whole repr in the message
+    short = (("0.5", "'0.5'"), ("1/0", "'1/0'"), (None, "None"), ("x" * 64, repr("x" * 64)))
+    for bad, shown in short:
+        with pytest.raises(ParseError) as info:
+            parse_fraction(bad, "p")
+        assert str(info.value).startswith(f"p: cannot read rational {shown}")
+    for bad in ("0." + "5" * 15_000, "1/" + "0" * 65, ["1/2"] * 5000):
+        with pytest.raises(ParseError, match=r"\.\.\. \(\d+ characters\)") as info:
+            parse_fraction(bad, "p")
+        assert len(str(info.value)) < 150
+    with pytest.raises(ParseError, match="'1/00000") as info:
+        parse_fraction("1/" + "0" * 65, "p")
+    assert str(info.value).endswith("... (67 characters): Fraction(1, 0)")
+
+
+def test_read_json_refuses_long_integer_literals_unread(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1, "m": -' + "2" * MAX_RATIONAL_CHARS + "}")
+    with pytest.raises(ParseError, match=f"{MAX_RATIONAL_CHARS + 1} characters is longer"):
+        read_json(path)
+    path.write_text('{"n": [' + "1" * 4000 + ", -3, 0]}")
+    assert read_json(path) == {"n": [int("1" * 4000), -3, 0]}
+
+
 def test_chain_round_trip():
     rng = random.Random(3)
     for _ in range(10):
