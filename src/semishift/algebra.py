@@ -23,7 +23,7 @@ import re
 from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
-from .errors import MembershipError, ParseError
+from .errors import MembershipError, ParseError, bounded_int, shown
 
 
 class Record:
@@ -219,15 +219,15 @@ def parse_word(text: str) -> Word:
     else:
         tokens = re.findall(r"[aA][0-9]", text)
         if "".join(tokens) != text:
-            raise ParseError(f"cannot tokenize word {text!r}")
+            raise ParseError(f"cannot tokenize word {shown(text)}")
     letters = []
     for tok in tokens:
         m = _LETTER.fullmatch(tok)
         if m is None:
-            raise ParseError(f"bad letter {tok!r} in word {text!r}")
-        letters.append(Symbol(int(m.group(2)), 1 if m.group(1) == "a" else -1))
+            raise ParseError(f"bad letter {shown(tok)} in word {shown(text)}")
+        letters.append(Symbol(bounded_int(m.group(2)), 1 if m.group(1) == "a" else -1))
     if not _is_reduced(tuple(letters)):
-        raise ParseError(f"word {text!r} is not reduced")
+        raise ParseError(f"word {shown(text)} is not reduced")
     return Word(tuple(letters))
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .algebra import GeneratorSet, ball, parse_word, word_to_string
-from .errors import BudgetExhausted, ParseError, SemishiftError, ValidationError
+from .errors import BudgetExhausted, ParseError, SemishiftError, ValidationError, bounded_int
 from .markovize import consistency_masses, markovize
 from .measure import (
     CheckResult,
@@ -231,11 +231,9 @@ def _cmd_orbit_analyze(args: argparse.Namespace) -> Report:
 
 def _scalar(text: str, where: str) -> Any:
     try:
-        value = json.loads(text)
+        return _symbol_in(json.loads(text, parse_int=bounded_int))
     except json.JSONDecodeError:
         return text
-    try:
-        return _symbol_in(value)
     except ParseError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
@@ -270,8 +268,8 @@ def _cmd_thm_a_construct(args: argparse.Namespace) -> Report:
 def _cmd_find_morphism(args: argparse.Namespace) -> Report:
     """seeded search for a permutation morphism injective on a ball"""
     try:
-        gs = GeneratorSet.from_signed([int(x) for x in args.sigma.split(",")])
-    except ValueError as exc:
+        gs = GeneratorSet.from_signed([bounded_int(x) for x in args.sigma.split(",")])
+    except (ValueError, ParseError) as exc:
         raise ParseError(f"--sigma: {exc}") from exc
     rows: list[Row] = [
         ("degree", args.degree),
@@ -317,9 +315,11 @@ def _cmd_distance(args: argparse.Namespace) -> Report:
 def _load_matrices(source: str) -> list:
     if source.lstrip().startswith("["):
         try:
-            data = json.loads(source)
+            data = json.loads(source, parse_int=bounded_int)
         except json.JSONDecodeError as exc:
             raise ParseError(f"--matrices: {exc.msg}") from exc
+        except ParseError as exc:
+            raise ParseError(f"--matrices: {exc}") from None
     else:
         data = read_json(Path(source))
     if not isinstance(data, list) or not data:

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bounds on input text.
+
+The CLI lifts Python's 4300-digit limit on int text so that exact values
+of any size print, and that limit also guarded against int parsing that
+is quadratic in the digits (an 800000-digit p ran 34 s).  Every integer
+or rational the package reads from text is therefore held to
+``MAX_RATIONAL_CHARS`` characters first: enough for, e.g., a 5000-digit
+numerator over a 5001-digit denominator.
+"""
+
+MAX_RATIONAL_CHARS = 16_000
+# The most characters of a refused input that an error message quotes.
+SHOWN_CHARS = 64
 
 
 class SemishiftError(Exception):
@@ -59,3 +71,18 @@ class NoWitness(SemishiftError):
 
 class OracleNotNormalized(SemishiftError):
     """Raised when a measure oracle's block masses do not sum to one."""
+
+
+def shown(value: object) -> str:
+    """``repr(value)``, or for a longer one its first SHOWN_CHARS characters and its length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return repr(value)
+    return f"{text[:SHOWN_CHARS]!r}... ({len(text)} characters)"
+
+
+def bounded_int(text: str) -> int:
+    """``int(text)``, refused with ParseError before it runs if the text is too long."""
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ParseError(f"integer of {len(text)} characters is longer than {MAX_RATIONAL_CHARS}")
+    return int(text)

@@ -12,7 +12,6 @@ the identity matches, so no configurations are ever materialized.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
 
@@ -25,6 +24,7 @@ from .measure import (
     CylinderMeasure,
     MarkovTreeChain,
     Pattern,
+    _pattern_at,
     eval_constrained,
     is_invariant_chain,
     pattern_masses,
@@ -58,15 +58,10 @@ class BlockAlphabet(Record):
 def support_alphabet(measure: CylinderMeasure, order: int) -> BlockAlphabet:
     """Enumerate the order-m blocks the measure actually charges."""
     sites = sorted_words(ball(measure.gs, order))
-    blocks = []
-    masses = []
     numerators, denominator = pattern_masses(measure, sites)
-    combos = itertools.product(tuple(measure.alphabet), repeat=len(sites))
-    for combo, x in zip(combos, numerators):
-        if x > 0:
-            blocks.append(Pattern(tuple(zip(sites, combo))))
-            masses.append(Fraction(x, denominator))
-    return BlockAlphabet(order, sites, tuple(blocks), tuple(masses))
+    charged = [(i, x) for i, x in enumerate(numerators) if x > 0]
+    blocks = tuple(_pattern_at(sites, measure.alphabet, i) for i, _ in charged)
+    return BlockAlphabet(order, sites, blocks, tuple(Fraction(x, denominator) for _, x in charged))
 
 
 class MarkovizationResult(Record):

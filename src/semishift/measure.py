@@ -133,7 +133,7 @@ def require_distribution(values: Sequence, what: str, positive: bool = False) ->
         raise ValidationError(f"{what} must be {sign} and sum to 1")
 
 
-def require_distinct_sites(sites: Sequence[Word]) -> None:
+def require_distinct_sites(sites: Sequence) -> None:
     if len(set(sites)) != len(sites):
         raise ValueError("pattern has a repeated site")
 
@@ -451,11 +451,15 @@ def eval_cylinder(chain: MarkovTreeChain, pattern: Pattern) -> Fraction:
     return eval_constrained(chain, {w: (c,) for w, c in pattern.items()})
 
 
+def _patterns(sites: Sequence[Word], alphabet: Sequence) -> Iterator[Pattern]:
+    """Every full pattern on the ordered sites, in ``itertools.product`` order."""
+    for combo in itertools.product(tuple(alphabet), repeat=len(sites)):
+        yield Pattern(tuple(zip(sites, combo)))
+
+
 def all_patterns(sites: Iterable[Word], alphabet: Sequence) -> Iterator[Pattern]:
-    """Every full pattern on the given sites, in deterministic order."""
-    ordered = sorted_words(sites)
-    for combo in itertools.product(tuple(alphabet), repeat=len(ordered)):
-        yield Pattern(tuple(zip(ordered, combo)))
+    """Every full pattern on the sites, sorted by ``Word.key``, in product order."""
+    yield from _patterns(sorted_words(sites), alphabet)
 
 
 def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[Iterable, int]:
@@ -473,14 +477,7 @@ def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[Ite
     if batched is not None:
         return batched(sites)
     require_distinct_sites(sites)
-    return _eval_each(measure, sites, measure.alphabet), 1
-
-
-def _eval_each(
-    measure: CylinderMeasure, sites: Sequence[Word], alphabet: Sequence
-) -> Iterator[Fraction]:
-    for combo in itertools.product(tuple(alphabet), repeat=len(sites)):
-        yield measure.eval(Pattern(tuple(zip(sites, combo))))
+    return map(measure.eval, _patterns(sites, measure.alphabet)), 1
 
 
 def _pattern_at(sites: Sequence[Word], alphabet: Sequence, i: int) -> Pattern:
@@ -511,9 +508,25 @@ def _agree(xs: list, dx: int, ys: list, dy: int) -> bool:
     return xs == ys
 
 
-def _block_sums(xs: Sequence, block: int) -> list:
-    """Sums of consecutive runs of ``block`` entries."""
-    return [sum(xs[b : b + block]) for b in range(0, len(xs), block)]
+def _witness(lhs: tuple, rhs: tuple, sites: Sequence[Word], alphabet: Sequence, sizes: list):
+    """(pattern, x, y) of the first full pattern on the sites whose two
+    ``(numerators, denominator)`` masses differ, or None.  Two lists are
+    compared in C first.  The witness is then looked for on the prefixes of
+    the sites of the given sizes, smallest first: the masses on k sites are
+    sums of blocks of n^(len(sites) - k) consecutive entries.  A lazy side
+    is walked once, so it comes with the one size ``len(sites)``.
+    """
+    (xs, dx), (ys, dy) = lhs, rhs
+    if isinstance(xs, list) and isinstance(ys, list) and _agree(xs, dx, ys, dy):
+        return None
+    for size in sizes:
+        block = len(alphabet) ** (len(sites) - size)
+        xsums, ysums = (map(sum, zip(*[iter(zs)] * block)) for zs in (xs, ys))
+        diff = _first_difference(xsums, dx, ysums, dy)
+        if diff is not None:
+            i, x, y = diff
+            return _pattern_at(sites[:size], alphabet, i), x, y
+    return None
 
 
 def shift_invariance_check(
@@ -524,48 +537,38 @@ def shift_invariance_check(
     The sorted B_rr is the sorted B_(rr-1) followed by the sorted sphere
     of radius rr, so B_rr and its translate are prefixes of the site
     lists of B_r and its translate.  A measure with ``masses`` is folded
-    once per side, on B_r: its masses on B_rr are the sums of blocks of
-    n^(|B_r| - |B_rr|) consecutive entries, over the same denominator, so
-    agreement on B_r settles every radius.  Only when the two sides
-    differ are the smaller radii read, as block sums from radius 0 up,
-    and the first difference is the witness, the same one a radius by
-    radius scan reports.  An eval-only measure is scanned lazily, radius
-    by radius, and evaluates no pattern past its first witness.
+    once per side, on B_r: its masses on B_rr are block sums of those on
+    B_r, so agreement on B_r settles every radius, and ``_witness`` reads
+    the smaller radii only when the sides differ, from radius 0 up.  The
+    witness is the one a radius by radius scan reports.  An eval-only
+    measure is scanned lazily, radius by radius, and evaluates no pattern
+    past its first witness.
     """
     shift = Word((a,))
     sites: list[Word] = []
     moved: list[Word] = []
     sizes: list[int] = []
-    batched = getattr(measure, "masses", None) is not None
-    diff = None
     for sphere in spheres(measure.gs, r):
         layer = sorted_words(sphere)
         sites += layer
         moved += [word_mul(w, shift) for w in layer]
         sizes.append(len(sites))
-        if not batched:
-            diff = _first_difference(*pattern_masses(measure, sites), *pattern_masses(measure, moved))
-            if diff is not None:
-                break
-    if batched:
-        (xs, dx), (ys, dy) = pattern_masses(measure, sites), pattern_masses(measure, moved)
-        if not _agree(xs, dx, ys, dy):
-            n = len(measure.alphabet)
-            for size in sizes:
-                block = n ** (len(sites) - size)
-                diff = _first_difference(_block_sums(xs, block), dx, _block_sums(ys, block), dy)
-                if diff is not None:
-                    sites = sites[:size]
-                    break
-    if diff is None:
-        return CheckResult(True)
-    i, lhs, rhs = diff
-    pattern = _pattern_at(sites, measure.alphabet, i)
-    return CheckResult(
-        False,
-        f"pattern {pattern.render()} has measure {lhs}, "
-        f"its {a}-translate {rhs}",
-    )
+    batched = getattr(measure, "masses", None) is not None
+    for size in sizes[-1:] if batched else sizes:
+        found = _witness(
+            pattern_masses(measure, sites[:size]),
+            pattern_masses(measure, moved[:size]),
+            sites[:size],
+            measure.alphabet,
+            sizes if batched else [size],
+        )
+        if found is not None:
+            pattern, lhs, rhs = found
+            return CheckResult(
+                False,
+                f"pattern {pattern.render()} has measure {lhs}, its {a}-translate {rhs}",
+            )
+    return CheckResult(True)
 
 
 def extend_chain(chain: MarkovTreeChain) -> MarkovTreeChain:
@@ -602,18 +605,14 @@ def pushforward_check(
     """Do the two chains agree on every full pattern over the original B_r?"""
     sites = sorted_words(ball(original.gs, r))
     if tuple(extended.alphabet) == tuple(original.alphabet):
-        lhs, rhs = pattern_masses(extended, sites), pattern_masses(original, sites)
-        # Compared in C first; the Python loop below only finds the witness.
-        if _agree(*lhs, *rhs):
-            return CheckResult(True)
+        sides = [pattern_masses(m, sites) for m in (extended, original)]
     else:
         # Symbols are matched by name, pattern by pattern, as eval matches them.
-        lhs, rhs = ((_eval_each(m, sites, original.alphabet), 1) for m in (extended, original))
-    diff = _first_difference(*lhs, *rhs)
-    if diff is None:
+        sides = [(map(m.eval, _patterns(sites, original.alphabet)), 1) for m in (extended, original)]
+    found = _witness(*sides, sites, original.alphabet, [len(sites)])
+    if found is None:
         return CheckResult(True)
-    i, x, y = diff
-    pattern = _pattern_at(sites, original.alphabet, i)
+    pattern, x, y = found
     return CheckResult(
         False, f"pattern {pattern.render()}: extended gives {x}, original {y}"
     )
@@ -864,12 +863,14 @@ class CounterexampleReport(Record):
 def counterexample_analyze(
     matrices: Sequence[Sequence[Sequence[int]]], kernel_word: Word, prime: int
 ) -> CounterexampleReport:
-    """Evaluate the kernel word mod p and brute-force a moved vector.
+    """Evaluate the kernel word mod p and find a vector it moves.
 
     The word indexes into the matrix list; negative letters use inverses
     mod p.  A vector moved by the product certifies that the deterministic
     part of the chain is inconsistent along the word's cycle, with the
-    quantitative threshold 1 / p^(2n - 2) on delta.
+    quantitative threshold 1 / p^(2n - 2) on delta.  The witness is (1, 0)
+    if the product moves it, else (0, 1): the first moved vector of a scan
+    over (x, y), y outer, since a linear map fixing both is the identity.
     """
     if not _is_prime(prime):
         raise ValidationError(f"{prime} is not prime")
@@ -885,15 +886,7 @@ def counterexample_analyze(
         if s.sign < 0:
             m = _mat_inv_mod(m, prime)
         product = _mat_mul_mod(product, m, prime)
-    witness = None
-    for y in range(prime):
-        for x in range(prime):
-            v = (x, y)
-            if _apply_mod(product, v, prime) != v:
-                witness = v
-                break
-        if witness is not None:
-            break
+    witness = next((v for v in ((1, 0), (0, 1)) if _apply_mod(product, v, prime) != v), None)
     if witness is None:
         raise NoWitness(
             f"the word acts as the identity mod {prime}; choose a larger prime"

@@ -166,27 +166,19 @@ def readout(o: OrbitAutomaton, w: Word) -> object:
     return o.labels[q]
 
 
+def _numbered(keys: Iterable[Hashable]) -> list[int]:
+    """Each key's class number, classes numbered by first appearance."""
+    seen: dict = {}
+    return [seen.setdefault(key, len(seen)) for key in keys]
+
+
 def minimized(o: OrbitAutomaton) -> OrbitAutomaton:
     """Merge states indistinguishable by labels along every word."""
     syms = o.gs.symbols()
     n = o.n_states()
-    block = []
-    seen: dict = {}
-    for q in range(n):
-        key = o.labels[q]
-        if key not in seen:
-            seen[key] = len(seen)
-        block.append(seen[key])
-    while True:
-        seen2: dict = {}
-        nxt = []
-        for q in range(n):
-            key = (block[q], tuple(block[o.delta[s][q]] for s in syms))
-            if key not in seen2:
-                seen2[key] = len(seen2)
-            nxt.append(seen2[key])
-        if nxt == block:
-            break
+    block = _numbered(o.labels)
+    # A state's key: its class and its successors' classes, one per generator.
+    while (nxt := _numbered(zip(block, *([block[t] for t in o.delta[s]] for s in syms)))) != block:
         block = nxt
     classes = len(set(block))
     rep = {}

@@ -17,7 +17,15 @@ from typing import ClassVar, Collection, Iterable, Mapping, Protocol
 
 from .algebra import Record
 from .errors import MembershipError, ValidationError
-from .measure import ONE, ZERO, CheckResult, Matrix, require_distinct_symbols, require_distribution
+from .measure import (
+    ONE,
+    ZERO,
+    CheckResult,
+    Matrix,
+    require_distinct_sites,
+    require_distinct_symbols,
+    require_distribution,
+)
 
 # Vectors in Z^d; membership in N^d means every coordinate is nonnegative.
 LatticeVector = tuple[int, ...]
@@ -38,8 +46,7 @@ class LatticePattern(Record):
 
     def __post_init__(self) -> None:
         keys = [v for v, _ in self.entries]
-        if len(set(keys)) != len(keys):
-            raise ValueError("pattern has a repeated site")
+        require_distinct_sites(keys)
         dims = {len(v) for v in keys}
         if len(dims) > 1:
             raise ValueError("pattern sites have mixed dimensions")

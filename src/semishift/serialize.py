@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .algebra import GeneratorSet, Symbol, Word, parse_word, word_to_string
-from .errors import ParseError, SemishiftError
+from .errors import MAX_RATIONAL_CHARS, ParseError, SemishiftError, bounded_int, shown
 from .markovize import BlockAlphabet
 from .measure import (
     BernoulliMeasure,
@@ -45,23 +45,6 @@ def fraction_to_str(x: Fraction) -> str:
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-# The longest rational text read, in characters.  The CLI lifts Python's
-# 4300-digit limit on int text, which also guards against int parsing
-# that is quadratic in the digits (an 800000-digit p ran 34 s); this bound
-# keeps that guard while still reading, e.g., a 5000-digit numerator over
-# a 5001-digit denominator.
-MAX_RATIONAL_CHARS = 16_000
-# The most characters of a refused input that an error message quotes.
-SHOWN_CHARS = 64
-
-
-def _shown(value: Any) -> str:
-    """``repr(value)``, or for a longer one its first SHOWN_CHARS characters and its length."""
-    text = value if isinstance(value, str) else repr(value)
-    if len(text) <= SHOWN_CHARS:
-        return repr(value)
-    return f"{text[:SHOWN_CHARS]!r}... ({len(text)} characters)"
-
 
 def parse_fraction(text: Any, where: str = "value") -> Fraction:
     # only "num" or "num/den"; decimals would hide rounding in the files
@@ -70,11 +53,11 @@ def parse_fraction(text: Any, where: str = "value") -> Fraction:
             f"{where}: rational of {len(text)} characters is longer than {MAX_RATIONAL_CHARS}"
         )
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
-        raise ParseError(f"{where}: cannot read rational {_shown(text)}")
+        raise ParseError(f"{where}: cannot read rational {shown(text)}")
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise ParseError(f"{where}: cannot read rational {_shown(text)}: {exc}") from exc
+        raise ParseError(f"{where}: cannot read rational {shown(text)}: {exc}") from exc
 
 
 def _symbol_out(value: Any) -> Any:
@@ -91,16 +74,6 @@ def _symbol_in(value: Any) -> Any:
     return value
 
 
-def _json_int(literal: str) -> int:
-    # int() of a literal takes time quadratic in its digits, and the CLI
-    # lifts Python's own digit limit, so the rational bound holds here too.
-    if len(literal) > MAX_RATIONAL_CHARS:
-        raise ParseError(
-            f"integer of {len(literal)} characters is longer than {MAX_RATIONAL_CHARS}"
-        )
-    return int(literal)
-
-
 def read_json(path: str | Path) -> Any:
     path = Path(path)
     try:
@@ -108,7 +81,7 @@ def read_json(path: str | Path) -> Any:
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        return json.loads(text, parse_int=_json_int)
+        return json.loads(text, parse_int=bounded_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ParseError as exc:
@@ -130,8 +103,8 @@ _SIGNED = re.compile(r"-?[0-9]+")
 
 def _signed_key(key: str, what: str, where: str) -> int:
     if not _SIGNED.fullmatch(str(key)):
-        raise ParseError(f"{where}: {what} {key!r}")
-    return int(key)
+        raise ParseError(f"{where}: {what} {shown(key)}")
+    return bounded_int(key)
 
 
 def _int_in(value: Any, what: str, where: str) -> int:

@@ -83,6 +83,22 @@ def test_parse_rejects_unreduced():
         parse_word("a2a1A1")
 
 
+def test_parse_errors_quote_a_long_word_in_part():
+    cases = [
+        ("a1" * 40_000 + "b", "cannot tokenize word {}"),
+        ("a2." * 40_000 + "b1", "bad letter 'b1' in word {}"),
+        ("a2." * 40_000 + "a1.A1", "word {} is not reduced"),
+    ]
+    for text, message in cases:
+        shown = f"{text[:64]!r}... ({len(text)} characters)"
+        with pytest.raises(ParseError) as info:
+            parse_word(text)
+        assert str(info.value) == message.format(shown)
+    with pytest.raises(ParseError) as info:
+        parse_word("a2a1A1")
+    assert str(info.value) == "word 'a2a1A1' is not reduced"
+
+
 def test_in_semigroup_examples():
     gs = GeneratorSet.from_signed((1, 2))
     assert in_semigroup(w("a1a2"), gs)

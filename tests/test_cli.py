@@ -116,6 +116,18 @@ def test_counterexample_with_a_large_prime():
     assert f"prime: {2**61 - 1}" in text
 
 
+def test_counterexample_witness_at_a_ten_digit_prime_is_found_at_once():
+    # The product fixes (1, 0), so the witness is (0, 1): no scan over Z_p.
+    start = time.process_time()
+    code, text = execute(
+        ["counterexample", "--matrices", "[[[1,1],[0,1]]]", "--word", "a1",
+         "--prime", "1000000007"]
+    )
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert "witness: [0,1]\nwitness_image: [1,1]" in text
+
+
 def test_counterexample_prime_past_the_decided_bound_exits_two():
     code, text = execute(
         ["counterexample", "--matrices", MATRICES, "--word", "a1a2A1A2",
@@ -608,6 +620,67 @@ def test_a_400000_digit_json_integer_exits_two_at_once(tmp_path):
     assert time.process_time() - start < 0.5
     assert (code, text) == (
         2, f"error: ParseError: {measure}: integer of 400000 characters is longer than 16000"
+    )
+
+
+BIG = "9" * 400_000
+LONG = f"integer of {len(BIG)} characters is longer than 16000"
+
+
+def over_long_integer_argv(path, tmp_path):
+    """A command whose input holds the 400000-digit integer BIG at ``path``."""
+    files = {
+        "P": {"kind": "chain", "d": 1, "sigma": [1], "alphabet": [0], "p": ["1"],
+              "P": {BIG: [["1"]]}},
+        "delta": {"d": 1, "sigma": [1], "alphabet": [0], "labels": [0], "base": 0,
+                  "delta": {BIG: [0]}},
+        "theta": {"k": 1, "theta": {BIG: [0]}},
+        "morphism": {"k": 1, "theta": {"1": [0]}},
+        "bernoulli": measure_out(BernoulliMeasure(GS2, (0, 1), (F(1, 2), F(1, 2)))),
+    }
+    for name, data in files.items():
+        write_json(tmp_path / f"{name}.json", data)
+    pattern = str(pattern_file(tmp_path, {"a1": 0}))
+    long_site = str(pattern_file(tmp_path, {f"a1.a{BIG}": 0}, "long.json"))
+    thm_a = ["thm-a-construct", "--pattern", pattern, "--morphism", str(tmp_path / "morphism.json")]
+    return {
+        "P": ["eval", "--measure", str(tmp_path / "P.json"), "--pattern", pattern],
+        "delta": ["orbit-analyze", "--automaton", str(tmp_path / "delta.json")],
+        "theta": ["thm-a-construct", "--pattern", pattern, "--morphism",
+                  str(tmp_path / "theta.json")],
+        "word": ["eval", "--measure", str(tmp_path / "bernoulli.json"), "--pattern", long_site],
+        "--sigma": ["find-morphism", "--sigma", f"1,{BIG}", "--radius", "1",
+                    "--degree", "3", "--seed", "1"],
+        "--matrices": ["counterexample", "--matrices", f"[[[1,1],[0,1]],{BIG}]",
+                       "--word", "a1", "--prime", "5"],
+        "--alphabet": [*thm_a, "--alphabet", f"0,{BIG}"],
+        "--fill": [*thm_a, "--alphabet", "0,1", "--fill", BIG],
+    }[path]
+
+
+@pytest.mark.parametrize(
+    "path", ["P", "delta", "theta", "word", "--sigma", "--matrices", "--alphabet", "--fill"]
+)
+def test_an_over_long_integer_exits_two_before_it_is_read(path, tmp_path):
+    """Generator keys, letter indices and integers typed on the command line
+    are held to the rational bound before int() reads them."""
+    argv = over_long_integer_argv(path, tmp_path)
+    start = time.process_time()
+    code, text = execute(argv)
+    assert time.process_time() - start < 0.5
+    assert code == 2
+    assert text.startswith("error: ParseError: ") and text.endswith(LONG)
+    if path.startswith("--"):
+        assert text == f"error: ParseError: {path}: {LONG}"
+
+
+def test_a_long_word_is_quoted_in_part():
+    code, text = execute(
+        ["counterexample", "--matrices", "[[[1,1],[0,1]]]", "--word", "a" + "1" * 400_000,
+         "--prime", "5"]
+    )
+    assert (code, text) == (
+        2, f"error: ParseError: cannot tokenize word 'a{'1' * 63}'... (400001 characters)"
     )
 
 

@@ -433,6 +433,26 @@ def test_pushforward_matches_symbols_by_name():
     assert pushforward_check(swapped, original, 2).ok
 
 
+@settings(max_examples=30)
+@given(st.integers(2, 3), st.integers(0, 2**32))
+def test_a_failing_pushforward_across_reordered_alphabets_gives_the_naive_witness(n, seed):
+    rng = random.Random(seed)
+    original = random_invariant_chain(rng, (1, -1), n)
+    other = extend_chain(random_invariant_chain(rng, (1,), n))
+    order = list(range(n))
+    while order == sorted(order):
+        rng.shuffle(order)
+    matrices = {s: tuple(tuple(rows[k][l] for l in order) for k in order)
+                for s, rows in other.transitions}
+    reordered = type(other).make(
+        other.gs, tuple(other.alphabet[k] for k in order), tuple(other.p[k] for k in order), matrices
+    )
+    witness = naive_pushforward(reordered, original, 2)
+    assert witness is not None
+    result = pushforward_check(reordered, original, 2)
+    assert (result.ok, result.witness) == (False, witness)
+
+
 @settings(max_examples=20)  # each example evaluates five measures pattern by pattern
 @given(st.sampled_from(SIGMAS), st.integers(1, 3), st.integers(0, 2**32))
 def test_distance_matches_naive_sum(signed, n, seed):

@@ -1,11 +1,13 @@
-"""The benchmark tracer wraps package functions by name; each name must exist.
+"""The benchmark reads package names; each name must exist.
 
 ``perfbench/test_smoke.py`` runs outside the default test paths, so
-without this check a renamed or deleted traced function would pass the
-suite and only break ``perfbench/run.py --trace 1``.
+without these checks a renamed or deleted function that the tracer wraps
+or a workload calls would pass the suite and only break a benchmark run.
 """
 
+import ast
 import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -33,6 +35,38 @@ def test_every_traced_name_resolves():
             assert hasattr(owner, part), f"{name}: {module} has no {path}"
             owner = getattr(owner, part)
         assert callable(owner), f"{name}: {module}.{path} is not callable"
+
+
+def package_reads(source: str) -> set[tuple[str, str]]:
+    """(module, attribute) for every attribute read on a name bound to the
+    package: ``ss``, the package handed to every workload, and each
+    ``import semishift...`` alias."""
+    tree = ast.parse(source)
+    bound = {"ss": "semishift"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "semishift":
+                    bound[alias.asname or "semishift"] = alias.name if alias.asname else "semishift"
+    return {
+        (bound[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in bound
+    }
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        reads |= package_reads(path.read_text())
+    assert ("semishift", "all_patterns") in reads
+    assert ("semishift.serialize", "measure_out") in reads
+    for module, name in sorted(reads):
+        # ``semishift.cli`` is a submodule that the package does not import itself.
+        exists = hasattr(importlib.import_module(module), name)
+        assert exists or importlib.util.find_spec(f"{module}.{name}"), f"no {module}.{name}"
 
 
 def test_eval_cylinder_calls_eval_constrained_once_through_the_module(monkeypatch):
