@@ -23,7 +23,7 @@ import re
 from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
-from .errors import MembershipError, ParseError, bounded_int, shown
+from .errors import MAX_PATTERNS, MembershipError, ParseError, ValidationError, bounded_int, shown
 
 
 class Record:
@@ -205,6 +205,13 @@ class Word(Record):
         return sep.join(str(s) for s in self.letters)
 
 
+def _reduced(letters: tuple[Symbol, ...], _new=object.__new__, _set=object.__setattr__) -> Word:
+    """The Word of letters already known to be reduced, built without checking them."""
+    w = _new(Word)
+    _set(w, "letters", letters)
+    return w
+
+
 EPSILON = Word()
 
 _LETTER = re.compile(r"([aA])([1-9][0-9]*)")
@@ -237,14 +244,14 @@ def word_to_string(w: Word, d: int) -> str:
 
 
 def word_mul(u: Word, v: Word) -> Word:
-    """Concatenate and cancel at the seam."""
+    """Concatenate and cancel at the seam; the result is reduced by construction."""
     stack = list(u.letters)
     for s in v.letters:
         if stack and stack[-1] is s.inverse():
             stack.pop()
         else:
             stack.append(s)
-    return Word(tuple(stack))
+    return _reduced(tuple(stack))
 
 
 def sorted_words(words: Iterable[Word]) -> tuple[Word, ...]:
@@ -318,25 +325,68 @@ def require_in_semigroup(w: Word, gs: GeneratorSet) -> None:
         raise MembershipError(f"site {w or 'the empty word'} is not in <Sigma>+")
 
 
-def spheres(gs: GeneratorSet, r: int) -> Iterator[list[Word]]:
+def spheres(gs: GeneratorSet, r: int, symbols: int = 0) -> Iterator[list[Word]]:
     """The elements of S of reduced length 0, 1, .., r, one list per length, lazily.
 
     A word of length k + 1 is g * w for exactly one g in Sigma and one w of
     length k (its leading letter and its tail), so no word repeats.  Each
-    list follows Sigma's set order, which is no fixed order.
+    list is sorted by ``Word.key``: it runs over Sigma in ``Symbol.key``
+    order, and for each g over the previous sorted list.
+
+    With ``symbols`` > 0 the spheres are the sites of a scan over every full
+    pattern on that many symbols.  ValidationError, naming the sites, is
+    raised before a sphere is built that brings the scan past MAX_PATTERNS
+    patterns.  One symbol gives one pattern, so a one-symbol scan is held to
+    MAX_PATTERNS letters in its sites instead.
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    sphere = [EPSILON]
+    pairs = [(g, g.inverse()) for g in gs.symbols()]
+    sphere, sites, letters = [EPSILON], 1, 0
+    if symbols:
+        _require_scan(symbols, r, sites, letters)
     yield sphere
-    for _ in range(r):
+    for k in range(1, r + 1):
+        size = len(pairs) * len(sphere)
+        if symbols and _too_large(symbols, sites + size, letters + k * size):
+            # Count the sphere before it is built: each word of the last one
+            # grows by every letter but the inverse of its own first.
+            size -= sum(w.letters[0].inverse() in gs.sigma for w in sphere if w.letters)
+            _require_scan(symbols, r, sites + size, letters + k * size)
         sphere = [
-            Word((g,) + w.letters)
+            _reduced((g,) + w.letters)
+            for g, inverse in pairs
             for w in sphere
-            for g in gs.sigma
-            if not w.letters or w.letters[0] is not g.inverse()
+            if not w.letters or w.letters[0] is not inverse
         ]
+        sites += len(sphere)
+        letters += k * len(sphere)
         yield sphere
+
+
+def _too_large(symbols: int, sites: int, letters: int) -> bool:
+    """Does a scan of every full pattern on the sites list more than MAX_PATTERNS
+    patterns, or, over one symbol, hold more than MAX_PATTERNS letters?"""
+    if symbols == 1:
+        return letters > MAX_PATTERNS
+    # Past log2(MAX_PATTERNS) sites it does, without a large power.
+    return sites >= MAX_PATTERNS.bit_length() or symbols**sites > MAX_PATTERNS
+
+
+def _require_scan(symbols: int, r: int, sites: int, letters: int) -> None:
+    """Refuse a radius-r scan whose first sites are already too large, naming them."""
+    if _too_large(symbols, sites, letters):
+        held = f"{letters} letters" if symbols == 1 else f"{symbols}^{sites} full patterns"
+        raise ValidationError(
+            f"a scan of the radius-{r} ball is refused: its first {sites} sites "
+            f"give {held}, more than {MAX_PATTERNS}"
+        )
+
+
+def sorted_ball(gs: GeneratorSet, r: int, symbols: int = 0) -> tuple[Word, ...]:
+    """B_r sorted by ``Word.key``: its spheres joined in turn, refused as
+    ``spheres`` refuses them when ``symbols`` is given."""
+    return tuple(itertools.chain.from_iterable(spheres(gs, r, symbols)))
 
 
 def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
@@ -357,8 +407,10 @@ def _hull(words: Iterable[Word], gs: GeneratorSet) -> tuple[list[int], list, lis
     parent: list[int] = [-1]
     letter: list = [None]
     site = []
+    inside = gs.sigma.issuperset
     for w in words:
-        require_in_semigroup(w, gs)
+        if not inside(w.letters):
+            require_in_semigroup(w, gs)
         v = 0
         for g in reversed(w.letters):
             new = len(parent)

@@ -1,14 +1,19 @@
-"""Exception types shared across the package, and the bounds on input text.
+"""Exception types shared across the package, and the bounds on input and work.
 
 The CLI lifts Python's 4300-digit limit on int text so that exact values
 of any size print, and that limit also guarded against int parsing that
 is quadratic in the digits (an 800000-digit p ran 34 s).  Every integer
 or rational the package reads from text is therefore held to
 ``MAX_RATIONAL_CHARS`` characters first: enough for, e.g., a 5000-digit
-numerator over a 5001-digit denominator.
+numerator over a 5001-digit denominator.  Work that grows exponentially
+with a radius or a prime is held to ``MAX_PATTERNS`` before it starts.
 """
 
 MAX_RATIONAL_CHARS = 16_000
+# The most full patterns one ball scan may list, and the most matrix entries
+# per generator a counterexample chain may build: every pattern's mass is
+# held in memory, and 3^13 of them took 275 MB in one scan.
+MAX_PATTERNS = 2**22
 # The most characters of a refused input that an error message quotes.
 SHOWN_CHARS = 64
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import EPSILON, GeneratorSet, Record, Word, ball, sorted_words
+from .algebra import EPSILON, GeneratorSet, Record, Word, in_semigroup, sorted_ball
 from .errors import MembershipError, OracleNotNormalized
 from .measure import (
     ZERO,
@@ -57,7 +57,7 @@ class BlockAlphabet(Record):
 
 def support_alphabet(measure: CylinderMeasure, order: int) -> BlockAlphabet:
     """Enumerate the order-m blocks the measure actually charges."""
-    sites = sorted_words(ball(measure.gs, order))
+    sites = sorted_ball(measure.gs, order, len(measure.alphabet))
     numerators, denominator = pattern_masses(measure, sites)
     charged = [(i, x) for i, x in enumerate(numerators) if x > 0]
     blocks = tuple(_pattern_at(sites, measure.alphabet, i) for i, _ in charged)
@@ -153,9 +153,8 @@ def consistency_masses(
     before any block is built.  Pass a precomputed markovization to
     avoid rebuilding the block chain per pattern.
     """
-    sites = ball(measure.gs, order)
-    for w, _ in pattern.items():
-        if w not in sites:
+    for w in pattern.domain():
+        if len(w) > order or not in_semigroup(w, measure.gs):
             raise MembershipError(
                 f"site {w or 'the empty word'} is outside the order-{order} ball"
             )

@@ -25,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .algebra import (
@@ -34,13 +34,14 @@ from .algebra import (
     Symbol,
     Word,
     _hull,
-    ball,
     require_in_semigroup,
+    sorted_ball,
     sorted_words,
     spheres,
     word_mul,
 )
 from .errors import (
+    MAX_PATTERNS,
     DeltaOutOfRange,
     EmptyWord,
     InvalidChain,
@@ -49,6 +50,7 @@ from .errors import (
     NoWitness,
     SigmaIncomplete,
     ValidationError,
+    shown,
 )
 
 ZERO = Fraction(0)
@@ -144,7 +146,7 @@ def require_pattern(pattern: Pattern, gs: GeneratorSet, alphabet: Collection) ->
         require_in_semigroup(w, gs)
     for _, c in pattern.items():
         if c not in alphabet:
-            raise ValidationError(f"symbol {c!r} is not in the alphabet")
+            raise ValidationError(f"symbol {shown(c)} is not in the alphabet")
 
 
 class CylinderMeasure(Protocol):
@@ -286,9 +288,10 @@ class MarkovTreeChain(Record):
         last child is placed, and the site digits are put in the sites'
         order at the end.
         """
-        require_distinct_sites(sites)
         _require_valid(self)
         parent, letter, site = _hull(sites, self.gs)
+        # Distinct sites are distinct hull vertices.
+        require_distinct_sites(site)
         scale, p, matrices = self.integer_form
         n, denominator = len(p), scale ** len(parent)
         if not site:
@@ -318,6 +321,8 @@ class MarkovTreeChain(Record):
         for v in site[:moved]:
             stride = n ** (m - 1 - position[v])
             offsets = [o + x for o in offsets for x in range(0, n * stride, stride)]
+        if block == 1:
+            return list(map(cur.__getitem__, offsets)), denominator
         out: list[int] = []
         for o in offsets:
             out += cur[o : o + block]
@@ -413,7 +418,7 @@ def eval_constrained(
             ks = set(map(index.__getitem__, allowed))
         except KeyError:
             c = next(c for c in allowed if c not in index)
-            raise ValidationError(f"symbol {c!r} is not in the chain alphabet") from None
+            raise ValidationError(f"symbol {shown(c)} is not in the chain alphabet") from None
         if len(ks) == 1:
             fixed[v] = ks.pop()
         else:
@@ -546,13 +551,11 @@ def shift_invariance_check(
     """
     shift = Word((a,))
     sites: list[Word] = []
-    moved: list[Word] = []
     sizes: list[int] = []
-    for sphere in spheres(measure.gs, r):
-        layer = sorted_words(sphere)
-        sites += layer
-        moved += [word_mul(w, shift) for w in layer]
+    for sphere in spheres(measure.gs, r, len(measure.alphabet)):
+        sites += sphere
         sizes.append(len(sites))
+    moved = [word_mul(w, shift) for w in sites]
     batched = getattr(measure, "masses", None) is not None
     for size in sizes[-1:] if batched else sizes:
         found = _witness(
@@ -603,7 +606,7 @@ def pushforward_check(
     extended: MarkovTreeChain, original: MarkovTreeChain, r: int
 ) -> CheckResult:
     """Do the two chains agree on every full pattern over the original B_r?"""
-    sites = sorted_words(ball(original.gs, r))
+    sites = sorted_ball(original.gs, r, len(original.alphabet))
     if tuple(extended.alphabet) == tuple(original.alphabet):
         sides = [pattern_masses(m, sites) for m in (extended, original)]
     else:
@@ -626,9 +629,10 @@ def weak_star_distance(
         raise ValidationError("measures live over different generator sets")
     if tuple(m1.alphabet) != tuple(m2.alphabet):
         raise ValidationError("measures have different alphabets")
-    sites = sorted_words(ball(m1.gs, order))
+    sites = sorted_ball(m1.gs, order, len(m1.alphabet))
     (xs, d1), (ys, d2) = pattern_masses(m1, sites), pattern_masses(m2, sites)
-    return Fraction(sum(abs(x * d2 - y * d1) for x, y in zip(xs, ys)), d1 * d2)
+    gaps = map(sub, map(mul, xs, itertools.repeat(d2)), map(mul, ys, itertools.repeat(d1)))
+    return Fraction(sum(map(abs, gaps)), d1 * d2)
 
 
 class BernoulliMeasure(Record):
@@ -659,8 +663,9 @@ class BernoulliMeasure(Record):
         """Every full pattern's mass on the sites: outer products of the
         probabilities times L, the lcm of their denominators, over L^len(sites)."""
         require_distinct_sites(sites)
-        for w in sites:
-            require_in_semigroup(w, self.gs)
+        if not self.gs.sigma.issuperset(itertools.chain.from_iterable(w.letters for w in sites)):
+            for w in sites:
+                require_in_semigroup(w, self.gs)
         scale = math.lcm(*(q.denominator for q in self.probs))
         weights = [q.numerator * (scale // q.denominator) for q in self.probs]
         out = [1]
@@ -812,10 +817,16 @@ def counterexample_chain(
     The alphabet is (Z_p)^2; generator a_i sends symbol u to A_i u mod p
     with probability 1 - (p^2 - 1) delta and to each other symbol with
     probability delta.  Each matrix must be invertible mod p, and delta
-    must lie strictly between 0 and 1/(p^2 - 1).
+    must lie strictly between 0 and 1/(p^2 - 1).  A chain of more than
+    MAX_PATTERNS matrix entries per generator, p^4, is refused.
     """
     if not _is_prime(prime):
         raise ValidationError(f"{prime} is not prime")
+    if prime**4 > MAX_PATTERNS:
+        raise ValidationError(
+            f"p = {prime} gives p^4 = {prime**4} matrix entries per generator, "
+            f"more than {MAX_PATTERNS}"
+        )
     if not matrices:
         raise ValidationError("need at least one matrix")
     delta = Fraction(delta)

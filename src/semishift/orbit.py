@@ -25,11 +25,10 @@ from .algebra import (
     Symbol,
     Word,
     _hull,
-    ball,
     require_in_semigroup,
-    sorted_words,
+    sorted_ball,
 )
-from .errors import BudgetExhausted, FactorizationError, NotPeriodic, ValidationError
+from .errors import BudgetExhausted, FactorizationError, NotPeriodic, ValidationError, shown
 from .measure import (
     MixtureMeasure,
     Pattern,
@@ -120,7 +119,6 @@ class OrbitAutomaton(Record):
 
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's count of minimal states showing it, over their number."""
-        require_distinct_sites(sites)
         m = self.minimal
         index = {c: i for i, c in enumerate(self.alphabet)}
         out = [0] * len(index) ** len(sites)
@@ -135,6 +133,8 @@ class OrbitAutomaton(Record):
 def _shown(o: OrbitAutomaton, sites: Sequence[Word]) -> list[tuple]:
     """What each state's configuration shows at the sites, state by state."""
     parent, letter, site = _hull(sites, o.gs)
+    # Distinct sites are distinct hull vertices.
+    require_distinct_sites(site)
     # reached[v][q]: the state whose label q's configuration shows at vertex v
     reached: list[Sequence[int]] = [range(o.n_states())]
     for up, g in zip(parent[1:], letter[1:]):
@@ -285,7 +285,7 @@ def theorem_a_point(
     alphabet = tuple(alphabet)
     fill = alphabet[0] if fill is None else fill
     if fill not in alphabet:
-        raise ValidationError(f"fill symbol {fill!r} is not in the alphabet")
+        raise ValidationError(f"fill symbol {shown(fill)} is not in the alphabet")
     require_pattern(pattern, gs, alphabet)
     word_labels: dict[Perm, object] = {}
     for w, c in pattern.items():
@@ -321,7 +321,7 @@ def find_separating_morphism(
     """
     if k < 1:
         raise ValidationError(f"degree k must be >= 1, got {k}")
-    words = sorted_words(ball(gs, r))
+    words = sorted_ball(gs, r)
     if math.factorial(k) < len(words):
         raise BudgetExhausted(
             f"no injection possible: the {r}-ball has {len(words)} elements "

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import ClassVar, Collection, Iterable, Mapping, Protocol
 
 from .algebra import Record
-from .errors import MembershipError, ValidationError
+from .errors import MembershipError, ValidationError, shown
 from .measure import (
     ONE,
     ZERO,
@@ -93,7 +93,7 @@ def _check_pattern(pattern: LatticePattern, d: int, alphabet: tuple) -> None:
             raise MembershipError(f"site {v} is outside the nonnegative orthant")
     for _, c in pattern.items():
         if c not in alphabet:
-            raise ValidationError(f"symbol {c!r} is not in the alphabet")
+            raise ValidationError(f"symbol {shown(c)} is not in the alphabet")
 
 
 class LatticeBernoulli(Record):

@@ -144,6 +144,18 @@ def oracle_hull(sites):
     return sorted(hull, key=Word.key)
 
 
+def oracle_word_mul(u: Word, v: Word) -> tuple[int, ...]:
+    """The reduced product of two words as signed generator indices, by a
+    stack that cancels each index against its negative."""
+    stack: list[int] = []
+    for x in [s.signed for s in u.letters + v.letters]:
+        if stack and stack[-1] == -x:
+            stack.pop()
+        else:
+            stack.append(x)
+    return tuple(stack)
+
+
 def trial_division_is_prime(n: int) -> bool:
     """Primality by trial division up to the square root of n."""
     if n < 2:

@@ -2,22 +2,26 @@ import copy
 import itertools
 import pickle
 import random
+import re
 import sys
 import threading
 
 import pytest
 
-from helpers import oracle_hull
+from helpers import oracle_hull, oracle_word_mul
 from semishift import (
     EPSILON,
     GeneratorSet,
     MembershipError,
     ParseError,
     Symbol,
+    ValidationError,
     Word,
     ball,
     in_semigroup,
     parse_word,
+    sorted_ball,
+    sorted_words,
     tree_hull,
     word_mul,
     word_to_string,
@@ -155,6 +159,63 @@ def test_spheres_are_the_sigma_words_of_each_length():
             assert len(sphere) == len(expected) and set(sphere) == expected
     with pytest.raises(ValueError):
         next(spheres(gs, -1))
+
+
+def test_spheres_come_sorted_and_word_mul_reduces():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        """Signed or unsigned Sigma over d <= 3, r <= 3, and products of words
+        from the ball of Sigma's closure under inverses."""
+        d = draw(st.integers(1, 3))
+        signed = [x for x in range(-d, d + 1) if x]
+        gs = GeneratorSet.from_signed(
+            draw(st.lists(st.sampled_from(signed), min_size=1, unique=True)), d
+        )
+        r = draw(st.integers(0, 3))
+        words = sorted_ball(gs.extended(), min(r, 2))
+        pairs = draw(st.lists(st.tuples(st.sampled_from(words), st.sampled_from(words)), max_size=20))
+        return gs, r, pairs
+
+    @hypothesis.given(cases())
+    def check(case):
+        gs, r, pairs = case
+        layers = list(spheres(gs, r))
+        assert len(layers) == r + 1
+        for k, layer in enumerate(layers):
+            assert tuple(layer) == sorted_words(layer)
+            assert all(len(w) == k for w in layer)
+        assert sorted_ball(gs, r) == sorted_words(ball(gs, r))
+        assert sorted_ball(gs, r) == tuple(itertools.chain.from_iterable(layers))
+        for u, v in pairs:
+            product = word_mul(u, v)
+            assert tuple(s.signed for s in product.letters) == oracle_word_mul(u, v)
+            assert Word(product.letters) == product
+
+    check()
+
+
+def test_a_ball_too_large_to_scan_is_refused_before_its_sphere_is_built():
+    line = GeneratorSet.from_signed((1,))
+    # B_r of Sigma = {a1} has r + 1 sites: 2^22 patterns fit, 2^23 do not; 3^13 fit, 3^14 do not.
+    assert len(sorted_ball(line, 21, 2)) == 22
+    assert len(sorted_ball(line, 12, 3)) == 13
+    for r, symbols, message in ((22, 2, "23 sites give 2^23 full"), (13, 3, "14 sites give 3^14 full")):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sorted_ball(line, r, symbols)
+    # Sigma = {a1, a2}: the refusal comes before B_4's 16 words exist.
+    layers = spheres(GeneratorSet.from_signed((1, 2)), 6, 2)
+    assert [len(next(layers)) for _ in range(4)] == [1, 2, 4, 8]
+    with pytest.raises(ValidationError, match="radius-6 ball is refused: its first 31 sites"):
+        next(layers)
+    # One symbol lists one pattern; its scan is held to the letters of its sites:
+    # B_16 of Sigma = {a1, a2} has 1966082 of them, B_17 4194306.
+    tree = GeneratorSet.from_signed((1, 2))
+    assert len(sorted_ball(tree, 16, 1)) == 2**17 - 1
+    with pytest.raises(ValidationError, match="first 262143 sites give 4194306 letters"):
+        sorted_ball(tree, 40, 1)
 
 
 def test_tree_hull_examples():

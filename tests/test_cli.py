@@ -1,7 +1,10 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,7 @@ from semishift.serialize import (
 
 F = Fraction
 GS2 = GeneratorSet.from_signed((1, 2))
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MATRICES = "[[[1,2],[0,1]],[[1,0],[2,1]]]"
 
@@ -785,6 +789,81 @@ def test_json_object_symbol_exits_two(tmp_path, command, measure, pattern):
     assert code == 2
     assert text.startswith("error: ParseError: ")
     assert 'a JSON object cannot be a symbol: {"a": 1}' in text
+
+
+LONG_SYMBOL = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, measure, pattern",
+    [
+        ("eval", measure_out(worked_chain(2)), {"entries": [["", LONG_SYMBOL]]}),
+        ("eval", BERNOULLI, {"entries": [["", LONG_SYMBOL]]}),
+        ("eval", {"kind": "mixture", "components": [BERNOULLI], "weights": ["1/1"]},
+         {"entries": [["", LONG_SYMBOL]]}),
+        ("window-eval", LATTICE_BERNOULLI, {"entries": [[[0], LONG_SYMBOL]]}),
+        ("window-eval", LATTICE_CHAIN, {"entries": [[[0], LONG_SYMBOL]]}),
+        ("thm-a-construct", None, {"entries": [["", 0]]}),
+    ],
+    ids=["chain", "bernoulli", "mixture", "lattice-bernoulli", "lattice-markov", "fill"],
+)
+def test_a_long_symbol_is_quoted_in_part(tmp_path, command, measure, pattern):
+    argv = [command]
+    if measure is not None:
+        write_json(tmp_path / "measure.json", measure)
+        argv += ["--measure", str(tmp_path / "measure.json")]
+    write_json(tmp_path / "pattern.json", pattern)
+    argv += ["--pattern", str(tmp_path / "pattern.json")]
+    if command == "thm-a-construct":
+        write_json(tmp_path / "theta.json", {"k": 2, "theta": {"1": [1, 0], "2": [1, 0]}})
+        argv += ["--morphism", str(tmp_path / "theta.json"), "--alphabet", "0,1", "--fill", LONG_SYMBOL]
+    code, text = execute(argv)
+    assert code == 2
+    assert text.startswith("error: ValidationError: ")
+    assert f"'{'x' * 64}'... (100000 characters) is not in the" in text
+    assert max(map(len, text.splitlines())) < 200
+
+
+def run_cli(*argv):
+    """One ``semishift`` process with a short timeout: a scan that starts its
+    work runs far past it."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "semishift", *argv],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+
+
+def test_a_scan_past_the_pattern_budget_exits_two_before_it_starts(tmp_path):
+    bern = tmp_path / "bern.json"
+    write_json(bern, BERNOULLI)
+    chain = tmp_path / "chain.json"
+    write_json(chain, measure_out(worked_chain(2)))
+    extended = tmp_path / "ext.json"
+    assert execute(["extend", "--chain", str(chain), "--out", str(extended)])[0] == 0
+    pattern = pattern_file(tmp_path, {"": 0})
+    # |B_4| = 31 over Sigma = {a1, a2}: 2^31 patterns, past MAX_PATTERNS = 2^22.
+    refused = "a scan of the radius-{r} ball is refused: its first 31 sites give 2^31 full patterns"
+    for r in (4, 5, 6):
+        out = run_cli("invariance-check", "--measure", str(bern), "--radius", str(r))
+        assert (out.returncode, out.stdout) == (
+            2, f"error: ValidationError: {refused.format(r=r)}, more than 4194304\n"
+        )
+    for argv in (
+        ["distance", "--first", str(bern), "--second", str(chain), "--radius", "4"],
+        ["pushforward-check", "--extended", str(extended), "--chain", str(chain), "--radius", "4"],
+        ["markovize", "--measure", str(bern), "--order", "4"],
+        ["consistency", "--measure", str(bern), "--order", "4", "--pattern", str(pattern)],
+    ):
+        out = run_cli(*argv)
+        assert out.returncode == 2, out
+        assert out.stdout.startswith(f"error: ValidationError: {refused.format(r=4)}")
+    out = run_cli("counterexample", "--matrices", "[[[1,1],[0,1]]]", "--word", "a1",
+                  "--prime", "47", "--delta", "1/10000000")
+    assert (out.returncode, out.stdout) == (
+        2, "error: ValidationError: p = 47 gives p^4 = 4879681 matrix entries per generator, "
+        "more than 4194304\n"
+    )
 
 
 def test_repeated_alphabet_symbol_exits_two(tmp_path):
