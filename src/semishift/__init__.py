@@ -4,6 +4,8 @@ orbits through finite automata, markovization of cylinder measures, and
 window measures on lattice orthants.
 """
 
+import importlib
+
 from .algebra import (
     EPSILON,
     Edge,
@@ -37,6 +39,9 @@ from .errors import (
     SigmaIncomplete,
     ValidationError,
 )
+# `markovize` is imported here, not on first use: importing the submodule
+# later would rebind the package attribute `semishift.markovize` from the
+# function to the module.
 from .markovize import (
     BlockAlphabet,
     MarkovizationResult,
@@ -66,36 +71,44 @@ from .measure import (
     validate_chain,
     weak_star_distance,
 )
-from .orbit import (
-    GroupOrbitAutomaton,
-    OrbitAutomaton,
-    PeriodicMeasure,
-    find_separating_morphism,
-    is_periodic,
-    is_transitive,
-    lift_to_group,
-    minimized,
-    orbit_size,
-    periodic_measure_eval,
-    readout,
-    theorem_a_point,
-    transformation_monoid,
-)
-from .reversible import (
-    LatticeBernoulli,
-    LatticeMarkov,
-    LatticeMeasure,
-    LatticePattern,
-    LatticeTable,
-    lower_bound,
-    window_consistency,
-    window_measure,
-    window_translation_invariance,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
+# The orbit and lattice names, each listed under its module and loaded on
+# first access (PEP 562), so that `import semishift` compiles only the chain path.
+_LAZY = {
+    name: module
+    for module, names in {
+        "orbit": (
+            "GroupOrbitAutomaton", "OrbitAutomaton", "PeriodicMeasure",
+            "find_separating_morphism", "is_periodic", "is_transitive", "lift_to_group",
+            "minimized", "orbit_size", "periodic_measure_eval", "readout",
+            "theorem_a_point", "transformation_monoid",
+        ),
+        "reversible": (
+            "LatticeBernoulli", "LatticeMarkov", "LatticeMeasure", "LatticePattern",
+            "LatticeTable", "lower_bound", "window_consistency", "window_measure",
+            "window_translation_invariance",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
+
+
+__all__ = sorted([
     "BernoulliMeasure",
     "BlockAlphabet",
     "BudgetExhausted",
@@ -109,13 +122,7 @@ __all__ = [
     "EmptyWord",
     "FactorizationError",
     "GeneratorSet",
-    "GroupOrbitAutomaton",
     "InvalidChain",
-    "LatticeBernoulli",
-    "LatticeMarkov",
-    "LatticeMeasure",
-    "LatticePattern",
-    "LatticeTable",
     "MarkovTreeChain",
     "MarkovizationResult",
     "MarkovizedMeasure",
@@ -126,10 +133,8 @@ __all__ = [
     "NotInvariant",
     "NotPeriodic",
     "OracleNotNormalized",
-    "OrbitAutomaton",
     "ParseError",
     "Pattern",
-    "PeriodicMeasure",
     "SemishiftError",
     "SigmaIncomplete",
     "Symbol",
@@ -143,33 +148,20 @@ __all__ = [
     "eval_constrained",
     "eval_cylinder",
     "extend_chain",
-    "find_separating_morphism",
     "in_semigroup",
     "is_invariant_chain",
-    "is_periodic",
-    "is_transitive",
-    "lift_to_group",
-    "lower_bound",
     "markovization_consistency",
     "markovize",
-    "minimized",
-    "orbit_size",
     "parse_word",
-    "periodic_measure_eval",
     "pushforward_check",
-    "readout",
     "shift_invariance_check",
     "sorted_ball",
     "sorted_words",
     "support_alphabet",
-    "theorem_a_point",
-    "transformation_monoid",
     "tree_hull",
     "validate_chain",
     "weak_star_distance",
-    "window_consistency",
-    "window_measure",
-    "window_translation_invariance",
     "word_mul",
     "word_to_string",
-]
+    *_LAZY,
+])

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import EPSILON, GeneratorSet, Record, Word, in_semigroup, sorted_ball
-from .errors import MembershipError, OracleNotNormalized
+from .errors import MAX_PATTERNS, MembershipError, OracleNotNormalized, ValidationError
 from .measure import (
     ZERO,
     CheckResult,
@@ -81,12 +81,19 @@ def markovize(measure: CylinderMeasure, order: int) -> MarkovizationResult:
     Transition masses condition the joint pattern on the ball union its
     translate; blocks whose overlap disagrees get mass zero.  A
     non-invariant source measure is not an error: the result simply
-    reports the failed invariance check.
+    reports the failed invariance check.  ValidationError refuses, before
+    the first union, more than MAX_PATTERNS block pairs over all generators.
     """
     ba = support_alphabet(measure, order)
     total = sum(ba.masses, ZERO)
     if total != 1:
         raise OracleNotNormalized(f"block masses sum to {total}, not 1")
+    pairs = len(ba) ** 2 * len(measure.gs.sigma)
+    if pairs > MAX_PATTERNS:
+        raise ValidationError(
+            f"markovize at order {order} is refused: {len(ba)} blocks give {pairs} "
+            f"block pairs over {len(measure.gs.sigma)} generators, more than {MAX_PATTERNS}"
+        )
     matrices = {}
     for sym in measure.gs.symbols():
         moved = [beta.translated(sym) for beta in ba.blocks]

@@ -415,6 +415,10 @@ def eval_constrained(
     rows: list[list[int] | None] = [None] * len(parent)
     for v, allowed in zip(site, constraints.values()):
         try:
+            if len(allowed) == 1:
+                (c,) = allowed
+                fixed[v] = index[c]
+                continue
             ks = set(map(index.__getitem__, allowed))
         except KeyError:
             c = next(c for c in allowed if c not in index)

@@ -28,7 +28,14 @@ from .algebra import (
     require_in_semigroup,
     sorted_ball,
 )
-from .errors import BudgetExhausted, FactorizationError, NotPeriodic, ValidationError, shown
+from .errors import (
+    MAX_PATTERNS,
+    BudgetExhausted,
+    FactorizationError,
+    NotPeriodic,
+    ValidationError,
+    shown,
+)
 from .measure import (
     MixtureMeasure,
     Pattern,
@@ -317,12 +324,15 @@ def find_separating_morphism(
 
     Deterministic for a fixed seed.  One permutation is drawn per
     generator index; when Sigma holds both signs, the negative one is the
-    inverse, as any morphism into a group requires.
+    inverse, as any morphism into a group requires.  ValidationError
+    refuses a degree above MAX_PATTERNS, and a ball of more than
+    MAX_PATTERNS letters before it is built (``spheres`` with one symbol).
     """
-    if k < 1:
-        raise ValidationError(f"degree k must be >= 1, got {k}")
-    words = sorted_ball(gs, r)
-    if math.factorial(k) < len(words):
+    if not 1 <= k <= MAX_PATTERNS:
+        raise ValidationError(f"degree k must be between 1 and {MAX_PATTERNS}, got {shown(k)}")
+    words = sorted_ball(gs, r, 1)
+    # k! >= k, so only a degree below |B_r| can be too small, and only its k! is computed.
+    if k < len(words) and math.factorial(k) < len(words):
         raise BudgetExhausted(
             f"no injection possible: the {r}-ball has {len(words)} elements "
             f"but Sym({k}) has only {math.factorial(k)}"

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -824,13 +825,17 @@ def test_a_long_symbol_is_quoted_in_part(tmp_path, command, measure, pattern):
     assert max(map(len, text.splitlines())) < 200
 
 
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def run_cli(*argv):
-    """One ``semishift`` process with a short timeout: a scan that starts its
-    work runs far past it."""
+    """One ``semishift`` process with a short timeout and 1 GiB of address
+    space: a scan that starts its work runs far past both."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run(
         [sys.executable, "-m", "semishift", *argv],
-        env=env, capture_output=True, text=True, timeout=20,
+        env=env, capture_output=True, text=True, timeout=20, preexec_fn=limit_memory,
     )
 
 
@@ -863,6 +868,36 @@ def test_a_scan_past_the_pattern_budget_exits_two_before_it_starts(tmp_path):
     assert (out.returncode, out.stdout) == (
         2, "error: ValidationError: p = 47 gives p^4 = 4879681 matrix entries per generator, "
         "more than 4194304\n"
+    )
+
+
+def test_work_the_pattern_budget_does_not_see_exits_two(tmp_path):
+    bern = tmp_path / "bern.json"
+    write_json(bern, BERNOULLI)
+    pattern = pattern_file(tmp_path, {"": 0})
+    # |B_3| = 15 over Sigma = {a1, a2}: 2^15 blocks give 2^31 block pairs.
+    refused = ("error: ValidationError: markovize at order 3 is refused: 32768 blocks "
+               "give 2147483648 block pairs over 2 generators, more than 4194304\n")
+    for argv in (
+        ["markovize", "--measure", str(bern), "--order", "3"],
+        ["consistency", "--measure", str(bern), "--order", "3", "--pattern", str(pattern)],
+    ):
+        out = run_cli(*argv)
+        assert (out.returncode, out.stdout) == (2, refused)
+    search = ["find-morphism", "--sigma", "1,2", "--seed", "1"]
+    out = run_cli(*search, "--radius", "1", "--degree", str(10**20))
+    assert (out.returncode, out.stdout) == (
+        2, f"error: ValidationError: degree k must be between 1 and 4194304, got {10**20}\n"
+    )
+    # A degree at the bound is searched without forming its factorial.
+    out = run_cli(*search, "--radius", "1", "--degree", "4194304", "--budget", "0")
+    assert out.returncode == 1, out
+    assert out.stdout.endswith("reason: no separating morphism found in 0 trials\n")
+    # B_30 holds 2^31 - 1 words; its spheres pass 2^22 letters at radius 17.
+    out = run_cli(*search, "--radius", "30", "--degree", "4")
+    assert (out.returncode, out.stdout) == (
+        2, "error: ValidationError: a scan of the radius-30 ball is refused: its first "
+        "262143 sites give 4194306 letters, more than 4194304\n"
     )
 
 

@@ -1,4 +1,5 @@
-"""Value semantics of the package's record classes, and what importing the CLI loads.
+"""Value semantics of the package's record classes, and what importing the
+package and the CLI loads.
 
 Every frozen value class derives from ``algebra.Record``.  The
 parametrized test below holds each of them to the same contract: fields
@@ -270,19 +271,70 @@ def test_cached_properties_are_kept_per_instance():
     assert restored[EPSILON] == 0 and restored._lookup == p._lookup
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
-    every CLI process would pay for them at start-up."""
-    probe = (
-        "import sys; before = set(sys.modules); import semishift.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
-    )
+def probe(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports the package from ``src``."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def loaded_by(statement: str) -> set[str]:
+    """The modules a fresh interpreter loads to run one import statement."""
+    code = f"import sys; before = set(sys.modules); {statement}; print(sorted(set(sys.modules) - before))"
+    return set(ast.literal_eval(probe(code)))
+
+
+LAZY_MODULES = {"semishift.orbit", "semishift.reversible"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
+    every CLI process would pay for them at start-up.  The CLI loads the orbit
+    and lattice modules itself, so a tracer installed after importing it wraps them."""
+    loaded = loaded_by("import semishift.cli")
+    assert not {"dataclasses", "inspect"} & loaded
+    assert LAZY_MODULES <= loaded
+
+
+def test_package_import_loads_only_the_chain_path():
+    loaded = loaded_by("import semishift")
+    assert {"semishift.algebra", "semishift.measure", "semishift.markovize"} <= loaded
+    assert not LAZY_MODULES & loaded
+
+
+@pytest.mark.parametrize(
+    "code, expected",
+    [
+        # dir() lists every public name before it is loaded, and each resolves
+        (
+            "import semishift as ss\n"
+            "print([n for n in ss.__all__ if n not in dir(ss)],"
+            " [n for n in ss.__all__ if not hasattr(ss, n)],"
+            " ss.minimized is ss.orbit.minimized, ss.LatticeTable is ss.reversible.LatticeTable)",
+            "[] [] True True",
+        ),
+        (
+            "from semishift import *\n"
+            "print(minimized.__module__, LatticeTable.__module__, markovize.__module__)",
+            "semishift.orbit semishift.reversible semishift.markovize",
+        ),
+        (
+            "import semishift\n"
+            "try:\n    semishift.no_such_name\nexcept AttributeError as exc:\n    print(exc)",
+            "module 'semishift' has no attribute 'no_such_name'",
+        ),
+        # importing a submodule must not rebind the package's ``markovize`` function
+        (
+            "import semishift, semishift.serialize\nprint(type(semishift.markovize).__name__)",
+            "function",
+        ),
+    ],
+)
+def test_package_namespace(code, expected):
+    assert probe(code) == expected
 
 
 def test_no_package_source_calls_exec_eval_or_compile():
