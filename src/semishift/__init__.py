@@ -5,6 +5,7 @@ window measures on lattice orthants.
 """
 
 import importlib
+import types
 
 from .algebra import (
     EPSILON,
@@ -80,10 +81,9 @@ _LAZY = {
     name: module
     for module, names in {
         "orbit": (
-            "GroupOrbitAutomaton", "OrbitAutomaton", "PeriodicMeasure",
-            "find_separating_morphism", "is_periodic", "is_transitive", "lift_to_group",
-            "minimized", "orbit_size", "periodic_measure_eval", "readout",
-            "theorem_a_point", "transformation_monoid",
+            "OrbitAutomaton", "PeriodicMeasure", "find_separating_morphism",
+            "is_periodic", "is_transitive", "lift_to_group", "minimized", "orbit_size",
+            "periodic_measure_eval", "readout", "theorem_a_point", "transformation_monoid",
         ),
         "reversible": (
             "LatticeBernoulli", "LatticeMarkov", "LatticeMeasure", "LatticePattern",
@@ -108,60 +108,9 @@ def __dir__() -> list[str]:
     return sorted(globals().keys() | _LAZY.keys())
 
 
-__all__ = sorted([
-    "BernoulliMeasure",
-    "BlockAlphabet",
-    "BudgetExhausted",
-    "ChainDiagnostics",
-    "CheckResult",
-    "CounterexampleReport",
-    "CylinderMeasure",
-    "DeltaOutOfRange",
-    "EPSILON",
-    "Edge",
-    "EmptyWord",
-    "FactorizationError",
-    "GeneratorSet",
-    "InvalidChain",
-    "MarkovTreeChain",
-    "MarkovizationResult",
-    "MarkovizedMeasure",
-    "MembershipError",
-    "MixtureMeasure",
-    "NoWitness",
-    "NonInvertibleModP",
-    "NotInvariant",
-    "NotPeriodic",
-    "OracleNotNormalized",
-    "ParseError",
-    "Pattern",
-    "SemishiftError",
-    "SigmaIncomplete",
-    "Symbol",
-    "Tree",
-    "ValidationError",
-    "Word",
-    "all_patterns",
-    "ball",
-    "counterexample_analyze",
-    "counterexample_chain",
-    "eval_constrained",
-    "eval_cylinder",
-    "extend_chain",
-    "in_semigroup",
-    "is_invariant_chain",
-    "markovization_consistency",
-    "markovize",
-    "parse_word",
-    "pushforward_check",
-    "shift_invariance_check",
-    "sorted_ball",
-    "sorted_words",
-    "support_alphabet",
-    "tree_hull",
-    "validate_chain",
-    "weak_star_distance",
-    "word_mul",
-    "word_to_string",
-    *_LAZY,
-])
+# __all__: every global not starting with "_" that is not a module, plus _LAZY.
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    + list(_LAZY)
+)

@@ -14,6 +14,10 @@ MAX_RATIONAL_CHARS = 16_000
 # per generator a counterexample chain may build: every pattern's mass is
 # held in memory, and 3^13 of them took 275 MB in one scan.
 MAX_PATTERNS = 2**22
+# The most bits a lattice chain's window mass may gain from powers of P: the
+# window's span times log2 of the lcm of P's denominators.  At this bound the
+# slowest window tried, 16385 sites 2 apart, took 1.3 s of CPU.
+MAX_WINDOW_BITS = 2**16
 # The most characters of a refused input that an error message quotes.
 SHOWN_CHARS = 64
 

@@ -63,11 +63,17 @@ def _is_permutation(row: Sequence[int]) -> bool:
     return sorted(row) == list(range(len(row)))
 
 
-def _closure(start: Hashable, step: Callable[[Any], Iterable[Hashable]]) -> set:
-    """Everything reachable from start by repeated steps, start included."""
+def _closure(
+    start: Hashable, step: Callable[[Any], Iterable[Hashable]], most: float = math.inf
+) -> set:
+    """Everything reachable from start by repeated steps, start included.
+
+    The walk stops once it has found more than ``most``, so a result of that
+    size is only part of the closure.
+    """
     seen = {start}
     frontier = [start]
-    while frontier:
+    while frontier and len(seen) <= most:
         for nxt in step(frontier.pop()):
             if nxt not in seen:
                 seen.add(nxt)
@@ -76,7 +82,11 @@ def _closure(start: Hashable, step: Callable[[Any], Iterable[Hashable]]) -> set:
 
 
 class OrbitAutomaton(Record):
-    """Deterministic, fully reachable, label-carrying transition system."""
+    """Deterministic, fully reachable, label-carrying transition system.
+
+    Over a Sigma closed under inverses (``gs.symmetric``) every row is a
+    bijection and its partner row its inverse: a group orbit.
+    """
 
     gs: GeneratorSet
     alphabet: tuple
@@ -151,19 +161,6 @@ def _shown(o: OrbitAutomaton, sites: Sequence[Word]) -> list[tuple]:
     return list(zip(*columns)) if sites else [()] * o.n_states()
 
 
-class GroupOrbitAutomaton(OrbitAutomaton):
-    """Orbit automaton with bijective moves for every signed generator.
-
-    Once Sigma is closed under inverses, the base checks already make
-    every row a permutation whose partner row is its inverse.
-    """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.gs.symmetric:
-            raise ValidationError("Sigma must be closed under inverses")
-
-
 def readout(o: OrbitAutomaton, w: Word) -> object:
     """The base configuration's symbol at site w."""
     require_in_semigroup(w, o.gs)
@@ -195,13 +192,7 @@ def minimized(o: OrbitAutomaton) -> OrbitAutomaton:
     delta = {
         s: tuple(block[o.delta[s][rep[b]]] for b in range(classes)) for s in syms
     }
-    return type(o)(
-        gs=o.gs,
-        alphabet=o.alphabet,
-        labels=labels,
-        delta=delta,
-        base=block[o.base],
-    )
+    return OrbitAutomaton(o.gs, o.alphabet, labels, delta, block[o.base])
 
 
 def orbit_size(o: OrbitAutomaton) -> int:
@@ -211,11 +202,13 @@ def orbit_size(o: OrbitAutomaton) -> int:
 
 def is_periodic(o: OrbitAutomaton) -> bool:
     """True iff every generator acts bijectively on the orbit."""
-    return _acts_bijectively(o.minimal)
+    return _non_bijective(o) is None
 
 
-def _acts_bijectively(m: OrbitAutomaton) -> bool:
-    return all(_is_permutation(row) for row in m.delta.values())
+def _non_bijective(o: OrbitAutomaton) -> Symbol | None:
+    """The first generator that does not act bijectively on the orbit, or None."""
+    m = o.minimal
+    return next((s for s in m.gs.symbols() if not _is_permutation(m.delta[s])), None)
 
 
 def is_transitive(o: OrbitAutomaton) -> bool:
@@ -241,7 +234,7 @@ def transformation_monoid(o: OrbitAutomaton) -> tuple[int, bool]:
     m = o.minimal
     gens = [m.delta[s] for s in m.gs.symbols()]
     monoid = _closure(tuple(range(m.n_states())), lambda f: [compose(f, g) for g in gens])
-    return len(monoid), _acts_bijectively(m)
+    return len(monoid), _non_bijective(o) is None
 
 
 def _morphism_image(theta: Mapping[Symbol, Perm], w: Word, degree: int) -> Perm:
@@ -286,7 +279,9 @@ def theorem_a_point(
     pattern through theta and default to ``fill`` (the first alphabet
     symbol when omitted) elsewhere.  The construction requires the
     pattern to factor through theta: two sites with different symbols
-    must not collapse to the same group element.
+    must not collapse to the same group element.  ValidationError refuses
+    a group whose elements hold more than MAX_PATTERNS points in all, as
+    soon as the walk that lists them finds one too many.
     """
     theta_map, degree = _validate_morphism(theta, gs)
     alphabet = tuple(alphabet)
@@ -305,7 +300,15 @@ def theorem_a_point(
         word_labels[img] = c
     identity = tuple(range(degree))
     gens = [theta_map[s] for s in gs.symbols()]
-    states = sorted(_closure(identity, lambda f: [compose(g, f) for g in gens]))
+    # Each state is a permutation of `degree` points: hold states x degree to MAX_PATTERNS.
+    most = MAX_PATTERNS // degree
+    group = _closure(identity, lambda f: [compose(g, f) for g in gens], most)
+    if len(group) > most:
+        raise ValidationError(
+            f"the group theta generates is refused: it has more than {most} permutations "
+            f"of degree {degree}, more than {MAX_PATTERNS} entries"
+        )
+    states = sorted(group)
     index = {f: i for i, f in enumerate(states)}
     labels = tuple(word_labels.get(f, fill) for f in states)
     delta = {
@@ -354,29 +357,23 @@ def find_separating_morphism(
     raise BudgetExhausted(f"no separating morphism found in {budget} trials")
 
 
-def lift_to_group(o: OrbitAutomaton) -> GroupOrbitAutomaton:
+def lift_to_group(o: OrbitAutomaton) -> OrbitAutomaton:
     """Extend a periodic orbit to moves by every signed generator.
 
     On a periodic orbit each generator acts bijectively, so the inverse
     generator must act as the inverse map; the lifted automaton reads out
     a configuration over the whole group whose restriction to S is the
-    original configuration.
+    original configuration.  Its Sigma is closed under inverses.
     """
-    m = o.minimal
-    bad = next((s for s in m.gs.symbols() if not _is_permutation(m.delta[s])), None)
+    bad = _non_bijective(o)
     if bad is not None:
         raise NotPeriodic(f"delta[{bad}] is not a bijection on the orbit")
+    m = o.minimal
     full = m.gs.extended()
     delta = dict(m.delta)
     for sym in full.sigma - m.gs.sigma:
         delta[sym] = perm_inverse(m.delta[sym.inverse()])
-    return GroupOrbitAutomaton(
-        gs=full,
-        alphabet=m.alphabet,
-        labels=m.labels,
-        delta=delta,
-        base=m.base,
-    )
+    return OrbitAutomaton(full, m.alphabet, m.labels, delta, m.base)
 
 
 class PeriodicMeasure(MixtureMeasure):
@@ -386,7 +383,7 @@ class PeriodicMeasure(MixtureMeasure):
         super().__post_init__()
         if not all(isinstance(o, OrbitAutomaton) for o in self.components):
             raise ValidationError("every component of a periodic measure must be an OrbitAutomaton")
-        if not all(_acts_bijectively(o.minimal) for o in self.components):
+        if any(_non_bijective(o) is not None for o in self.components):
             raise NotPeriodic("every orbit in a periodic measure must be periodic")
 
     @property

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import ClassVar, Collection, Iterable, Mapping, Protocol
 
 from .algebra import Record
-from .errors import MembershipError, ValidationError, shown
+from .errors import MAX_WINDOW_BITS, MembershipError, ValidationError, shown
 from .measure import (
     ONE,
     ZERO,
@@ -159,11 +159,24 @@ class LatticeMarkov(Record):
             if sum((self.p[k] * self.P[k][l] for k in range(n)), ZERO) != self.p[l]:
                 raise ValidationError("p is not a fixed vector of P")
 
+    @cached_property
+    def _step_bits(self) -> int:
+        """Bits one step may add to a mass's denominator: log2 of the lcm of P's, rounded up."""
+        return (math.lcm(*(x.denominator for row in self.P for x in row)) - 1).bit_length()
+
     def eval(self, pattern: LatticePattern) -> Fraction:
+        """ValidationError refuses a window whose span x step bits passes MAX_WINDOW_BITS
+        before any power of P is formed; a 0/1 matrix has 0 step bits."""
         _check_pattern(pattern, self.d, self.alphabet)
         if len(pattern) == 0:
             return ONE
         sites = sorted((v[0], self.alphabet.index(c)) for v, c in pattern.items())
+        span = sites[-1][0] - sites[0][0]
+        if span * self._step_bits > MAX_WINDOW_BITS:
+            raise ValidationError(
+                f"a window spanning {span} steps is refused: at {self._step_bits} bits a step its "
+                f"mass may need {span * self._step_bits} bits, more than {MAX_WINDOW_BITS}"
+            )
         out = ONE * self.p[sites[0][1]]
         for (s, k), (t, l) in zip(sites, sites[1:]):
             out *= _matrix_power(self.P, t - s)[k][l]

@@ -30,7 +30,7 @@ from .measure import (
     MixtureMeasure,
     Pattern,
 )
-from .orbit import GroupOrbitAutomaton, OrbitAutomaton, PeriodicMeasure
+from .orbit import OrbitAutomaton, PeriodicMeasure
 from .reversible import (
     LatticeBernoulli,
     LatticeMarkov,
@@ -213,8 +213,7 @@ def automaton_in(data: dict, where: str) -> OrbitAutomaton:
         )
         for key, row in _need(data, "delta", where).items()
     }
-    cls = GroupOrbitAutomaton if gs.symmetric else OrbitAutomaton
-    return cls(
+    return OrbitAutomaton(
         gs=gs,
         alphabet=alphabet,
         labels=labels,

@@ -901,6 +901,37 @@ def test_work_the_pattern_budget_does_not_see_exits_two(tmp_path):
     )
 
 
+def test_a_group_past_the_budget_is_refused_during_its_closure(tmp_path):
+    # A transposition and a 20-cycle generate Sym(20): 20! states without a bound.
+    swap, cycle = [1, 0, *range(2, 20)], [*range(1, 20), 0]
+    write_json(tmp_path / "theta.json", {"k": 20, "theta": {"1": swap, "2": cycle}})
+    pattern = pattern_file(tmp_path, {"": 0})
+    out = run_cli("thm-a-construct", "--pattern", str(pattern),
+                  "--morphism", str(tmp_path / "theta.json"), "--alphabet", "0,1")
+    assert (out.returncode, out.stdout) == (
+        2, "error: ValidationError: the group theta generates is refused: it has more than "
+        "209715 permutations of degree 20, more than 4194304 entries\n"
+    )
+
+
+def test_a_lattice_chain_window_past_the_bit_budget_is_refused_at_once(tmp_path):
+    write_json(tmp_path / "chain.json", LATTICE_CHAIN)
+    write_json(tmp_path / "far.json", {"entries": [[[0], 0], [[HUGE], 1]]})
+    out = run_cli("window-eval", "--measure", str(tmp_path / "chain.json"),
+                  "--pattern", str(tmp_path / "far.json"))
+    assert (out.returncode, out.stdout) == (
+        2, f"error: ValidationError: a window spanning {HUGE} steps is refused: at 2 bits a "
+        f"step its mass may need {2 * HUGE} bits, more than 65536\n"
+    )
+    # 2^16 bits exactly is accepted; a 0/1 matrix adds no bits and is never refused.
+    edge = {"entries": [[[0], 0], [[2**15], 1]]}
+    assert run_on(tmp_path, WINDOW_EVAL, measure=LATTICE_CHAIN, pattern=edge)[0] == 0
+    swap = {**LATTICE_CHAIN, "p": ["1/2", "1/2"], "P": [["0/1", "1/1"], ["1/1", "0/1"]]}
+    # HUGE is even, so the swap chain shows the same symbol at both ends.
+    same = {"entries": [[[0], 0], [[HUGE], 0]]}
+    assert run_on(tmp_path, WINDOW_EVAL, measure=swap, pattern=same) == (0, "sites: 2\nmass: 1/2")
+
+
 def test_repeated_alphabet_symbol_exits_two(tmp_path):
     orbit = {**automaton_out(swap_orbit()), "alphabet": [0, 0], "labels": [0, 0]}
     periodic = {"kind": "periodic", "orbits": [orbit], "weights": ["1/1"]}

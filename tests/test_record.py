@@ -28,7 +28,6 @@ from semishift import (
     CheckResult,
     CounterexampleReport,
     GeneratorSet,
-    GroupOrbitAutomaton,
     LatticeBernoulli,
     LatticeMarkov,
     LatticePattern,
@@ -42,10 +41,8 @@ from semishift import (
     PeriodicMeasure,
     Symbol,
     Tree,
-    ValidationError,
     Word,
     counterexample_analyze,
-    lift_to_group,
     markovize,
     parse_word,
     support_alphabet,
@@ -72,11 +69,6 @@ def lattice_table(masses=(F(1, 2), F(1, 2))) -> LatticeTable:
         (LatticePattern.of({(0,): c}), mass) for c, mass in zip((0, 1), masses)
     )
     return LatticeTable(1, (0, 1), (1,), table)
-
-
-def lifted_swap(base: int = 0) -> GroupOrbitAutomaton:
-    g = lift_to_group(swap_orbit())
-    return GroupOrbitAutomaton(g.gs, g.alphabet, g.labels, g.delta, base)
 
 
 # class -> (build an instance, build one of the same class that differs in a field,
@@ -130,7 +122,6 @@ CASES = {
         lambda: OrbitAutomaton(gs12(), (0, 1), (1, 0), {A1: (1, 0), A2: (1, 0)}),
         False,
     ),
-    GroupOrbitAutomaton: (lifted_swap, lambda: lifted_swap(base=1), False),
     PeriodicMeasure: (
         lambda: PeriodicMeasure((swap_orbit(),), (F(1),)),
         lambda: PeriodicMeasure((swap_orbit(), swap_orbit()), HALF),
@@ -228,7 +219,6 @@ def test_fields_defaults_and_class_vars():
     o = swap_orbit()
     assert OrbitAutomaton(o.gs, o.alphabet, o.labels, o.delta) == o
     assert OrbitAutomaton(o.gs, o.alphabet, o.labels, o.delta).base == 0
-    assert GroupOrbitAutomaton._fields == OrbitAutomaton._fields
     assert PeriodicMeasure._fields == MixtureMeasure._fields == ("components", "weights")
     assert LatticeMarkov._fields == ("alphabet", "p", "P")  # d is a ClassVar
     assert LatticeMarkov.d == 1
@@ -243,17 +233,6 @@ def test_post_init_checks_run_on_every_construction():
         Word((A1, A1.inverse()))
     with pytest.raises(ValueError, match="rank d"):
         GeneratorSet(d=0, sigma=frozenset({A1}))
-    o = lifted_swap()
-    with pytest.raises(ValidationError, match="closed under inverses"):
-        GroupOrbitAutomaton(gs12(), o.alphabet, o.labels, {A1: (1, 0), A2: (1, 0)})
-
-
-def test_group_automaton_never_equals_a_plain_one():
-    g = lifted_swap()
-    plain = OrbitAutomaton(**{name: getattr(g, name) for name in OrbitAutomaton._fields})
-    assert [getattr(plain, f) for f in plain._fields] == [getattr(g, f) for f in g._fields]
-    assert g != plain and plain != g
-    assert not (g == plain) and not (plain == g)
 
 
 def test_cached_properties_are_kept_per_instance():

@@ -6,14 +6,16 @@ import pytest
 
 from helpers import random_invariant_chain, swap_orbit, worked_chain
 from semishift import (
+    EPSILON,
     BernoulliMeasure,
+    FactorizationError,
     GeneratorSet,
-    GroupOrbitAutomaton,
     LatticeBernoulli,
     LatticeMarkov,
     LatticePattern,
     LatticeTable,
     MixtureMeasure,
+    OrbitAutomaton,
     ParseError,
     Pattern,
     PeriodicMeasure,
@@ -21,6 +23,8 @@ from semishift import (
     find_separating_morphism,
     lift_to_group,
     parse_word,
+    sorted_ball,
+    theorem_a_point,
 )
 from semishift.serialize import (
     MEASURE_KINDS,
@@ -147,8 +151,89 @@ def test_automaton_round_trip():
 def test_group_automaton_round_trip():
     lifted = lift_to_group(swap_orbit())
     back = automaton_in(through_json(automaton_out(lifted)))
-    assert isinstance(back, GroupOrbitAutomaton)
-    assert back.delta == lifted.delta
+    assert back == lifted
+
+
+# Sigma = {a1, A1} and Sigma(+-1, +-2) first, then signed and unsigned ones.
+SIGMAS = ((1, -1), (1, -1, 2, -2), (1,), (1, 2), (-1, 2), (1, -1, 2), (2, -2))
+ALPHABETS = ((0, 1), ("x", "y", "z"), ((0, 1), (1, 0)))
+
+
+def test_automata_and_measures_read_back_equal():
+    """An automaton, a periodic measure and a mixture holding one come back from
+    their JSON equal to what was written, whatever Sigma they are over."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def inverse(row):
+        return tuple(sorted(range(len(row)), key=row.__getitem__))
+
+    @st.composite
+    def hand_built(draw, gs, alphabet, periodic):
+        """Rows drawn per generator, an inverse pair's rows mutually inverse,
+        cut down to the states reachable from state 0."""
+        n = draw(st.integers(1, 4))
+        delta = {}
+        for s in gs.symbols():
+            if s.sign < 0 and s.inverse() in gs.sigma:
+                continue
+            if periodic or s.inverse() in gs.sigma or draw(st.booleans()):
+                delta[s] = tuple(draw(st.permutations(range(n))))
+            else:
+                delta[s] = tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+            if s.inverse() in gs.sigma:
+                delta[s.inverse()] = inverse(delta[s])
+        kept, frontier = [0], [0]
+        while frontier:
+            q = frontier.pop()
+            for row in delta.values():
+                if row[q] not in kept:
+                    kept.append(row[q])
+                    frontier.append(row[q])
+        index = {q: i for i, q in enumerate(kept)}
+        labels = tuple(draw(st.sampled_from(alphabet)) for _ in kept)
+        rows = {s: tuple(index[row[q]] for q in kept) for s, row in delta.items()}
+        return OrbitAutomaton(gs, alphabet, labels, rows)
+
+    @st.composite
+    def theorem_a(draw, gs, alphabet):
+        """A periodic point through a pattern on the 1-ball, or through its
+        identity site alone when the pattern does not factor."""
+        k = draw(st.integers(1, 4))
+        chosen = {i: tuple(draw(st.permutations(range(k)))) for i in {s.index for s in gs.sigma}}
+        theta = {s: chosen[s.index] if s.sign > 0 else inverse(chosen[s.index]) for s in gs.sigma}
+        sites = draw(st.lists(st.sampled_from(sorted_ball(gs, 1)), min_size=1, unique=True))
+        pattern = Pattern.of({w: draw(st.sampled_from(alphabet)) for w in sites})
+        fill = draw(st.sampled_from(alphabet))
+        try:
+            return theorem_a_point(pattern, theta, gs, alphabet, fill)
+        except FactorizationError:
+            return theorem_a_point(Pattern.of({EPSILON: fill}), theta, gs, alphabet, fill)
+
+    @st.composite
+    def cases(draw):
+        gs = GeneratorSet.from_signed(draw(st.sampled_from(SIGMAS)), 2)
+        alphabet = draw(st.sampled_from(ALPHABETS))
+        orbit = st.one_of(hand_built(gs, alphabet, True), theorem_a(gs, alphabet))
+        orbits = draw(st.lists(orbit, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            orbits = [lift_to_group(o) for o in orbits]
+        counts = draw(st.lists(st.integers(1, 5), min_size=len(orbits), max_size=len(orbits)))
+        periodic = PeriodicMeasure(tuple(orbits), tuple(F(c, sum(counts)) for c in counts))
+        fair = BernoulliMeasure(periodic.gs, alphabet, (F(1, len(alphabet)),) * len(alphabet))
+        mixture = MixtureMeasure((periodic, fair), (F(1, 3), F(2, 3)))
+        automata = [*orbits, draw(hand_built(gs, alphabet, False))]
+        return automata, [periodic, mixture]
+
+    @hypothesis.given(cases())
+    def check(case):
+        automata, measures = case
+        for o in automata:
+            assert automaton_in(through_json(automaton_out(o))) == o
+        for m in measures:
+            assert measure_in(through_json(measure_out(m))) == m
+
+    check()
 
 
 def test_morphism_round_trip():
