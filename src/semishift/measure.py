@@ -140,6 +140,15 @@ def require_distinct_sites(sites: Sequence) -> None:
         raise ValueError("pattern has a repeated site")
 
 
+def require_sites(sites: Sequence[Word], gs: GeneratorSet) -> None:
+    """Refuse a site outside S (MembershipError), then a repeated site (ValueError),
+    the order in which a hull refuses them."""
+    if not gs.sigma.issuperset(itertools.chain.from_iterable(w.letters for w in sites)):
+        for w in sites:
+            require_in_semigroup(w, gs)
+    require_distinct_sites(sites)
+
+
 def require_pattern(pattern: Pattern, gs: GeneratorSet, alphabet: Collection) -> None:
     """Refuse a site outside S (MembershipError), then an unknown symbol (ValidationError)."""
     for w in pattern.domain():
@@ -479,13 +488,14 @@ def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[Ite
     whole list of ints over one denominator; any other measure is evaluated
     pattern by pattern, lazily and over 1, so a scan that stops at its
     first witness evaluates nothing after it.  Every built-in ``masses``,
-    and the pattern-by-pattern path, refuses a repeated site.
+    and the pattern-by-pattern path, refuses a site outside S
+    (MembershipError) before a repeated site (ValueError).
     """
     sites = tuple(sites)
     batched = getattr(measure, "masses", None)
     if batched is not None:
         return batched(sites)
-    require_distinct_sites(sites)
+    require_sites(sites, measure.gs)
     return map(measure.eval, _patterns(sites, measure.alphabet)), 1
 
 
@@ -666,10 +676,7 @@ class BernoulliMeasure(Record):
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's mass on the sites: outer products of the
         probabilities times L, the lcm of their denominators, over L^len(sites)."""
-        require_distinct_sites(sites)
-        if not self.gs.sigma.issuperset(itertools.chain.from_iterable(w.letters for w in sites)):
-            for w in sites:
-                require_in_semigroup(w, self.gs)
+        require_sites(sites, self.gs)
         scale = math.lcm(*(q.denominator for q in self.probs))
         weights = [q.numerator * (scale // q.denominator) for q in self.probs]
         out = [1]

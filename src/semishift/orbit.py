@@ -64,13 +64,16 @@ def _is_permutation(row: Sequence[int]) -> bool:
 
 
 def _closure(
-    start: Hashable, step: Callable[[Any], Iterable[Hashable]], most: float = math.inf
+    start: Hashable, step: Callable[[Any], Iterable[Hashable]], degree: int = 0,
+    what: str = "", items: str = "",
 ) -> set:
     """Everything reachable from start by repeated steps, start included.
 
-    The walk stops once it has found more than ``most``, so a result of that
-    size is only part of the closure.
+    Given a ``degree``, each element is a map of that many points, and
+    ValidationError refuses ``what`` as soon as the walk finds more of
+    those ``items`` than MAX_PATTERNS points hold.
     """
+    most = MAX_PATTERNS // degree if degree else math.inf
     seen = {start}
     frontier = [start]
     while frontier and len(seen) <= most:
@@ -78,6 +81,11 @@ def _closure(
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
+    if len(seen) > most:
+        raise ValidationError(
+            f"{what} is refused: it has more than {most} {items} of degree {degree}, "
+            f"more than {MAX_PATTERNS} entries"
+        )
     return seen
 
 
@@ -230,10 +238,15 @@ def transformation_monoid(o: OrbitAutomaton) -> tuple[int, bool]:
     The monoid is a group exactly when every generator is a bijection:
     each generator lies in the monoid, and bijections of a finite set
     compose to bijections whose inverses are positive powers.
+    ValidationError refuses a monoid whose maps hold more than MAX_PATTERNS
+    points in all, as soon as the walk that lists them finds one too many.
     """
     m = o.minimal
     gens = [m.delta[s] for s in m.gs.symbols()]
-    monoid = _closure(tuple(range(m.n_states())), lambda f: [compose(f, g) for g in gens])
+    monoid = _closure(
+        tuple(range(m.n_states())), lambda f: [compose(f, g) for g in gens],
+        m.n_states(), "the monoid of orbit maps", "transformations",
+    )
     return len(monoid), _non_bijective(o) is None
 
 
@@ -300,14 +313,10 @@ def theorem_a_point(
         word_labels[img] = c
     identity = tuple(range(degree))
     gens = [theta_map[s] for s in gs.symbols()]
-    # Each state is a permutation of `degree` points: hold states x degree to MAX_PATTERNS.
-    most = MAX_PATTERNS // degree
-    group = _closure(identity, lambda f: [compose(g, f) for g in gens], most)
-    if len(group) > most:
-        raise ValidationError(
-            f"the group theta generates is refused: it has more than {most} permutations "
-            f"of degree {degree}, more than {MAX_PATTERNS} entries"
-        )
+    group = _closure(
+        identity, lambda f: [compose(g, f) for g in gens],
+        degree, "the group theta generates", "permutations",
+    )
     states = sorted(group)
     index = {f: i for i, f in enumerate(states)}
     labels = tuple(word_labels.get(f, fill) for f in states)

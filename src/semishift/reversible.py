@@ -177,10 +177,10 @@ class LatticeMarkov(Record):
                 f"a window spanning {span} steps is refused: at {self._step_bits} bits a step its "
                 f"mass may need {span * self._step_bits} bits, more than {MAX_WINDOW_BITS}"
             )
-        out = ONE * self.p[sites[0][1]]
-        for (s, k), (t, l) in zip(sites, sites[1:]):
-            out *= _matrix_power(self.P, t - s)[k][l]
-        return out
+        pairs = list(zip(sites, sites[1:]))
+        powers = {gap: _matrix_power(self.P, gap) for gap in {t - s for (s, _), (t, _) in pairs}}
+        first = ONE * self.p[sites[0][1]]
+        return math.prod((powers[t - s][k][l] for (s, k), (t, l) in pairs), start=first)
 
 
 class LatticeTable(Record):

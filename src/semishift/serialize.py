@@ -4,9 +4,9 @@ Rationals are always written as ``num/den`` strings, never as decimals.
 Words use the letter syntax from ``algebra`` (empty string for the
 identity).  Alphabet symbols may be strings, integers, or integer pairs;
 pairs are written as two-element lists, and a JSON object is never a
-symbol.  Measure files carry a ``kind``
-tag; ``MEASURE_KINDS`` maps each tag to its class and to the readers and
-writers of its fields.
+symbol.  Every record file is read and written field by field (``_record``);
+measure files carry a ``kind`` tag, which ``MEASURE_KINDS`` maps to its
+codec.  ``_by_generator`` reads every object keyed by signed generator.
 
 Every public ``*_in`` reader raises ``ParseError`` for malformed input,
 prefixed with the ``where`` it was given.
@@ -101,12 +101,6 @@ def _need(data: dict, key: str, where: str) -> Any:
 _SIGNED = re.compile(r"-?[0-9]+")
 
 
-def _signed_key(key: str, what: str, where: str) -> int:
-    if not _SIGNED.fullmatch(str(key)):
-        raise ParseError(f"{where}: {what} {shown(key)}")
-    return bounded_int(key)
-
-
 def _int_in(value: Any, what: str, where: str) -> int:
     """A JSON integer; a bool, a float or a string is refused, not converted."""
     if type(value) is not int:
@@ -146,32 +140,6 @@ def generator_set_in(data: dict, where: str) -> GeneratorSet:
     return GeneratorSet.from_signed(sigma, d=_int_in(_need(data, "d", where), "d", where))
 
 
-def chain_out(chain: MarkovTreeChain) -> dict:
-    return {
-        **generator_set_out(chain.gs),
-        "alphabet": [_symbol_out(c) for c in chain.alphabet],
-        "p": [fraction_to_str(x) for x in chain.p],
-        "P": {
-            str(sym.signed): [[fraction_to_str(x) for x in row] for row in rows]
-            for sym, rows in chain.transitions
-        },
-    }
-
-
-@_reader("chain")
-def chain_in(data: dict, where: str) -> MarkovTreeChain:
-    gs = generator_set_in(data, where)
-    alphabet = tuple(_symbol_in(c) for c in _need(data, "alphabet", where))
-    p = [parse_fraction(x, f"{where}: p") for x in _need(data, "p", where)]
-    matrices = {
-        _signed_key(key, "bad generator key", where): [
-            [parse_fraction(x, f"{where}: P[{key}]") for x in row] for row in rows
-        ]
-        for key, rows in _need(data, "P", where).items()
-    }
-    return MarkovTreeChain.make(gs, alphabet, p, matrices)
-
-
 def pattern_out(pattern: Pattern, d: int) -> dict:
     return {
         "entries": [
@@ -190,62 +158,6 @@ def pattern_in(data: dict, where: str) -> Pattern:
     return Pattern.of([(parse_word(k), _symbol_in(v)) for k, v in items])
 
 
-def automaton_out(o: OrbitAutomaton) -> dict:
-    return {
-        **generator_set_out(o.gs),
-        "alphabet": [_symbol_out(c) for c in o.alphabet],
-        "labels": [_symbol_out(c) for c in o.labels],
-        "base": o.base,
-        "delta": {
-            str(sym.signed): list(o.delta[sym]) for sym in o.gs.symbols()
-        },
-    }
-
-
-@_reader("automaton")
-def automaton_in(data: dict, where: str) -> OrbitAutomaton:
-    gs = generator_set_in(data, where)
-    alphabet = tuple(_symbol_in(c) for c in _need(data, "alphabet", where))
-    labels = tuple(_symbol_in(c) for c in _need(data, "labels", where))
-    delta = {
-        Symbol.from_signed(_signed_key(key, "bad delta entry", where)): tuple(
-            _int_in(q, f"delta[{key}] entry", where) for q in row
-        )
-        for key, row in _need(data, "delta", where).items()
-    }
-    return OrbitAutomaton(
-        gs=gs,
-        alphabet=alphabet,
-        labels=labels,
-        delta=delta,
-        base=_int_in(_need(data, "base", where), "base", where),
-    )
-
-
-def morphism_out(theta: dict[Symbol, tuple[int, ...]]) -> dict:
-    degree = len(next(iter(theta.values())))
-    return {
-        "k": degree,
-        "theta": {
-            str(sym.signed): list(p)
-            for sym, p in sorted(theta.items(), key=lambda kv: kv[0].key())
-        },
-    }
-
-
-@_reader("morphism")
-def morphism_in(data: dict, where: str) -> dict[Symbol, tuple[int, ...]]:
-    out = {
-        Symbol.from_signed(_signed_key(key, "bad permutation for", where)): tuple(
-            _int_in(i, f"theta[{key}] entry", where) for i in p
-        )
-        for key, p in _need(data, "theta", where).items()
-    }
-    if not out:
-        raise ParseError(f"{where}: empty morphism")
-    return out
-
-
 def lattice_pattern_out(pattern: LatticePattern) -> dict:
     return {"entries": [[list(v), _symbol_out(c)] for v, c in pattern.items()]}
 
@@ -259,13 +171,10 @@ def lattice_pattern_in(data: dict, where: str) -> LatticePattern:
     )
 
 
-class MeasureKind(NamedTuple):
-    """One ``kind`` tag of a measure file: its class, reader and writer.
-
-    ``read(data, where)`` builds the measure from the file's fields and
-    ``write(measure)`` returns them without the tag.  Lattice kinds live on
-    orthants of Z^d rather than on a semigroup.
-    """
+class Codec(NamedTuple):
+    """How one kind of record file is read and written: its class, its
+    ``read(data, where)`` and its ``write(obj)``, which leaves out a measure
+    file's ``kind`` tag.  Lattice kinds live on orthants of Z^d, not on S."""
 
     cls: type
     read: Callable[[dict, str], Any]
@@ -273,8 +182,12 @@ class MeasureKind(NamedTuple):
     lattice: bool = False
 
 
-# (attribute, read(data, where), write(value) -> fields) for one attribute
-Field = tuple[str, Callable[[dict, str], Any], Callable[[Any], dict]]
+class Field(NamedTuple):
+    """One attribute: ``read(data, where)`` and ``write(value) -> fields``."""
+
+    attr: str
+    read: Callable[[dict, str], Any]
+    write: Callable[[Any], dict]
 
 
 def _seq(key: str, read_item: Callable[[Any, str, int], Any], write_item) -> Field:
@@ -283,11 +196,48 @@ def _seq(key: str, read_item: Callable[[Any, str, int], Any], write_item) -> Fie
     def read(data: dict, where: str) -> tuple:
         return tuple(read_item(x, where, i) for i, x in enumerate(_need(data, key, where)))
 
-    return key, read, lambda values: {key: [write_item(x) for x in values]}
+    return Field(key, read, lambda values: {key: [write_item(x) for x in values]})
 
 
 def _fractions(key: str) -> Field:
     return _seq(key, lambda x, where, i: parse_fraction(x, f"{where}: {key}"), fraction_to_str)
+
+
+def _symbols(key: str) -> Field:
+    return _seq(key, lambda c, where, i: _symbol_in(c), _symbol_out)
+
+
+def _int(key: str) -> Field:
+    return Field(
+        key, lambda data, where: _int_in(_need(data, key, where), key, where), lambda v: {key: v}
+    )
+
+
+def _by_generator(
+    key: str, bad_key: str, read_row: Callable[[Any, str, str], Any], write_row: Callable,
+    attr: str = "", read_key: Callable[[int], Any] = Symbol.from_signed,
+) -> Field:
+    """Rows keyed by signed generator index, read into a dict of ``read_key(index)``
+    to ``read_row(row, where, name)``, each key before its row (``name`` is e.g.
+    ``P[-1]``).  A key that is no signed integer is refused as a ``bad_key``."""
+
+    def read(data: dict, where: str) -> dict:
+        out = {}
+        for name, row in _need(data, key, where).items():
+            if not _SIGNED.fullmatch(str(name)):
+                raise ParseError(f"{where}: {bad_key} {shown(name)}")
+            sym = read_key(bounded_int(name))
+            out[sym] = read_row(row, where, f"{key}[{name}]")
+        return out
+
+    def write(rows: dict) -> dict:
+        return {key: {str(sym.signed): write_row(row) for sym, row in rows.items()}}
+
+    return Field(attr or key, read, write)
+
+
+def _int_row(row: Any, where: str, name: str) -> tuple[int, ...]:
+    return tuple(_int_in(q, f"{name} entry", where) for q in row)
 
 
 def _table_entry_in(entry: Any, where: str, i: int) -> tuple[LatticePattern, Fraction]:
@@ -295,26 +245,53 @@ def _table_entry_in(entry: Any, where: str, i: int) -> tuple[LatticePattern, Fra
     return lattice_pattern_in(pat, f"{where}: table"), parse_fraction(mass)
 
 
-_GS: Field = ("gs", generator_set_in, generator_set_out)
-_D: Field = (
-    "d", lambda data, where: _int_in(_need(data, "d", where), "d", where), lambda d: {"d": d}
+_GS = Field("gs", generator_set_in, generator_set_out)
+_ALPHABET = _symbols("alphabet")
+_THETA = _by_generator("theta", "bad permutation for", _int_row, list)
+# The keys stay ints: ``MarkovTreeChain.make`` reads them as symbols once
+# every row is read, so a bad row is reported before a zero key.
+_P = _by_generator(
+    "P", "bad generator key",
+    lambda rows, where, name: [[parse_fraction(x, f"{where}: {name}") for x in r] for r in rows],
+    lambda rows: [[fraction_to_str(x) for x in row] for row in rows],
+    attr="matrix", read_key=int,
 )
-_ALPHABET = _seq("alphabet", lambda c, where, i: _symbol_in(c), _symbol_out)
 
 
-def _record(cls: type, *fields: Field, lattice: bool = False) -> MeasureKind:
-    """Kind whose file holds the class's attributes field by field."""
+def _record(cls: type, *fields: Field, lattice: bool = False, make: Callable | None = None) -> Codec:
+    """Codec whose file holds the class's attributes field by field; ``make``
+    (the class itself by default) builds the object from their values."""
 
     def read(data: dict, where: str) -> Any:
-        return cls(*(read_field(data, where) for _, read_field, _ in fields))
+        return (make or cls)(*(field.read(data, where) for field in fields))
 
-    def write(measure: Any) -> dict:
+    def write(obj: Any) -> dict:
         out: dict = {}
-        for attr, _, write_field in fields:
-            out.update(write_field(getattr(measure, attr)))
+        for field in fields:
+            out.update(field.write(getattr(obj, field.attr)))
         return out
 
-    return MeasureKind(cls, read, write, lattice)
+    return Codec(cls, read, write, lattice)
+
+
+_AUTOMATON = _record(
+    OrbitAutomaton, _GS, _ALPHABET, _symbols("labels"),
+    _by_generator("delta", "bad delta entry", _int_row, list), _int("base"),
+)
+automaton_in = _reader("automaton")(_AUTOMATON.read)
+automaton_out = _AUTOMATON.write
+
+
+@_reader("morphism")
+def morphism_in(data: dict, where: str) -> dict[Symbol, tuple[int, ...]]:
+    out = _THETA.read(data, where)
+    if not out:
+        raise ParseError(f"{where}: empty morphism")
+    return out
+
+
+def morphism_out(theta: dict[Symbol, tuple[int, ...]]) -> dict:
+    return {"k": len(next(iter(theta.values()))), **_THETA.write(theta)}
 
 
 def measure_out(measure: Any) -> dict:
@@ -333,8 +310,10 @@ def measure_in(data: dict, where: str) -> Any:
     return MEASURE_KINDS[kind].read(data, where)
 
 
-MEASURE_KINDS: dict[str, MeasureKind] = {
-    "chain": MeasureKind(MarkovTreeChain, chain_in, chain_out),
+MEASURE_KINDS: dict[str, Codec] = {
+    "chain": _record(
+        MarkovTreeChain, _GS, _ALPHABET, _fractions("p"), _P, make=MarkovTreeChain.make
+    ),
     "bernoulli": _record(BernoulliMeasure, _GS, _ALPHABET, _fractions("probs")),
     "periodic": _record(
         PeriodicMeasure,
@@ -351,7 +330,7 @@ MEASURE_KINDS: dict[str, MeasureKind] = {
         _fractions("weights"),
     ),
     "lattice-bernoulli": _record(
-        LatticeBernoulli, _D, _ALPHABET, _fractions("probs"), lattice=True
+        LatticeBernoulli, _int("d"), _ALPHABET, _fractions("probs"), lattice=True
     ),
     "lattice-markov": _record(
         LatticeMarkov,
@@ -366,7 +345,7 @@ MEASURE_KINDS: dict[str, MeasureKind] = {
     ),
     "lattice-table": _record(
         LatticeTable,
-        _D,
+        _int("d"),
         _ALPHABET,
         _seq("box", lambda b, where, i: _int_in(b, "box extent", where), int),
         _seq(
@@ -377,6 +356,8 @@ MEASURE_KINDS: dict[str, MeasureKind] = {
         lattice=True,
     ),
 }
+chain_in = _reader("chain")(MEASURE_KINDS["chain"].read)
+chain_out = MEASURE_KINDS["chain"].write
 
 
 def block_alphabet_out(blocks: BlockAlphabet, d: int) -> dict:

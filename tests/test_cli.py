@@ -914,6 +914,22 @@ def test_a_group_past_the_budget_is_refused_during_its_closure(tmp_path):
     )
 
 
+def test_a_monoid_past_the_budget_is_refused_during_its_closure(tmp_path):
+    # A transposition, a 64-cycle and a merge of states 0 and 1 generate all
+    # 64^64 maps of 64 states; labels 1 then 0s keep the 64 states apart.
+    n = 64
+    write_json(tmp_path / "auto.json", {
+        "d": 3, "sigma": [1, 2, 3], "alphabet": [0, 1], "labels": [1] + [0] * (n - 1),
+        "base": 0, "delta": {"1": [1, 0, *range(2, n)], "2": [*range(1, n), 0],
+                             "3": [0, 0, *range(2, n)]},
+    })
+    out = run_cli("orbit-analyze", "--automaton", str(tmp_path / "auto.json"))
+    assert (out.returncode, out.stdout) == (
+        2, "error: ValidationError: the monoid of orbit maps is refused: it has more than "
+        "65536 transformations of degree 64, more than 4194304 entries\n"
+    )
+
+
 def test_a_lattice_chain_window_past_the_bit_budget_is_refused_at_once(tmp_path):
     write_json(tmp_path / "chain.json", LATTICE_CHAIN)
     write_json(tmp_path / "far.json", {"entries": [[[0], 0], [[HUGE], 1]]})

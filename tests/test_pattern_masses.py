@@ -496,6 +496,18 @@ def test_repeated_site_is_refused():
                 m.masses(repeated)
 
 
+def test_a_site_outside_s_is_refused_before_a_repeated_site():
+    rng = random.Random(1)
+    chain = random_invariant_chain(rng, (1, 2), 2)
+    measures = [build(kind, rng, (1, 2), 2)[0] for kind in KINDS]
+    outside, identity = Word((Symbol(1, -1),)), Word()
+    for m in [*measures, *measures[2].orbits, OracleMeasure(chain)]:
+        with pytest.raises(MembershipError):
+            pattern_masses(m, [outside, outside])
+        with pytest.raises(ValueError, match="repeated site"):
+            pattern_masses(m, [identity, identity])
+
+
 def test_library_calls_the_engine_by_its_public_name(monkeypatch):
     # ``import semishift.markovize as m`` binds the function: the package re-exports it.
     modules = [importlib.import_module(f"semishift.{name}") for name in ("measure", "markovize")]

@@ -60,6 +60,24 @@ def test_window_measure_markov():
     assert window_measure(chain(), gap) == Q[1] * two_step
 
 
+def test_markov_window_forms_one_power_per_distinct_gap(monkeypatch):
+    import semishift.reversible as reversible
+
+    gaps = []
+    power = reversible._matrix_power
+    monkeypatch.setattr(
+        reversible, "_matrix_power", lambda rows, n: gaps.append(n) or power(rows, n)
+    )
+    sites = [(0, 0), (3000, 1), (6000, 1), (7000, 0), (10000, 1)]
+    mass = window_measure(chain(), lp({(t,): c for t, c in sites}))
+    assert sorted(gaps) == [1000, 3000]
+    # P has eigenvalues 1 and 1/4, so P^n[k][l] = q[l] + 4^-n ([k == l] - q[l]).
+    expected = Q[0]
+    for (s, k), (t, l) in zip(sites, sites[1:]):
+        expected *= Q[l] + F(1, 4 ** (t - s)) * ((k == l) - Q[l])
+    assert mass == expected
+
+
 def test_window_measure_matches_interval_oracle():
     rng = random.Random(90)
     for _ in range(60):
