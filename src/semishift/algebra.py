@@ -18,10 +18,11 @@ leading letter.  All tree operations below use this convention.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from operator import attrgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import MAX_PATTERNS, MembershipError, ParseError, ValidationError, bounded_int, shown
 
@@ -385,8 +386,8 @@ def _require_scan(symbols: int, r: int, sites: int, letters: int) -> None:
 
 def sorted_ball(gs: GeneratorSet, r: int, symbols: int = 0) -> tuple[Word, ...]:
     """B_r sorted by ``Word.key``: its spheres joined in turn, refused as
-    ``spheres`` refuses them when ``symbols`` is given."""
-    return tuple(itertools.chain.from_iterable(spheres(gs, r, symbols)))
+    ``spheres`` refuses them when ``symbols`` is given (``scan_layout``)."""
+    return scan_layout(gs, r, symbols)[0]
 
 
 def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
@@ -421,6 +422,48 @@ def _hull(words: Iterable[Word], gs: GeneratorSet) -> tuple[list[int], list, lis
             v = child
         site.append(v)
     return parent, letter, site
+
+
+def require_distinct_sites(sites: Sequence) -> None:
+    if len(set(sites)) != len(sites):
+        raise ValueError("pattern has a repeated site")
+
+
+# At most _MEMO_ENTRIES hulls and as many scan layouts are kept, least recently used out first,
+# and no list of more than _MEMO_SITES sites, the most a scan over two or more symbols has.
+_MEMO_ENTRIES, _MEMO_SITES = 64, MAX_PATTERNS.bit_length()
+
+
+def site_hull(sites: Iterable[Word], gs: GeneratorSet) -> tuple[tuple, tuple, tuple]:
+    """The sites' hull as ``_hull`` gives it, in tuples, memoized.  MembershipError
+    refuses the first site outside S, then ValueError a repeated site; no error is kept."""
+    sites = tuple(sites)
+    return (_kept_hull.__wrapped__ if len(sites) > _MEMO_SITES else _kept_hull)(sites, gs)
+
+
+@functools.lru_cache(_MEMO_ENTRIES)
+def _kept_hull(sites: tuple[Word, ...], gs: GeneratorSet) -> tuple[tuple, tuple, tuple]:
+    parent, letter, site = _hull(sites, gs)
+    require_distinct_sites(site)  # distinct sites are distinct hull vertices
+    return tuple(parent), tuple(letter), tuple(site)
+
+
+def scan_layout(gs: GeneratorSet, r: int, symbols: int, a: Symbol | None = None) -> tuple:
+    """The sites of a scan of every full pattern on B_r: its spheres joined in turn,
+    the size of each B_rr in it, and its a-translate (none without a), memoized unless
+    over one symbol, where a ball may hold MAX_PATTERNS letters."""
+    return (_kept_layout if symbols > 1 else _kept_layout.__wrapped__)(gs, r, symbols, a)
+
+
+@functools.lru_cache(_MEMO_ENTRIES)
+def _kept_layout(gs: GeneratorSet, r: int, symbols: int, a: Symbol | None) -> tuple:
+    if a is not None:
+        # Translated from the kept ball, so the kept hulls of both match by identity.
+        sites, sizes, _ = scan_layout(gs, r, symbols)
+        return sites, sizes, tuple(word_mul(w, Word((a,))) for w in sites)
+    layers = list(spheres(gs, r, symbols))
+    sizes = tuple(itertools.accumulate(map(len, layers)))
+    return tuple(itertools.chain.from_iterable(layers)), sizes, ()
 
 
 # Edge, Tree and tree_hull remain only because the benchmark tracer wraps tree_hull by name.

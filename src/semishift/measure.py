@@ -34,10 +34,12 @@ from .algebra import (
     Symbol,
     Word,
     _hull,
+    require_distinct_sites,
     require_in_semigroup,
+    scan_layout,
+    site_hull,
     sorted_ball,
     sorted_words,
-    spheres,
     word_mul,
 )
 from .errors import (
@@ -133,20 +135,6 @@ def require_distribution(values: Sequence, what: str, positive: bool = False) ->
     sign = "positive" if positive else "nonnegative"
     if any(x <= 0 if positive else x < 0 for x in values) or sum(values, ZERO) != 1:
         raise ValidationError(f"{what} must be {sign} and sum to 1")
-
-
-def require_distinct_sites(sites: Sequence) -> None:
-    if len(set(sites)) != len(sites):
-        raise ValueError("pattern has a repeated site")
-
-
-def require_sites(sites: Sequence[Word], gs: GeneratorSet) -> None:
-    """Refuse a site outside S (MembershipError), then a repeated site (ValueError),
-    the order in which a hull refuses them."""
-    if not gs.sigma.issuperset(itertools.chain.from_iterable(w.letters for w in sites)):
-        for w in sites:
-            require_in_semigroup(w, gs)
-    require_distinct_sites(sites)
 
 
 def require_pattern(pattern: Pattern, gs: GeneratorSet, alphabet: Collection) -> None:
@@ -298,9 +286,7 @@ class MarkovTreeChain(Record):
         order at the end.
         """
         _require_valid(self)
-        parent, letter, site = _hull(sites, self.gs)
-        # Distinct sites are distinct hull vertices.
-        require_distinct_sites(site)
+        parent, letter, site = site_hull(sites, self.gs)
         scale, p, matrices = self.integer_form
         n, denominator = len(p), scale ** len(parent)
         if not site:
@@ -495,7 +481,7 @@ def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[Ite
     batched = getattr(measure, "masses", None)
     if batched is not None:
         return batched(sites)
-    require_sites(sites, measure.gs)
+    site_hull(sites, measure.gs)
     return map(measure.eval, _patterns(sites, measure.alphabet)), 1
 
 
@@ -555,21 +541,15 @@ def shift_invariance_check(
 
     The sorted B_rr is the sorted B_(rr-1) followed by the sorted sphere
     of radius rr, so B_rr and its translate are prefixes of the site
-    lists of B_r and its translate.  A measure with ``masses`` is folded
-    once per side, on B_r: its masses on B_rr are block sums of those on
-    B_r, so agreement on B_r settles every radius, and ``_witness`` reads
-    the smaller radii only when the sides differ, from radius 0 up.  The
-    witness is the one a radius by radius scan reports.  An eval-only
-    measure is scanned lazily, radius by radius, and evaluates no pattern
-    past its first witness.
+    lists of B_r and its translate (``scan_layout``).  A measure with
+    ``masses`` is folded once per side, on B_r: its masses on B_rr are
+    block sums of those on B_r, so agreement on B_r settles every radius,
+    and ``_witness`` reads the smaller radii only when the sides differ,
+    from radius 0 up.  The witness is the one a radius by radius scan
+    reports.  An eval-only measure is scanned lazily, radius by radius,
+    and evaluates no pattern past its first witness.
     """
-    shift = Word((a,))
-    sites: list[Word] = []
-    sizes: list[int] = []
-    for sphere in spheres(measure.gs, r, len(measure.alphabet)):
-        sites += sphere
-        sizes.append(len(sites))
-    moved = [word_mul(w, shift) for w in sites]
+    sites, sizes, moved = scan_layout(measure.gs, r, len(measure.alphabet), a)
     batched = getattr(measure, "masses", None) is not None
     for size in sizes[-1:] if batched else sizes:
         found = _witness(
@@ -676,7 +656,7 @@ class BernoulliMeasure(Record):
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's mass on the sites: outer products of the
         probabilities times L, the lcm of their denominators, over L^len(sites)."""
-        require_sites(sites, self.gs)
+        site_hull(sites, self.gs)
         scale = math.lcm(*(q.denominator for q in self.probs))
         weights = [q.numerator * (scale // q.denominator) for q in self.probs]
         out = [1]

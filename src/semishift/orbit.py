@@ -24,8 +24,8 @@ from .algebra import (
     Record,
     Symbol,
     Word,
-    _hull,
     require_in_semigroup,
+    site_hull,
     sorted_ball,
 )
 from .errors import (
@@ -39,7 +39,6 @@ from .errors import (
 from .measure import (
     MixtureMeasure,
     Pattern,
-    require_distinct_sites,
     require_distinct_symbols,
     require_pattern,
 )
@@ -157,9 +156,7 @@ class OrbitAutomaton(Record):
 
 def _shown(o: OrbitAutomaton, sites: Sequence[Word]) -> list[tuple]:
     """What each state's configuration shows at the sites, state by state."""
-    parent, letter, site = _hull(sites, o.gs)
-    # Distinct sites are distinct hull vertices.
-    require_distinct_sites(site)
+    parent, letter, site = site_hull(sites, o.gs)
     # reached[v][q]: the state whose label q's configuration shows at vertex v
     reached: list[Sequence[int]] = [range(o.n_states())]
     for up, g in zip(parent[1:], letter[1:]):
@@ -337,8 +334,8 @@ def find_separating_morphism(
     Deterministic for a fixed seed.  One permutation is drawn per
     generator index; when Sigma holds both signs, the negative one is the
     inverse, as any morphism into a group requires.  ValidationError
-    refuses a degree above MAX_PATTERNS, and a ball of more than
-    MAX_PATTERNS letters before it is built (``spheres`` with one symbol).
+    refuses a degree above MAX_PATTERNS, a ball of more than MAX_PATTERNS letters
+    before it is built (``spheres`` with one symbol), and a trial taking more steps.
     """
     if not 1 <= k <= MAX_PATTERNS:
         raise ValidationError(f"degree k must be between 1 and {MAX_PATTERNS}, got {shown(k)}")
@@ -349,6 +346,9 @@ def find_separating_morphism(
             f"no injection possible: the {r}-ball has {len(words)} elements "
             f"but Sym({k}) has only {math.factorial(k)}"
         )
+    if budget > 0 and (steps := k * (len(words) + sum(map(len, words)))) > MAX_PATTERNS:
+        raise ValidationError(f"a trial of degree {k} on the {r}-ball is refused: it takes {k} x "
+                              f"(words + letters) = {steps} steps, more than {MAX_PATTERNS}")
     rng = random.Random(seed)
     indices = sorted({s.index for s in gs.sigma})
     for _ in range(budget):

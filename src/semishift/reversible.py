@@ -15,14 +15,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Collection, Iterable, Mapping, Protocol
 
-from .algebra import Record
+from .algebra import Record, require_distinct_sites
 from .errors import MAX_WINDOW_BITS, MembershipError, ValidationError, shown
 from .measure import (
     ONE,
     ZERO,
     CheckResult,
     Matrix,
-    require_distinct_sites,
     require_distinct_symbols,
     require_distribution,
 )

@@ -215,10 +215,10 @@ def _int(key: str) -> Field:
 
 def _by_generator(
     key: str, bad_key: str, read_row: Callable[[Any, str, str], Any], write_row: Callable,
-    attr: str = "", read_key: Callable[[int], Any] = Symbol.from_signed,
+    attr: str = "",
 ) -> Field:
-    """Rows keyed by signed generator index, read into a dict of ``read_key(index)``
-    to ``read_row(row, where, name)``, each key before its row (``name`` is e.g.
+    """Rows keyed by signed generator index, read into a dict of symbols to
+    ``read_row(row, where, name)``, each key before its row (``name`` is e.g.
     ``P[-1]``).  A key that is no signed integer is refused as a ``bad_key``."""
 
     def read(data: dict, where: str) -> dict:
@@ -226,7 +226,7 @@ def _by_generator(
         for name, row in _need(data, key, where).items():
             if not _SIGNED.fullmatch(str(name)):
                 raise ParseError(f"{where}: {bad_key} {shown(name)}")
-            sym = read_key(bounded_int(name))
+            sym = Symbol.from_signed(bounded_int(name))
             out[sym] = read_row(row, where, f"{key}[{name}]")
         return out
 
@@ -248,13 +248,11 @@ def _table_entry_in(entry: Any, where: str, i: int) -> tuple[LatticePattern, Fra
 _GS = Field("gs", generator_set_in, generator_set_out)
 _ALPHABET = _symbols("alphabet")
 _THETA = _by_generator("theta", "bad permutation for", _int_row, list)
-# The keys stay ints: ``MarkovTreeChain.make`` reads them as symbols once
-# every row is read, so a bad row is reported before a zero key.
 _P = _by_generator(
     "P", "bad generator key",
     lambda rows, where, name: [[parse_fraction(x, f"{where}: {name}") for x in r] for r in rows],
     lambda rows: [[fraction_to_str(x) for x in row] for row in rows],
-    attr="matrix", read_key=int,
+    attr="matrix",
 )
 
 

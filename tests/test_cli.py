@@ -901,6 +901,17 @@ def test_work_the_pattern_budget_does_not_see_exits_two(tmp_path):
     )
 
 
+def test_a_find_morphism_trial_past_the_budget_exits_two_at_once():
+    start = time.process_time()
+    code, text = execute(["find-morphism", "--sigma", "1,2", "--radius", "1",
+                          "--degree", "3000000", "--budget", "1", "--seed", "1"])
+    assert (code, text) == (
+        2, "error: ValidationError: a trial of degree 3000000 on the 1-ball is refused: "
+        "it takes 3000000 x (words + letters) = 15000000 steps, more than 4194304"
+    )
+    assert time.process_time() - start < 1.0
+
+
 def test_a_group_past_the_budget_is_refused_during_its_closure(tmp_path):
     # A transposition and a 20-cycle generate Sym(20): 20! states without a bound.
     swap, cycle = [1, 0, *range(2, 20)], [*range(1, 20), 0]

@@ -12,6 +12,8 @@ a translate is not in root-first order, and the hull of a translate or
 a sphere has vertices that are no sites.  The chain's root-first fold is
 also checked against ``oracle_eval`` on site lists whose hull order
 differs from product order, for chains with and without a zero entry.
+The memoized hulls and scan layouts give the results and errors of
+empty memos, keep only tuples, and stay within their bounds.
 """
 
 import importlib
@@ -45,16 +47,19 @@ from semishift import (
     Pattern,
     PeriodicMeasure,
     Symbol,
+    ValidationError,
     Word,
     ball,
     extend_chain,
     pushforward_check,
     shift_invariance_check,
+    sorted_ball,
     sorted_words,
     support_alphabet,
     weak_star_distance,
     word_mul,
 )
+from semishift import algebra
 from semishift.measure import pattern_masses
 
 F = Fraction
@@ -620,3 +625,114 @@ def test_block_sums_on_a_ball_are_the_masses_on_smaller_balls(kind, signed, n, s
                 block = n ** (len(sites) - len(small))
                 sums = [sum(masses[b : b + block], F(0)) for b in range(0, len(masses), block)]
                 assert sums == fractions(pattern_masses(measure, moved[: len(small)]))
+
+
+# -- the geometry memos: ``site_hull`` and ``scan_layout``
+
+MEMO_SIGMAS = SIGMAS + ((1, 2, 3), (1, -1, 3), (-1, 2, -3))
+MEMO_KINDS = ("chain", "bernoulli", "orbit", "periodic", "mixture", "oracle")
+MEMOS = (algebra._kept_hull, algebra._kept_layout)
+
+
+def memo_measure(kind: str, rng: random.Random, signed, n: int):
+    """A measure of one of MEMO_KINDS: an orbit is a periodic measure's first orbit."""
+    if kind == "orbit":
+        return build("periodic", rng, signed, n)[0].orbits[0]
+    return measure_of(kind, rng, signed, n)
+
+
+def cold(scan, *args):
+    """The scan's result with both memos emptied first; masses are listed."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    result = scan(*args)
+    return (list(result[0]), result[1]) if scan is pattern_masses else result
+
+
+def warm(scan, *args):
+    result = scan(*args)
+    return (list(result[0]), result[1]) if scan is pattern_masses else result
+
+
+def assert_kept_as_tuples(value, kept):
+    assert kept() is value
+    assert type(value) is tuple and all(type(part) is tuple for part in value)
+
+
+@given(
+    st.sampled_from(MEMO_KINDS),
+    st.sampled_from(MEMO_SIGMAS),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+)
+def test_memoized_geometry_gives_the_results_of_empty_memos(kind, signed, n, seed):
+    rng = random.Random(seed)
+    measure, other = (memo_measure(kind, rng, signed, n) for _ in range(2))
+    gs = measure.gs
+    for sites in site_lists(gs, n):
+        assert warm(pattern_masses, measure, sites) == cold(pattern_masses, measure, sites)
+        hull = algebra.site_hull(sites, gs)
+        assert_kept_as_tuples(hull, lambda: algebra.site_hull(sites, gs))
+    for r in range(3):
+        if n ** len(sorted_ball(gs, r)) > MAX_PATTERNS:
+            break
+        for a in gs.symbols():
+            expected = cold(shift_invariance_check, measure, a, r)
+            assert warm(shift_invariance_check, measure, a, r) == expected
+            layout = algebra.scan_layout(gs, r, n, a)
+            if n > 1:  # a one-symbol layout is never kept
+                assert_kept_as_tuples(layout, lambda: algebra.scan_layout(gs, r, n, a))
+            for sites in layout[::2]:
+                assert_kept_as_tuples(
+                    algebra.site_hull(sites, gs), lambda: algebra.site_hull(sites, gs)
+                )
+        for scan in (pushforward_check, weak_star_distance):
+            expected = cold(scan, measure, other, r)
+            assert warm(scan, measure, other, r) == expected
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_the_memos_keep_the_order_of_errors_on_every_call(kind):
+    measure = memo_measure(kind, random.Random(3), (1, 2), 2)
+    outside, identity, a1 = Word((Symbol(1, -1),)), Word(), Word((Symbol(1, 1),))
+    for memo in MEMOS:
+        memo.cache_clear()
+    for _ in range(2):
+        for sites in ([identity, identity, outside], [outside, a1, a1]):
+            with pytest.raises(MembershipError):
+                list(pattern_masses(measure, sites)[0])
+        with pytest.raises(ValueError, match="repeated site"):
+            list(pattern_masses(measure, [a1, identity, a1])[0])
+        # |B_5| = 63 sites give 2^63 patterns: refused before any sphere is kept.
+        for scan in (
+            lambda: shift_invariance_check(measure, Symbol(1, 1), 5),
+            lambda: pushforward_check(measure, measure, 5),
+            lambda: weak_star_distance(measure, measure, 5),
+        ):
+            with pytest.raises(ValidationError, match="radius-5 ball is refused"):
+                scan()
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0]
+
+
+def test_a_one_symbol_scan_of_a_large_ball_keeps_nothing():
+    gs = GeneratorSet.from_signed((1, 2))
+    one = BernoulliMeasure(gs, ("x",), (F(1),))
+    for memo in MEMOS:
+        memo.cache_clear()
+    # B_8 has 511 sites; one symbol gives one pattern.
+    assert shift_invariance_check(one, Symbol(2, 1), 8).ok
+    assert weak_star_distance(one, one, 8) == 0
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0]
+    # Many distinct scans over two symbols fill each memo to its bound, no further.
+    two = BernoulliMeasure(gs.extended(), (0, 1), (F(1, 3), F(2, 3)))
+    for r in range(3):
+        for a in two.gs.symbols():
+            assert shift_invariance_check(two, a, r).ok
+    words = sorted_ball(gs, 3)
+    for k in range(len(words)):
+        for j in range(k, len(words)):
+            pattern_masses(two, words[k : j + 1])
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize == algebra._MEMO_ENTRIES
+        assert 0 < info.currsize <= info.maxsize

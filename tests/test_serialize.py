@@ -259,6 +259,18 @@ def test_automaton_and_morphism_refuse_non_integers():
             morphism_in({"k": 2, "theta": {"1": bad}})
 
 
+def test_every_generator_keyed_map_reads_its_key_before_its_row():
+    chain, automaton = chain_out(worked_chain()), automaton_out(swap_orbit())
+    for read, data in (
+        (chain_in, {**chain, "P": {"0": [["x"]]}}),
+        (automaton_in, {**automaton, "delta": {"0": ["x"]}}),
+        (morphism_in, {"k": 1, "theta": {"0": ["x"]}}),
+    ):
+        with pytest.raises(ParseError) as info:
+            read(through_json(data))
+        assert str(info.value).endswith(": signed generator value must be nonzero")
+
+
 def test_lattice_pattern_round_trip():
     pattern = LatticePattern.of({(-1, 2): 0, (3, 0): 1})
     back = lattice_pattern_in(through_json(lattice_pattern_out(pattern)))
