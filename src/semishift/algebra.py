@@ -429,23 +429,46 @@ def require_distinct_sites(sites: Sequence) -> None:
         raise ValueError("pattern has a repeated site")
 
 
-# At most _MEMO_ENTRIES hulls and as many scan layouts are kept, least recently used out first,
-# and no list of more than _MEMO_SITES sites, the most a scan over two or more symbols has.
-_MEMO_ENTRIES, _MEMO_SITES = 64, MAX_PATTERNS.bit_length()
+# At most _MEMO_ENTRIES hulls and as many scan layouts are kept, least recently used out first.
+# A hull is kept only for at most _MEMO_SITES sites, the most a scan over two or more symbols
+# has, of at most _MEMO_LETTERS letters in all, so a kept hull holds no long words.
+_MEMO_ENTRIES, _MEMO_SITES, _MEMO_LETTERS = 64, MAX_PATTERNS.bit_length(), 2**10
+
+
+class Unkept(Exception):
+    """Carries a memoized function's value, as ``args[0]``, past its
+    ``functools.lru_cache``, which keeps every value returned and no exception."""
+
+
+def keeps_hull(parent: Sequence[int], site: Sequence[int]) -> bool:
+    """Is the hull's site list one ``site_hull`` keeps?  A site has as many
+    letters as its vertex is deep."""
+    if len(site) > _MEMO_SITES:
+        return False
+    depth = [0]
+    for up in parent[1:]:
+        depth.append(depth[up] + 1)
+    return sum(map(depth.__getitem__, site)) <= _MEMO_LETTERS
 
 
 def site_hull(sites: Iterable[Word], gs: GeneratorSet) -> tuple[tuple, tuple, tuple]:
-    """The sites' hull as ``_hull`` gives it, in tuples, memoized.  MembershipError
-    refuses the first site outside S, then ValueError a repeated site; no error is kept."""
-    sites = tuple(sites)
-    return (_kept_hull.__wrapped__ if len(sites) > _MEMO_SITES else _kept_hull)(sites, gs)
+    """The sites' hull as ``_hull`` gives it, in tuples, memoized as ``keeps_hull``
+    allows.  MembershipError refuses the first site outside S, then ValueError a
+    repeated site; no error is kept."""
+    try:
+        return _kept_hull(tuple(sites), gs)
+    except Unkept as unkept:
+        return unkept.args[0]
 
 
 @functools.lru_cache(_MEMO_ENTRIES)
 def _kept_hull(sites: tuple[Word, ...], gs: GeneratorSet) -> tuple[tuple, tuple, tuple]:
     parent, letter, site = _hull(sites, gs)
     require_distinct_sites(site)  # distinct sites are distinct hull vertices
-    return tuple(parent), tuple(letter), tuple(site)
+    hull = tuple(parent), tuple(letter), tuple(site)
+    if not keeps_hull(parent, site):
+        raise Unkept(hull)
+    return hull
 
 
 def scan_layout(gs: GeneratorSet, r: int, symbols: int, a: Symbol | None = None) -> tuple:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add, mul, sub
 from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence
 
@@ -32,8 +32,11 @@ from .algebra import (
     GeneratorSet,
     Record,
     Symbol,
+    Unkept,
     Word,
+    _MEMO_ENTRIES,
     _hull,
+    keeps_hull,
     require_distinct_sites,
     require_in_semigroup,
     scan_layout,
@@ -277,13 +280,13 @@ class MarkovTreeChain(Record):
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's mass on the sites in product order, over D^|hull|.
 
-        One root-first pass over the hull keeps ``cur``, one integer weight
-        per labelling of the vertices in ``live``, the first of them varying
-        slowest.  Vertex i, placed after its parent, becomes the fastest
-        digit: each weight times the row of D*P[letter[i]] picked by the
-        parent's label.  A vertex that is no site is summed out once its
-        last child is placed, and the site digits are put in the sites'
-        order at the end.
+        Runs the hull's fold plan (``_fold_plan``, kept in ``_kept_plan``
+        when small enough) on the integer rows: ``cur`` holds one weight
+        per labelling of the live vertices, and each step makes vertex i
+        the fastest digit, each weight times the row of D*P[letter[i]]
+        picked by the parent's label, then sums out the hidden vertex that
+        step closes.  The site digits are gathered into the sites' order
+        at the end.
         """
         _require_valid(self)
         parent, letter, site = site_hull(sites, self.gs)
@@ -291,31 +294,18 @@ class MarkovTreeChain(Record):
         n, denominator = len(p), scale ** len(parent)
         if not site:
             return [sum(p)], denominator
-        # Each hidden vertex, keyed by its last child.
-        last_child = {u: i for i, u in enumerate(parent)}
-        drop = {last_child[u]: u for u in set(range(len(parent))).difference(site)}
-        cur, live = list(p), [0]
-        for i in range(1, len(parent)):
+        try:
+            steps, block, offsets = _kept_plan(parent, site, n)
+        except Unkept as unkept:
+            steps, block, offsets = unkept.args[0]
+        cur = list(p)
+        for i, repeat, stride in steps:
             rows = matrices[letter[i]]
-            below = len(live) - 1 - live.index(parent[i])
-            if below:
-                rows = [row for row in rows for _ in range(n**below)]
+            if repeat > 1:
+                rows = [row for row in rows for _ in range(repeat)]
             cur = [c * f for c, row in zip(cur, itertools.cycle(rows)) for f in row]
-            live.append(i)
-            if i in drop:
-                u = drop[i]
-                cur = _sum_out(cur, n, n ** (len(live) - 1 - live.index(u)))
-                live.remove(u)
-        # Reorder the site digits, now in index order, into ``site``: the
-        # trailing run already in place moves as whole slices.
-        m, position = len(site), {v: k for k, v in enumerate(live)}
-        moved = m
-        while moved and position[site[moved - 1]] == moved - 1:
-            moved -= 1
-        block, offsets = n ** (m - moved), [0]
-        for v in site[:moved]:
-            stride = n ** (m - 1 - position[v])
-            offsets = [o + x for o in offsets for x in range(0, n * stride, stride)]
+            if stride:
+                cur = _sum_out(cur, n, stride)
         if block == 1:
             return list(map(cur.__getitem__, offsets)), denominator
         out: list[int] = []
@@ -330,6 +320,56 @@ def _sum_out(cur: list[int], n: int, below: int) -> list[int]:
     for b in range(0, len(cur), n * below):
         out += map(sum, zip(*(cur[b + x * below : b + (x + 1) * below] for x in range(n))))
     return out
+
+
+def _fold_plan(parent: tuple, site: tuple, n: int) -> tuple[tuple, int, tuple]:
+    """The chain fold over a hull of n-symbol labels, as ``(steps, block, offsets)``.
+
+    The fold keeps ``live`` vertices, the first of them varying slowest.
+    Step ``(i, repeat, stride)`` places vertex i after its parent, whose
+    digit has ``repeat`` = n^below weights per step of it; a vertex that is
+    no site is summed out, with ``stride`` weights per step of it, once its
+    last child is placed (stride 0: none is).  That leaves the site digits
+    in index order; the pattern at ``offsets[k] + j`` (j < ``block``) is the
+    k * block + j-th in the sites' order.
+    """
+    # Each hidden vertex, keyed by its last child.
+    last_child = {u: i for i, u in enumerate(parent)}
+    drop = {last_child[u]: u for u in set(range(len(parent))).difference(site)}
+    steps, live = [], [0]
+    for i in range(1, len(parent)):
+        repeat = n ** (len(live) - 1 - live.index(parent[i]))
+        live.append(i)
+        stride = 0
+        if i in drop:
+            u = drop[i]
+            stride = n ** (len(live) - 1 - live.index(u))
+            live.remove(u)
+        steps.append((i, repeat, stride))
+    # Reorder the site digits, now in index order, into ``site``: the
+    # trailing run already in place moves as whole slices.
+    m, position = len(site), {v: k for k, v in enumerate(live)}
+    moved = m
+    while moved and position[site[moved - 1]] == moved - 1:
+        moved -= 1
+    offsets = [0]
+    for v in site[:moved]:
+        stride = n ** (m - 1 - position[v])
+        offsets = [o + x for o in offsets for x in range(0, n * stride, stride)]
+    return tuple(steps), n ** (m - moved), tuple(offsets)
+
+
+# A plan is kept only for a hull ``site_hull`` keeps and with at most _MEMO_OFFSETS reorder
+# offsets: sites listed far out of hull order would keep up to n^22 of them.
+_MEMO_OFFSETS = 2**12
+
+
+@lru_cache(_MEMO_ENTRIES)
+def _kept_plan(parent: tuple, site: tuple, n: int) -> tuple[tuple, int, tuple]:
+    plan = _fold_plan(parent, site, n)
+    if len(plan[2]) > _MEMO_OFFSETS or not keeps_hull(parent, site):
+        raise Unkept(plan)
+    return plan
 
 
 def validate_chain(chain: MarkovTreeChain) -> ChainDiagnostics:

@@ -12,8 +12,9 @@ a translate is not in root-first order, and the hull of a translate or
 a sphere has vertices that are no sites.  The chain's root-first fold is
 also checked against ``oracle_eval`` on site lists whose hull order
 differs from product order, for chains with and without a zero entry.
-The memoized hulls and scan layouts give the results and errors of
-empty memos, keep only tuples, and stay within their bounds.
+The memoized hulls, scan layouts and chain fold plans give the results
+and errors of empty memos, keep only tuples, and stay within their
+bounds.
 """
 
 import importlib
@@ -60,7 +61,7 @@ from semishift import (
     word_mul,
 )
 from semishift import algebra
-from semishift.measure import pattern_masses
+from semishift.measure import _kept_plan, pattern_masses
 
 F = Fraction
 SIGMAS = ((1,), (1, 2), (1, -1), (1, -1, 2), (-1, 2))
@@ -343,6 +344,37 @@ def test_chain_masses_match_the_oracle(shape, signed, n, zeros, seed):
     numerators, denominator = chain.masses(sites)
     assert denominator == chain.integer_form[0] ** len(oracle_hull(sites))
     assert numerators == [oracle_eval(chain, q) * denominator for q in patterns(sites, chain.alphabet)]
+
+
+@given(st.sampled_from(SHAPES), st.sampled_from(SIGMAS), st.integers(0, 2**32))
+def test_one_site_list_folds_right_for_chains_on_two_and_three_symbols(shape, signed, seed):
+    """A fold plan is kept per hull and n: a plan made for two symbols is not
+    run for three."""
+    rng = random.Random(seed)
+    sites = shaped_sites(shape, rng, GeneratorSet.from_signed(signed), 3)
+    _kept_plan.cache_clear()
+    for n in (2, 3):
+        chain = random_chain(rng, signed, n, False)
+        for _ in range(2):
+            numerators, denominator = chain.masses(sites)
+            expected = [oracle_eval(chain, q) * denominator for q in patterns(sites, chain.alphabet)]
+            assert numerators == expected
+
+
+def test_a_plan_past_its_reorder_bound_is_used_once_and_not_kept():
+    """Reversed, the 15 sites of B_3 over Sigma(1, 2) are out of hull order:
+    their plan reorders 2^15 offsets, more than a kept plan may hold."""
+    chain = random_chain(random.Random(5), (1, 2), 2, False)
+    sites = sorted_ball(chain.gs, 3)
+    m = len(sites)
+    numerators, denominator = chain.masses(sites)
+    kept = _kept_plan.cache_info().currsize
+    for _ in range(2):
+        assert chain.masses(sites[::-1]) == (
+            [numerators[int(f"{i:0{m}b}"[::-1], 2)] for i in range(2**m)],
+            denominator,
+        )
+        assert _kept_plan.cache_info().currsize == kept
 
 
 def naive_invariance(measure, a, r):
@@ -631,7 +663,7 @@ def test_block_sums_on_a_ball_are_the_masses_on_smaller_balls(kind, signed, n, s
 
 MEMO_SIGMAS = SIGMAS + ((1, 2, 3), (1, -1, 3), (-1, 2, -3))
 MEMO_KINDS = ("chain", "bernoulli", "orbit", "periodic", "mixture", "oracle")
-MEMOS = (algebra._kept_hull, algebra._kept_layout)
+MEMOS = (algebra._kept_hull, algebra._kept_layout, _kept_plan)
 
 
 def memo_measure(kind: str, rng: random.Random, signed, n: int):
@@ -642,7 +674,7 @@ def memo_measure(kind: str, rng: random.Random, signed, n: int):
 
 
 def cold(scan, *args):
-    """The scan's result with both memos emptied first; masses are listed."""
+    """The scan's result with every memo emptied first; masses are listed."""
     for memo in MEMOS:
         memo.cache_clear()
     result = scan(*args)
@@ -711,7 +743,7 @@ def test_the_memos_keep_the_order_of_errors_on_every_call(kind):
         ):
             with pytest.raises(ValidationError, match="radius-5 ball is refused"):
                 scan()
-    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0]
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0]
 
 
 def test_a_one_symbol_scan_of_a_large_ball_keeps_nothing():
@@ -722,9 +754,10 @@ def test_a_one_symbol_scan_of_a_large_ball_keeps_nothing():
     # B_8 has 511 sites; one symbol gives one pattern.
     assert shift_invariance_check(one, Symbol(2, 1), 8).ok
     assert weak_star_distance(one, one, 8) == 0
-    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0]
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0]
     # Many distinct scans over two symbols fill each memo to its bound, no further.
     two = BernoulliMeasure(gs.extended(), (0, 1), (F(1, 3), F(2, 3)))
+    chain = random_invariant_chain(random.Random(2), (1, 2), 2)
     for r in range(3):
         for a in two.gs.symbols():
             assert shift_invariance_check(two, a, r).ok
@@ -732,7 +765,31 @@ def test_a_one_symbol_scan_of_a_large_ball_keeps_nothing():
     for k in range(len(words)):
         for j in range(k, len(words)):
             pattern_masses(two, words[k : j + 1])
+            chain.masses(words[k : j + 1])
     for memo in MEMOS:
         info = memo.cache_info()
         assert info.maxsize == algebra._MEMO_ENTRIES
         assert 0 < info.currsize <= info.maxsize
+
+
+def test_a_site_list_past_either_bound_is_not_kept():
+    """A hull is kept only for at most 23 sites of at most 2^10 letters in all,
+    and a fold plan only for a hull that is kept."""
+    gs = GeneratorSet.from_signed((1, 2))
+    rng = random.Random(9)
+
+    def words(*lengths):
+        return [Word(tuple(rng.choice(gs.symbols()) for _ in range(k))) for k in lengths]
+
+    for memo in MEMOS:
+        memo.cache_clear()
+    algebra.site_hull(words(20000, 20000, 20000), gs)
+    algebra.site_hull(sorted_ball(gs, 4), gs)  # 31 sites, 98 letters
+    assert algebra._kept_hull.cache_info().currsize == 0
+    chain = random_chain(rng, (1, 2), 2, False)
+    longest = words(400, 400, 224)
+    for sites, grows in ((longest, 1), (longest + words(1), 0)):
+        before = [memo.cache_info().currsize for memo in (algebra._kept_hull, _kept_plan)]
+        assert chain.masses(sites) == chain.masses(sites)
+        after = [memo.cache_info().currsize for memo in (algebra._kept_hull, _kept_plan)]
+        assert after == [size + grows for size in before]
