@@ -386,8 +386,8 @@ def _require_scan(symbols: int, r: int, sites: int, letters: int) -> None:
 
 def sorted_ball(gs: GeneratorSet, r: int, symbols: int = 0) -> tuple[Word, ...]:
     """B_r sorted by ``Word.key``: its spheres joined in turn, refused as
-    ``spheres`` refuses them when ``symbols`` is given (``scan_layout``)."""
-    return scan_layout(gs, r, symbols)[0]
+    ``spheres`` refuses them when ``symbols`` is given."""
+    return tuple(itertools.chain.from_iterable(spheres(gs, r, symbols)))
 
 
 def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
@@ -395,22 +395,22 @@ def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
     return frozenset(itertools.chain.from_iterable(spheres(gs, r)))
 
 
-def _hull(words: Iterable[Word], gs: GeneratorSet) -> tuple[list[int], list, list[int]]:
+def _hull(words: Iterable[Word], gs: GeneratorSet | None = None) -> tuple[list[int], list, list[int]]:
     """The sites' hull, closed under removing leading letters, as ``(parent, letter, site)``.
 
     Vertex 0 is the identity and vertex i > 0 is ``letter[i]`` times vertex
     ``parent[i] < i``; ``site[j]`` is the j-th word's vertex.  Each site is
     read once, right to left, one lookup per letter keyed by (parent, letter),
     and a vertex joins ``parent`` and ``letter`` as that lookup creates it.
-    Raises MembershipError for the first site outside S.
+    Given gs, raises MembershipError for the first site outside S.
     """
     vertex: dict[tuple[int, Symbol], int] = {}
     parent: list[int] = [-1]
     letter: list = [None]
     site = []
-    inside = gs.sigma.issuperset
+    inside = gs.sigma.issuperset if gs is not None else None
     for w in words:
-        if not inside(w.letters):
+        if inside and not inside(w.letters):
             require_in_semigroup(w, gs)
         v = 0
         for g in reversed(w.letters):
@@ -429,64 +429,58 @@ def require_distinct_sites(sites: Sequence) -> None:
         raise ValueError("pattern has a repeated site")
 
 
-# At most _MEMO_ENTRIES hulls and as many scan layouts are kept, least recently used out first.
-# A hull is kept only for at most _MEMO_SITES sites, the most a scan over two or more symbols
-# has, of at most _MEMO_LETTERS letters in all, so a kept hull holds no long words.
-_MEMO_ENTRIES, _MEMO_SITES, _MEMO_LETTERS = 64, MAX_PATTERNS.bit_length(), 2**10
+class Sites(tuple):
+    """Sites in order, as a tuple of words, with their hull as ``_hull`` builds it.
+
+    ``parent``, ``letter`` and ``site`` are the hull's tuples, ``letters`` the
+    set of letters the words use, and ``plans`` holds what a measure derives
+    from the hull alone, keyed as that measure chooses.  Vertices are made in
+    site order, so the first k sites' hull is the first vertices of this one.
+    Building one checks nothing: a measure reading it calls ``within`` on its
+    own generator set.  As with ``tuple``, the Sites of a Sites is itself.
+    """
+
+    def __new__(cls, words: Iterable[Word]) -> "Sites":
+        if type(words) is cls:
+            return words
+        self = super().__new__(cls, words)
+        parent, letter, site = _hull(self)
+        self.parent, self.letter, self.site = tuple(parent), tuple(letter), tuple(site)
+        self.letters = frozenset(letter[1:])
+        self.plans = {}
+        return self
+
+    def within(self, gs: GeneratorSet) -> "Sites":
+        """The sites, once MembershipError has refused the first outside S and
+        ValueError a repeated one."""
+        if not gs.sigma.issuperset(self.letters):
+            for w in self:
+                require_in_semigroup(w, gs)
+        require_distinct_sites(self.site)  # distinct sites are distinct hull vertices
+        return self
 
 
-class Unkept(Exception):
-    """Carries a memoized function's value, as ``args[0]``, past its
-    ``functools.lru_cache``, which keeps every value returned and no exception."""
-
-
-def keeps_hull(parent: Sequence[int], site: Sequence[int]) -> bool:
-    """Is the hull's site list one ``site_hull`` keeps?  A site has as many
-    letters as its vertex is deep."""
-    if len(site) > _MEMO_SITES:
-        return False
-    depth = [0]
-    for up in parent[1:]:
-        depth.append(depth[up] + 1)
-    return sum(map(depth.__getitem__, site)) <= _MEMO_LETTERS
-
-
-def site_hull(sites: Iterable[Word], gs: GeneratorSet) -> tuple[tuple, tuple, tuple]:
-    """The sites' hull as ``_hull`` gives it, in tuples, memoized as ``keeps_hull``
-    allows.  MembershipError refuses the first site outside S, then ValueError a
-    repeated site; no error is kept."""
-    try:
-        return _kept_hull(tuple(sites), gs)
-    except Unkept as unkept:
-        return unkept.args[0]
-
-
-@functools.lru_cache(_MEMO_ENTRIES)
-def _kept_hull(sites: tuple[Word, ...], gs: GeneratorSet) -> tuple[tuple, tuple, tuple]:
-    parent, letter, site = _hull(sites, gs)
-    require_distinct_sites(site)  # distinct sites are distinct hull vertices
-    hull = tuple(parent), tuple(letter), tuple(site)
-    if not keeps_hull(parent, site):
-        raise Unkept(hull)
-    return hull
+# At most _MEMO_ENTRIES scan layouts are kept, least recently used out first.
+_MEMO_ENTRIES = 64
 
 
 def scan_layout(gs: GeneratorSet, r: int, symbols: int, a: Symbol | None = None) -> tuple:
     """The sites of a scan of every full pattern on B_r: its spheres joined in turn,
-    the size of each B_rr in it, and its a-translate (none without a), memoized unless
-    over one symbol, where a ball may hold MAX_PATTERNS letters."""
+    the size of each B_rr in it, and its a-translate (None without a), refused as
+    ``spheres`` refuses them.  Memoized unless over one symbol, where a ball may hold
+    MAX_PATTERNS letters; a kept layout keeps the hulls and plans of its Sites."""
     return (_kept_layout if symbols > 1 else _kept_layout.__wrapped__)(gs, r, symbols, a)
 
 
 @functools.lru_cache(_MEMO_ENTRIES)
 def _kept_layout(gs: GeneratorSet, r: int, symbols: int, a: Symbol | None) -> tuple:
     if a is not None:
-        # Translated from the kept ball, so the kept hulls of both match by identity.
+        # Translated from the kept ball, so every translate of it shares its Sites.
         sites, sizes, _ = scan_layout(gs, r, symbols)
-        return sites, sizes, tuple(word_mul(w, Word((a,))) for w in sites)
+        return sites, sizes, Sites(word_mul(w, Word((a,))) for w in sites)
     layers = list(spheres(gs, r, symbols))
     sizes = tuple(itertools.accumulate(map(len, layers)))
-    return tuple(itertools.chain.from_iterable(layers)), sizes, ()
+    return Sites(itertools.chain.from_iterable(layers)), sizes, None
 
 
 # Edge, Tree and tree_hull remain only because the benchmark tracer wraps tree_hull by name.

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import EPSILON, GeneratorSet, Record, Word, in_semigroup, sorted_ball
+from .algebra import EPSILON, GeneratorSet, Record, Word, in_semigroup, scan_layout
 from .errors import MAX_PATTERNS, MembershipError, OracleNotNormalized, ValidationError
 from .measure import (
     ZERO,
@@ -57,7 +57,7 @@ class BlockAlphabet(Record):
 
 def support_alphabet(measure: CylinderMeasure, order: int) -> BlockAlphabet:
     """Enumerate the order-m blocks the measure actually charges."""
-    sites = sorted_ball(measure.gs, order, len(measure.alphabet))
+    sites = scan_layout(measure.gs, order, len(measure.alphabet))[0]
     numerators, denominator = pattern_masses(measure, sites)
     charged = [(i, x) for i, x in enumerate(numerators) if x > 0]
     blocks = tuple(_pattern_at(sites, measure.alphabet, i) for i, _ in charged)

@@ -24,24 +24,20 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import add, mul, sub
 from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .algebra import (
     GeneratorSet,
     Record,
+    Sites,
     Symbol,
-    Unkept,
     Word,
-    _MEMO_ENTRIES,
     _hull,
-    keeps_hull,
     require_distinct_sites,
     require_in_semigroup,
     scan_layout,
-    site_hull,
-    sorted_ball,
     sorted_words,
     word_mul,
 )
@@ -89,6 +85,11 @@ class Pattern(Record):
     @cached_property
     def _lookup(self) -> dict[Word, object]:
         return dict(self.entries)
+
+    @cached_property
+    def sites(self) -> Sites:
+        """The domain with its hull, built once per pattern."""
+        return Sites(self.domain())
 
     def __contains__(self, w: Word) -> bool:
         return w in self._lookup
@@ -152,7 +153,8 @@ def require_pattern(pattern: Pattern, gs: GeneratorSet, alphabet: Collection) ->
 class CylinderMeasure(Protocol):
     """Anything that evaluates cylinder patterns over a fixed S exactly.
 
-    A measure may add ``masses(sites) -> (numerators, denominator)``: every
+    A measure may add ``masses(sites) -> (numerators, denominator)``, the
+    sites given as an ``algebra.Sites`` (a tuple of words): every
     full pattern's mass on the sites as a list of ints over one positive
     int, in ``itertools.product`` order.  The masses are a consistent
     family: summing out the trailing sites, which vary fastest, sums
@@ -280,27 +282,29 @@ class MarkovTreeChain(Record):
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's mass on the sites in product order, over D^|hull|.
 
-        Runs the hull's fold plan (``_fold_plan``, kept in ``_kept_plan``
-        when small enough) on the integer rows: ``cur`` holds one weight
-        per labelling of the live vertices, and each step makes vertex i
-        the fastest digit, each weight times the row of D*P[letter[i]]
-        picked by the parent's label, then sums out the hidden vertex that
-        step closes.  The site digits are gathered into the sites' order
-        at the end.
+        Runs the hull's fold plan (``_fold_plan``, kept in ``sites.plans``
+        by n unless it has more than _MEMO_OFFSETS reorder offsets) on the
+        integer rows: ``cur`` holds one weight per labelling of the live
+        vertices, and each step makes vertex i the fastest digit, each
+        weight times the row of D*P[letter[i]] picked by the parent's label,
+        then sums out the hidden vertex that step closes.  The site digits
+        are gathered into the sites' order at the end.
         """
         _require_valid(self)
-        parent, letter, site = site_hull(sites, self.gs)
+        sites = Sites(sites).within(self.gs)
         scale, p, matrices = self.integer_form
-        n, denominator = len(p), scale ** len(parent)
-        if not site:
+        n, denominator = len(p), scale ** len(sites.parent)
+        if not sites:
             return [sum(p)], denominator
-        try:
-            steps, block, offsets = _kept_plan(parent, site, n)
-        except Unkept as unkept:
-            steps, block, offsets = unkept.args[0]
+        plan = sites.plans.get(n)
+        if plan is None:
+            plan = _fold_plan(sites.parent, sites.site, n)
+            if len(plan[2]) <= _MEMO_OFFSETS:
+                sites.plans[n] = plan
+        steps, block, offsets = plan
         cur = list(p)
         for i, repeat, stride in steps:
-            rows = matrices[letter[i]]
+            rows = matrices[sites.letter[i]]
             if repeat > 1:
                 rows = [row for row in rows for _ in range(repeat)]
             cur = [c * f for c, row in zip(cur, itertools.cycle(rows)) for f in row]
@@ -359,17 +363,9 @@ def _fold_plan(parent: tuple, site: tuple, n: int) -> tuple[tuple, int, tuple]:
     return tuple(steps), n ** (m - moved), tuple(offsets)
 
 
-# A plan is kept only for a hull ``site_hull`` keeps and with at most _MEMO_OFFSETS reorder
-# offsets: sites listed far out of hull order would keep up to n^22 of them.
+# A plan is kept only with at most _MEMO_OFFSETS reorder offsets: sites listed
+# far out of hull order would keep up to n^22 of them.
 _MEMO_OFFSETS = 2**12
-
-
-@lru_cache(_MEMO_ENTRIES)
-def _kept_plan(parent: tuple, site: tuple, n: int) -> tuple[tuple, int, tuple]:
-    plan = _fold_plan(parent, site, n)
-    if len(plan[2]) > _MEMO_OFFSETS or not keeps_hull(parent, site):
-        raise Unkept(plan)
-    return plan
 
 
 def validate_chain(chain: MarkovTreeChain) -> ChainDiagnostics:
@@ -513,16 +509,16 @@ def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[Ite
     order, the first site varying slowest.  A measure's ``masses`` gives the
     whole list of ints over one denominator; any other measure is evaluated
     pattern by pattern, lazily and over 1, so a scan that stops at its
-    first witness evaluates nothing after it.  Every built-in ``masses``,
-    and the pattern-by-pattern path, refuses a site outside S
-    (MembershipError) before a repeated site (ValueError).
+    first witness evaluates nothing after it.  A scan passes the ``Sites``
+    its layout keeps; a word list gets a Sites that no one keeps.  Every
+    built-in ``masses``, and the pattern-by-pattern path, refuses a site
+    outside its own S (MembershipError) before a repeated site (ValueError).
     """
-    sites = tuple(sites)
+    sites = Sites(sites)
     batched = getattr(measure, "masses", None)
     if batched is not None:
         return batched(sites)
-    site_hull(sites, measure.gs)
-    return map(measure.eval, _patterns(sites, measure.alphabet)), 1
+    return map(measure.eval, _patterns(sites.within(measure.gs), measure.alphabet)), 1
 
 
 def _pattern_at(sites: Sequence[Word], alphabet: Sequence, i: int) -> Pattern:
@@ -591,13 +587,14 @@ def shift_invariance_check(
     """
     sites, sizes, moved = scan_layout(measure.gs, r, len(measure.alphabet), a)
     batched = getattr(measure, "masses", None) is not None
-    for size in sizes[-1:] if batched else sizes:
+    sides = [(sites, moved)] if batched else [(sites[:k], moved[:k]) for k in sizes]
+    for ball_sites, moved_sites in sides:
         found = _witness(
-            pattern_masses(measure, sites[:size]),
-            pattern_masses(measure, moved[:size]),
-            sites[:size],
+            pattern_masses(measure, ball_sites),
+            pattern_masses(measure, moved_sites),
+            ball_sites,
             measure.alphabet,
-            sizes if batched else [size],
+            sizes if batched else [len(ball_sites)],
         )
         if found is not None:
             pattern, lhs, rhs = found
@@ -640,7 +637,7 @@ def pushforward_check(
     extended: MarkovTreeChain, original: MarkovTreeChain, r: int
 ) -> CheckResult:
     """Do the two chains agree on every full pattern over the original B_r?"""
-    sites = sorted_ball(original.gs, r, len(original.alphabet))
+    sites = scan_layout(original.gs, r, len(original.alphabet))[0]
     if tuple(extended.alphabet) == tuple(original.alphabet):
         sides = [pattern_masses(m, sites) for m in (extended, original)]
     else:
@@ -663,7 +660,7 @@ def weak_star_distance(
         raise ValidationError("measures live over different generator sets")
     if tuple(m1.alphabet) != tuple(m2.alphabet):
         raise ValidationError("measures have different alphabets")
-    sites = sorted_ball(m1.gs, order, len(m1.alphabet))
+    sites = scan_layout(m1.gs, order, len(m1.alphabet))[0]
     (xs, d1), (ys, d2) = pattern_masses(m1, sites), pattern_masses(m2, sites)
     gaps = map(sub, map(mul, xs, itertools.repeat(d2)), map(mul, ys, itertools.repeat(d1)))
     return Fraction(sum(map(abs, gaps)), d1 * d2)
@@ -696,7 +693,7 @@ class BernoulliMeasure(Record):
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's mass on the sites: outer products of the
         probabilities times L, the lcm of their denominators, over L^len(sites)."""
-        site_hull(sites, self.gs)
+        sites = Sites(sites).within(self.gs)
         scale = math.lcm(*(q.denominator for q in self.probs))
         weights = [q.numerator * (scale // q.denominator) for q in self.probs]
         out = [1]
@@ -737,7 +734,9 @@ class MixtureMeasure(Record):
     def masses(self, sites: Sequence[Word]) -> tuple[list, int]:
         """Every full pattern's mass: the components' numerators over one common
         denominator, weighted and added one component at a time (an eval-only
-        component's are Fractions)."""
+        component's are Fractions).  The components share one hull and check
+        the sites each on its own."""
+        sites = Sites(sites)
         parts = [pattern_masses(m, sites) for m in self.components]
         scales = [w.denominator * d for w, (_, d) in zip(self.weights, parts)]
         common = math.lcm(*scales)

@@ -22,10 +22,10 @@ from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 from .algebra import (
     GeneratorSet,
     Record,
+    Sites,
     Symbol,
     Word,
     require_in_semigroup,
-    site_hull,
     sorted_ball,
 )
 from .errors import (
@@ -139,10 +139,11 @@ class OrbitAutomaton(Record):
         require_pattern(pattern, self.gs, self.alphabet)
         m = self.minimal
         shown = tuple(c for _, c in pattern.items())
-        return Fraction(_shown(m, pattern.domain()).count(shown), m.n_states())
+        return Fraction(_shown(m, pattern.sites).count(shown), m.n_states())
 
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's count of minimal states showing it, over their number."""
+        sites = Sites(sites).within(self.gs)
         m = self.minimal
         index = {c: i for i, c in enumerate(self.alphabet)}
         out = [0] * len(index) ** len(sites)
@@ -154,9 +155,10 @@ class OrbitAutomaton(Record):
         return out, m.n_states()
 
 
-def _shown(o: OrbitAutomaton, sites: Sequence[Word]) -> list[tuple]:
-    """What each state's configuration shows at the sites, state by state."""
-    parent, letter, site = site_hull(sites, o.gs)
+def _shown(o: OrbitAutomaton, sites: Sites) -> list[tuple]:
+    """What each state's configuration shows at the sites, state by state;
+    the caller has checked them against o's S."""
+    parent, letter, site = sites.parent, sites.letter, sites.site
     # reached[v][q]: the state whose label q's configuration shows at vertex v
     reached: list[Sequence[int]] = [range(o.n_states())]
     for up, g in zip(parent[1:], letter[1:]):

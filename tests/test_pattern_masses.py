@@ -12,9 +12,9 @@ a translate is not in root-first order, and the hull of a translate or
 a sphere has vertices that are no sites.  The chain's root-first fold is
 also checked against ``oracle_eval`` on site lists whose hull order
 differs from product order, for chains with and without a zero entry.
-The memoized hulls, scan layouts and chain fold plans give the results
-and errors of empty memos, keep only tuples, and stay within their
-bounds.
+The memoized scan layouts, and the hulls and chain fold plans their
+``Sites`` keep, give the results and errors of an empty memo, keep only
+tuples, and stay within their bounds.
 """
 
 import importlib
@@ -33,6 +33,7 @@ from helpers import (
     oracle_eval,
     oracle_hull,
     positive_distribution,
+    random_automaton,
     random_balance_violation,
     random_eigenvector_violation,
     random_invariant_chain,
@@ -41,6 +42,7 @@ from semishift import (
     EPSILON,
     BernoulliMeasure,
     GeneratorSet,
+    InvalidChain,
     MarkovTreeChain,
     MembershipError,
     MixtureMeasure,
@@ -61,7 +63,8 @@ from semishift import (
     word_mul,
 )
 from semishift import algebra
-from semishift.measure import _kept_plan, pattern_masses
+from semishift.algebra import Sites
+from semishift.measure import pattern_masses
 
 F = Fraction
 SIGMAS = ((1,), (1, 2), (1, -1), (1, -1, 2), (-1, 2))
@@ -348,33 +351,35 @@ def test_chain_masses_match_the_oracle(shape, signed, n, zeros, seed):
 
 @given(st.sampled_from(SHAPES), st.sampled_from(SIGMAS), st.integers(0, 2**32))
 def test_one_site_list_folds_right_for_chains_on_two_and_three_symbols(shape, signed, seed):
-    """A fold plan is kept per hull and n: a plan made for two symbols is not
-    run for three."""
+    """A fold plan is kept on its Sites by n: a plan made for two symbols is
+    not run for three."""
     rng = random.Random(seed)
-    sites = shaped_sites(shape, rng, GeneratorSet.from_signed(signed), 3)
-    _kept_plan.cache_clear()
+    sites = Sites(shaped_sites(shape, rng, GeneratorSet.from_signed(signed), 3))
     for n in (2, 3):
         chain = random_chain(rng, signed, n, False)
         for _ in range(2):
             numerators, denominator = chain.masses(sites)
             expected = [oracle_eval(chain, q) * denominator for q in patterns(sites, chain.alphabet)]
             assert numerators == expected
+    # The empty list is folded without a plan.
+    assert sorted(sites.plans) == ([2, 3] if sites else [])
 
 
 def test_a_plan_past_its_reorder_bound_is_used_once_and_not_kept():
     """Reversed, the 15 sites of B_3 over Sigma(1, 2) are out of hull order:
     their plan reorders 2^15 offsets, more than a kept plan may hold."""
     chain = random_chain(random.Random(5), (1, 2), 2, False)
-    sites = sorted_ball(chain.gs, 3)
+    sites = Sites(sorted_ball(chain.gs, 3))
+    reversed_sites = Sites(sites[::-1])
     m = len(sites)
     numerators, denominator = chain.masses(sites)
-    kept = _kept_plan.cache_info().currsize
+    assert list(sites.plans) == [2]
     for _ in range(2):
-        assert chain.masses(sites[::-1]) == (
+        assert chain.masses(reversed_sites) == (
             [numerators[int(f"{i:0{m}b}"[::-1], 2)] for i in range(2**m)],
             denominator,
         )
-        assert _kept_plan.cache_info().currsize == kept
+        assert reversed_sites.plans == {}
 
 
 def naive_invariance(measure, a, r):
@@ -659,11 +664,11 @@ def test_block_sums_on_a_ball_are_the_masses_on_smaller_balls(kind, signed, n, s
                 assert sums == fractions(pattern_masses(measure, moved[: len(small)]))
 
 
-# -- the geometry memos: ``site_hull`` and ``scan_layout``
+# -- the scan layout memo and the Sites it keeps
 
 MEMO_SIGMAS = SIGMAS + ((1, 2, 3), (1, -1, 3), (-1, 2, -3))
 MEMO_KINDS = ("chain", "bernoulli", "orbit", "periodic", "mixture", "oracle")
-MEMOS = (algebra._kept_hull, algebra._kept_layout, _kept_plan)
+LAYOUTS = algebra._kept_layout
 
 
 def memo_measure(kind: str, rng: random.Random, signed, n: int):
@@ -674,11 +679,10 @@ def memo_measure(kind: str, rng: random.Random, signed, n: int):
 
 
 def cold(scan, *args):
-    """The scan's result with every memo emptied first; masses are listed."""
-    for memo in MEMOS:
-        memo.cache_clear()
-    result = scan(*args)
-    return (list(result[0]), result[1]) if scan is pattern_masses else result
+    """The scan's result with the layout memo emptied first, so every Sites
+    and plan is built afresh; masses are listed."""
+    LAYOUTS.cache_clear()
+    return warm(scan, *args)
 
 
 def warm(scan, *args):
@@ -686,9 +690,9 @@ def warm(scan, *args):
     return (list(result[0]), result[1]) if scan is pattern_masses else result
 
 
-def assert_kept_as_tuples(value, kept):
-    assert kept() is value
-    assert type(value) is tuple and all(type(part) is tuple for part in value)
+def assert_hull_in_tuples(sites):
+    assert type(sites) is Sites
+    assert all(type(part) is tuple for part in (sites.parent, sites.letter, sites.site))
 
 
 @given(
@@ -701,10 +705,10 @@ def test_memoized_geometry_gives_the_results_of_empty_memos(kind, signed, n, see
     rng = random.Random(seed)
     measure, other = (memo_measure(kind, rng, signed, n) for _ in range(2))
     gs = measure.gs
-    for sites in site_lists(gs, n):
-        assert warm(pattern_masses, measure, sites) == cold(pattern_masses, measure, sites)
-        hull = algebra.site_hull(sites, gs)
-        assert_kept_as_tuples(hull, lambda: algebra.site_hull(sites, gs))
+    for words in site_lists(gs, n):
+        sites = Sites(words)
+        assert warm(pattern_masses, measure, sites) == cold(pattern_masses, measure, words)
+        assert warm(pattern_masses, measure, sites) == cold(pattern_masses, measure, words)
     for r in range(3):
         if n ** len(sorted_ball(gs, r)) > MAX_PATTERNS:
             break
@@ -712,12 +716,19 @@ def test_memoized_geometry_gives_the_results_of_empty_memos(kind, signed, n, see
             expected = cold(shift_invariance_check, measure, a, r)
             assert warm(shift_invariance_check, measure, a, r) == expected
             layout = algebra.scan_layout(gs, r, n, a)
+            ball_sites, sizes, moved = layout
             if n > 1:  # a one-symbol layout is never kept
-                assert_kept_as_tuples(layout, lambda: algebra.scan_layout(gs, r, n, a))
-            for sites in layout[::2]:
-                assert_kept_as_tuples(
-                    algebra.site_hull(sites, gs), lambda: algebra.site_hull(sites, gs)
-                )
+                assert algebra.scan_layout(gs, r, n, a) is layout
+                assert algebra.scan_layout(gs, r, n)[0] is ball_sites
+            for sites in (ball_sites, moved):
+                assert_hull_in_tuples(sites)
+                # The first k sites' hull is the first vertices of the whole hull.
+                for k in sizes:
+                    prefix = Sites(sites[:k])
+                    vertices = len(prefix.parent)
+                    assert prefix.parent == sites.parent[:vertices]
+                    assert prefix.letter == sites.letter[:vertices]
+                    assert prefix.site == sites.site[:k]
         for scan in (pushforward_check, weak_star_distance):
             expected = cold(scan, measure, other, r)
             assert warm(scan, measure, other, r) == expected
@@ -727,14 +738,18 @@ def test_memoized_geometry_gives_the_results_of_empty_memos(kind, signed, n, see
 def test_the_memos_keep_the_order_of_errors_on_every_call(kind):
     measure = memo_measure(kind, random.Random(3), (1, 2), 2)
     outside, identity, a1 = Word((Symbol(1, -1),)), Word(), Word((Symbol(1, 1),))
-    for memo in MEMOS:
-        memo.cache_clear()
+    LAYOUTS.cache_clear()
     for _ in range(2):
         for sites in ([identity, identity, outside], [outside, a1, a1]):
             with pytest.raises(MembershipError):
                 list(pattern_masses(measure, sites)[0])
+            with pytest.raises(MembershipError):
+                list(pattern_masses(measure, Sites(sites))[0])
         with pytest.raises(ValueError, match="repeated site"):
             list(pattern_masses(measure, [a1, identity, a1])[0])
+        # The translate by a generator outside Sigma is built, then refused when read.
+        with pytest.raises(MembershipError, match="site A1 is not"):
+            shift_invariance_check(measure, Symbol(1, -1), 1)
         # |B_5| = 63 sites give 2^63 patterns: refused before any sphere is kept.
         for scan in (
             lambda: shift_invariance_check(measure, Symbol(1, 1), 5),
@@ -743,53 +758,92 @@ def test_the_memos_keep_the_order_of_errors_on_every_call(kind):
         ):
             with pytest.raises(ValidationError, match="radius-5 ball is refused"):
                 scan()
-    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0]
+    # Only the two layouts of the radius-1 scan by A1 are kept.
+    assert LAYOUTS.cache_info().currsize == 2
+
+
+def test_a_chain_is_validated_before_a_kept_translate_is_read():
+    """A kept translate by a generator outside Sigma is refused by the measure
+    that reads it, after the measure's own checks."""
+    chain = random_invariant_chain(random.Random(6), (1, 2), 2)
+    bad = MarkovTreeChain.make(chain.gs, chain.alphabet, (F(1), F(1)), dict(chain.transitions))
+    for _ in range(2):
+        with pytest.raises(MembershipError):
+            shift_invariance_check(chain, Symbol(1, -1), 1)
+        with pytest.raises(InvalidChain):
+            shift_invariance_check(bad, Symbol(1, -1), 1)
 
 
 def test_a_one_symbol_scan_of_a_large_ball_keeps_nothing():
     gs = GeneratorSet.from_signed((1, 2))
     one = BernoulliMeasure(gs, ("x",), (F(1),))
-    for memo in MEMOS:
-        memo.cache_clear()
+    LAYOUTS.cache_clear()
     # B_8 has 511 sites; one symbol gives one pattern.
     assert shift_invariance_check(one, Symbol(2, 1), 8).ok
     assert weak_star_distance(one, one, 8) == 0
-    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0]
-    # Many distinct scans over two symbols fill each memo to its bound, no further.
+    assert LAYOUTS.cache_info().currsize == 0
+    # Many distinct scans over two symbols fill the memo to its bound, no further.
     two = BernoulliMeasure(gs.extended(), (0, 1), (F(1, 3), F(2, 3)))
-    chain = random_invariant_chain(random.Random(2), (1, 2), 2)
     for r in range(3):
         for a in two.gs.symbols():
             assert shift_invariance_check(two, a, r).ok
-    words = sorted_ball(gs, 3)
-    for k in range(len(words)):
-        for j in range(k, len(words)):
-            pattern_masses(two, words[k : j + 1])
-            chain.masses(words[k : j + 1])
-    for memo in MEMOS:
-        info = memo.cache_info()
-        assert info.maxsize == algebra._MEMO_ENTRIES
-        assert 0 < info.currsize <= info.maxsize
+    for n in range(2, 2 + algebra._MEMO_ENTRIES):
+        uniform = BernoulliMeasure(gs, tuple(range(n)), (F(1, n),) * n)
+        assert weak_star_distance(uniform, uniform, 0) == 0
+    info = LAYOUTS.cache_info()
+    assert info.maxsize == algebra._MEMO_ENTRIES
+    assert 0 < info.currsize <= info.maxsize
 
 
-def test_a_site_list_past_either_bound_is_not_kept():
-    """A hull is kept only for at most 23 sites of at most 2^10 letters in all,
-    and a fold plan only for a hull that is kept."""
+def test_a_masses_call_on_a_word_list_keeps_nothing():
+    """A word list gets a Sites of its own, which no memo keeps, however long
+    its words; only a Sites passed in keeps the plan made for it."""
     gs = GeneratorSet.from_signed((1, 2))
     rng = random.Random(9)
 
     def words(*lengths):
         return [Word(tuple(rng.choice(gs.symbols()) for _ in range(k))) for k in lengths]
 
-    for memo in MEMOS:
-        memo.cache_clear()
-    algebra.site_hull(words(20000, 20000, 20000), gs)
-    algebra.site_hull(sorted_ball(gs, 4), gs)  # 31 sites, 98 letters
-    assert algebra._kept_hull.cache_info().currsize == 0
     chain = random_chain(rng, (1, 2), 2, False)
-    longest = words(400, 400, 224)
-    for sites, grows in ((longest, 1), (longest + words(1), 0)):
-        before = [memo.cache_info().currsize for memo in (algebra._kept_hull, _kept_plan)]
-        assert chain.masses(sites) == chain.masses(sites)
-        after = [memo.cache_info().currsize for memo in (algebra._kept_hull, _kept_plan)]
-        assert after == [size + grows for size in before]
+    two = BernoulliMeasure(gs, (0, 1), (F(1, 3), F(2, 3)))
+    LAYOUTS.cache_clear()
+    long_words = words(400, 400, 224)
+    cases = ((two, words(20000, 20000, 20000)), (chain, long_words), (chain, sorted_ball(gs, 2)))
+    for measure, sites in cases:
+        assert measure.masses(sites) == pattern_masses(measure, sites)
+    assert LAYOUTS.cache_info().currsize == 0
+    sites = Sites(long_words)
+    assert chain.masses(sites) == chain.masses(long_words)
+    assert list(sites.plans) == [2]
+
+
+def test_a_translate_plan_past_its_reorder_bound_is_not_kept():
+    """B_1 over Sigma(+-1, +-2, +-3) moved by a3 lists its 7 sites out of hull
+    order: on 5 symbols its plan reorders 5^7 = 78125 offsets."""
+    chain = random_invariant_chain(random.Random(8), (1, -1, 2, -2, 3, -3), 5)
+    a3 = Symbol(3, 1)
+    expected = cold(shift_invariance_check, chain, a3, 1)
+    assert expected.ok
+    for _ in range(2):
+        assert shift_invariance_check(chain, a3, 1) == expected
+        sites, _, moved = algebra.scan_layout(chain.gs, 1, 5, a3)
+        assert moved.plans == {}
+        assert list(sites.plans) == [5]
+
+
+def test_a_periodic_measure_builds_one_hull_per_pattern(monkeypatch):
+    """Its orbits read one Sites, kept on the pattern."""
+    orbits = tuple(random_automaton(random.Random(7), 6, True) for _ in range(3))
+    measure = PeriodicMeasure(orbits, (F(1, 3),) * 3)
+    hulls = []
+    hull = algebra._hull
+
+    def counting(*args):
+        hulls.append(args)
+        return hull(*args)
+
+    monkeypatch.setattr(algebra, "_hull", counting)
+    a1, a2 = Symbol(1, 1), Symbol(2, 1)
+    pattern = Pattern.of({EPSILON: 0, Word((a1,)): 1, Word((a2, a1)): 0})
+    assert measure.eval(pattern) == sum((o.eval(pattern) for o in orbits), F(0)) / 3
+    assert len(hulls) == 1
