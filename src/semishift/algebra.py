@@ -24,7 +24,8 @@ import re
 from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import MAX_PATTERNS, MembershipError, ParseError, ValidationError, bounded_int, shown
+from .errors import (MAX_PATTERNS, MembershipError, ParseError, ValidationError, bounded_int, shown,
+                     too_many_patterns)
 
 
 class Record:
@@ -326,72 +327,56 @@ def require_in_semigroup(w: Word, gs: GeneratorSet) -> None:
         raise MembershipError(f"site {w or 'the empty word'} is not in <Sigma>+")
 
 
-def spheres(gs: GeneratorSet, r: int, symbols: int = 0) -> Iterator[list[Word]]:
+def ball_count(gs: GeneratorSet, r: int, symbols: int = 1) -> tuple[int, int]:
+    """The sites of B_r and the letters in them, counted sphere by sphere without
+    building a word: a letter g leads |S_k| words of length k + 1, less those g^-1
+    leads at length k.  ValidationError, naming the sites, refuses the first sphere
+    that takes a scan of every full pattern on ``symbols`` symbols past MAX_PATTERNS
+    patterns, or its sites past MAX_PATTERNS letters (all a one-symbol scan can pass)."""
+    if r < 0:
+        raise ValueError(f"radius must be >= 0, got {r}")
+    leads, size, sites, letters = dict.fromkeys(gs.sigma, 0), 1, 0, 0
+    for k in range(r + 1):
+        sites, letters = sites + size, letters + k * size
+        if letters > MAX_PATTERNS or too_many_patterns(symbols, sites):
+            held = f"{letters} letters" if letters > MAX_PATTERNS else f"{symbols}^{sites} full patterns"
+            raise ValidationError(f"a scan of the radius-{r} ball is refused: its first {sites} "
+                                  f"sites give {held}, more than {MAX_PATTERNS}")
+        leads = {g: size - leads.get(g.inverse(), 0) for g in leads}
+        size = sum(leads.values())
+    return sites, letters
+
+
+def spheres(gs: GeneratorSet, r: int, symbols: int = 1) -> Iterator[list[Word]]:
     """The elements of S of reduced length 0, 1, .., r, one list per length, lazily.
 
     A word of length k + 1 is g * w for exactly one g in Sigma and one w of
     length k (its leading letter and its tail), so no word repeats.  Each
     list is sorted by ``Word.key``: it runs over Sigma in ``Symbol.key``
-    order, and for each g over the previous sorted list.
-
-    With ``symbols`` > 0 the spheres are the sites of a scan over every full
-    pattern on that many symbols.  ValidationError, naming the sites, is
-    raised before a sphere is built that brings the scan past MAX_PATTERNS
-    patterns.  One symbol gives one pattern, so a one-symbol scan is held to
-    MAX_PATTERNS letters in its sites instead.
+    order, and for each g over the previous sorted list.  The first ``next()``
+    refuses, before any word is built, a ball that ``ball_count`` refuses.
     """
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
+    ball_count(gs, r, symbols)
     pairs = [(g, g.inverse()) for g in gs.symbols()]
-    sphere, sites, letters = [EPSILON], 1, 0
-    if symbols:
-        _require_scan(symbols, r, sites, letters)
+    sphere = [EPSILON]
     yield sphere
-    for k in range(1, r + 1):
-        size = len(pairs) * len(sphere)
-        if symbols and _too_large(symbols, sites + size, letters + k * size):
-            # Count the sphere before it is built: each word of the last one
-            # grows by every letter but the inverse of its own first.
-            size -= sum(w.letters[0].inverse() in gs.sigma for w in sphere if w.letters)
-            _require_scan(symbols, r, sites + size, letters + k * size)
+    for _ in range(r):
         sphere = [
             _reduced((g,) + w.letters)
             for g, inverse in pairs
             for w in sphere
             if not w.letters or w.letters[0] is not inverse
         ]
-        sites += len(sphere)
-        letters += k * len(sphere)
         yield sphere
 
 
-def _too_large(symbols: int, sites: int, letters: int) -> bool:
-    """Does a scan of every full pattern on the sites list more than MAX_PATTERNS
-    patterns, or, over one symbol, hold more than MAX_PATTERNS letters?"""
-    if symbols == 1:
-        return letters > MAX_PATTERNS
-    # Past log2(MAX_PATTERNS) sites it does, without a large power.
-    return sites >= MAX_PATTERNS.bit_length() or symbols**sites > MAX_PATTERNS
-
-
-def _require_scan(symbols: int, r: int, sites: int, letters: int) -> None:
-    """Refuse a radius-r scan whose first sites are already too large, naming them."""
-    if _too_large(symbols, sites, letters):
-        held = f"{letters} letters" if symbols == 1 else f"{symbols}^{sites} full patterns"
-        raise ValidationError(
-            f"a scan of the radius-{r} ball is refused: its first {sites} sites "
-            f"give {held}, more than {MAX_PATTERNS}"
-        )
-
-
-def sorted_ball(gs: GeneratorSet, r: int, symbols: int = 0) -> tuple[Word, ...]:
-    """B_r sorted by ``Word.key``: its spheres joined in turn, refused as
-    ``spheres`` refuses them when ``symbols`` is given."""
+def sorted_ball(gs: GeneratorSet, r: int, symbols: int = 1) -> tuple[Word, ...]:
+    """B_r sorted by ``Word.key``: its spheres joined in turn, refused as ``ball_count`` refuses it."""
     return tuple(itertools.chain.from_iterable(spheres(gs, r, symbols)))
 
 
 def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
-    """All elements of S reachable from the identity in at most r steps."""
+    """All elements of S within r steps of the identity, held to MAX_PATTERNS letters."""
     return frozenset(itertools.chain.from_iterable(spheres(gs, r)))
 
 
@@ -467,8 +452,9 @@ _MEMO_ENTRIES = 64
 def scan_layout(gs: GeneratorSet, r: int, symbols: int, a: Symbol | None = None) -> tuple:
     """The sites of a scan of every full pattern on B_r: its spheres joined in turn,
     the size of each B_rr in it, and its a-translate (None without a), refused as
-    ``spheres`` refuses them.  Memoized unless over one symbol, where a ball may hold
-    MAX_PATTERNS letters; a kept layout keeps the hulls and plans of its Sites."""
+    ``ball_count`` refuses them, before any word is built.  Memoized unless over
+    one symbol, where a ball may hold MAX_PATTERNS letters; a kept layout keeps
+    the hulls and plans of its Sites."""
     return (_kept_layout if symbols > 1 else _kept_layout.__wrapped__)(gs, r, symbols, a)
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .algebra import GeneratorSet, parse_word, sorted_ball, word_to_string
+from .algebra import GeneratorSet, ball_count, parse_word, word_to_string
 from .errors import BudgetExhausted, ParseError, SemishiftError, ValidationError, bounded_int
 from .markovize import consistency_masses, markovize
 from .measure import (
@@ -273,7 +273,7 @@ def _cmd_find_morphism(args: argparse.Namespace) -> Report:
         raise ParseError(f"--sigma: {exc}") from exc
     rows: list[Row] = [
         ("degree", args.degree),
-        ("ball_size", len(sorted_ball(gs, args.radius, 1))),
+        ("ball_size", ball_count(gs, args.radius)[0]),
     ]
     try:
         theta = find_separating_morphism(

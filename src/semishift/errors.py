@@ -6,7 +6,8 @@ is quadratic in the digits (an 800000-digit p ran 34 s).  Every integer
 or rational the package reads from text is therefore held to
 ``MAX_RATIONAL_CHARS`` characters first: enough for, e.g., a 5000-digit
 numerator over a 5001-digit denominator.  Work that grows exponentially
-with a radius or a prime is held to ``MAX_PATTERNS`` before it starts.
+with a radius or a prime is held to ``MAX_PATTERNS`` before it starts, and
+``too_many_patterns`` is the one rule for the n^k full patterns on k sites.
 """
 
 MAX_RATIONAL_CHARS = 16_000
@@ -88,6 +89,11 @@ def shown(value: object) -> str:
     if len(text) <= SHOWN_CHARS:
         return repr(value)
     return f"{text[:SHOWN_CHARS]!r}... ({len(text)} characters)"
+
+
+def too_many_patterns(n: int, k: int) -> bool:
+    """Do n symbols on k sites give more than MAX_PATTERNS full patterns?  No large power is formed."""
+    return n > 1 and (k >= MAX_PATTERNS.bit_length() or n**k > MAX_PATTERNS)
 
 
 def bounded_int(text: str) -> int:

@@ -52,6 +52,7 @@ from .errors import (
     SigmaIncomplete,
     ValidationError,
     shown,
+    too_many_patterns,
 )
 
 ZERO = Fraction(0)
@@ -510,11 +511,15 @@ def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[Ite
     whole list of ints over one denominator; any other measure is evaluated
     pattern by pattern, lazily and over 1, so a scan that stops at its
     first witness evaluates nothing after it.  A scan passes the ``Sites``
-    its layout keeps; a word list gets a Sites that no one keeps.  Every
-    built-in ``masses``, and the pattern-by-pattern path, refuses a site
-    outside its own S (MembershipError) before a repeated site (ValueError).
+    its layout keeps; a word list gets a Sites that no one keeps.  Past
+    MAX_PATTERNS full patterns, ValidationError refuses the sites before any
+    fold; then every built-in ``masses``, and the pattern-by-pattern path,
+    refuses a site outside its own S (MembershipError) before a repeated site (ValueError).
     """
     sites = Sites(sites)
+    if too_many_patterns(n := len(measure.alphabet), len(sites)):
+        raise ValidationError(f"the masses on {len(sites)} sites are refused: they give "
+                              f"{n}^{len(sites)} full patterns, more than {MAX_PATTERNS}")
     batched = getattr(measure, "masses", None)
     if batched is not None:
         return batched(sites)

@@ -25,6 +25,7 @@ from .algebra import (
     Sites,
     Symbol,
     Word,
+    ball_count,
     require_in_semigroup,
     sorted_ball,
 )
@@ -336,21 +337,22 @@ def find_separating_morphism(
     Deterministic for a fixed seed.  One permutation is drawn per
     generator index; when Sigma holds both signs, the negative one is the
     inverse, as any morphism into a group requires.  ValidationError
-    refuses a degree above MAX_PATTERNS, a ball of more than MAX_PATTERNS letters
-    before it is built (``spheres`` with one symbol), and a trial taking more steps.
+    refuses a degree above MAX_PATTERNS, a ball ``ball_count`` refuses and a trial
+    taking more steps before any word is built; B_r is built once, for the trials.
     """
     if not 1 <= k <= MAX_PATTERNS:
         raise ValidationError(f"degree k must be between 1 and {MAX_PATTERNS}, got {shown(k)}")
-    words = sorted_ball(gs, r, 1)
-    # k! >= k, so only a degree below |B_r| can be too small, and only its k! is computed.
-    if k < len(words) and math.factorial(k) < len(words):
+    size, letters = ball_count(gs, r)
+    # Only k < |B_r| can have k! < |B_r|, and only k < 11: 11! > MAX_PATTERNS + 1 >= |B_r|.
+    if k < min(size, 11) and math.factorial(k) < size:
         raise BudgetExhausted(
-            f"no injection possible: the {r}-ball has {len(words)} elements "
+            f"no injection possible: the {r}-ball has {size} elements "
             f"but Sym({k}) has only {math.factorial(k)}"
         )
-    if budget > 0 and (steps := k * (len(words) + sum(map(len, words)))) > MAX_PATTERNS:
+    if budget > 0 and (steps := k * (size + letters)) > MAX_PATTERNS:
         raise ValidationError(f"a trial of degree {k} on the {r}-ball is refused: it takes {k} x "
                               f"(words + letters) = {steps} steps, more than {MAX_PATTERNS}")
+    words = sorted_ball(gs, r) if budget > 0 else ()
     rng = random.Random(seed)
     indices = sorted({s.index for s in gs.sigma})
     for _ in range(budget):
@@ -363,7 +365,7 @@ def find_separating_morphism(
         for s in gs.sigma:
             theta[s] = chosen[s.index] if s.sign > 0 else perm_inverse(chosen[s.index])
         images = {_morphism_image(theta, w, k) for w in words}
-        if len(images) == len(words):
+        if len(images) == size:
             return {s: theta[s] for s in gs.symbols()}
     raise BudgetExhausted(f"no separating morphism found in {budget} trials")
 

@@ -16,7 +16,8 @@ from functools import cached_property
 from typing import ClassVar, Collection, Iterable, Mapping, Protocol
 
 from .algebra import Record, require_distinct_sites
-from .errors import MAX_WINDOW_BITS, MembershipError, ValidationError, shown
+from .errors import (MAX_PATTERNS, MAX_WINDOW_BITS, MembershipError, ValidationError, shown,
+                     too_many_patterns)
 from .measure import (
     ONE,
     ZERO,
@@ -246,21 +247,21 @@ def window_consistency(
     measure: LatticeMeasure,
     window: Collection[LatticeVector],
     cover: Collection[LatticeVector],
-    trials: int,
 ) -> CheckResult:
     """Marginalizing the cover back down must reproduce the window mass.
 
-    Every full pattern on the window is checked; a window with more than
-    ``trials`` patterns is refused with ValidationError.
+    Every full pattern on the window is checked against its completions on the
+    cover, |A|^|cover| patterns in all; ValidationError refuses more than
+    MAX_PATTERNS of them before the first evaluation.
     """
     window = tuple(sorted(tuple(v) for v in window))
     cover = tuple(sorted(tuple(v) for v in cover))
     if not set(window) <= set(cover):
         raise ValidationError("the cover must contain the window")
-    count = len(measure.alphabet) ** len(window)
-    if count > trials:
-        raise ValidationError(f"the window has {count} patterns, more than trials = {trials}")
     extra = tuple(v for v in cover if v not in set(window))
+    if too_many_patterns(n := len(measure.alphabet), sites := len(window) + len(extra)):
+        raise ValidationError(f"a consistency check on {sites} sites is refused: they give "
+                              f"{n}^{sites} full patterns, more than {MAX_PATTERNS}")
     for combo in itertools.product(tuple(measure.alphabet), repeat=len(window)):
         pattern = LatticePattern(tuple(zip(window, combo)))
         lhs = window_measure(measure, pattern)

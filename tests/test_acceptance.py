@@ -279,9 +279,7 @@ def test_criterion_09_orthant_window_calculus():
                 for chosen in itertools.combinations(cells, size):
                     window = tuple((t,) for t in chosen)
                     cover = window + (extra,)
-                    assert window_consistency(
-                        measure, window, cover, trials=2 ** size
-                    ).ok
+                    assert window_consistency(measure, window, cover).ok
                     for combo in itertools.product((0, 1), repeat=size):
                         pattern = LatticePattern(tuple(zip(window, combo)))
                         total = sum(

@@ -26,7 +26,8 @@ from semishift import (
     word_mul,
     word_to_string,
 )
-from semishift.algebra import _hull, spheres
+from semishift import algebra
+from semishift.algebra import _hull, ball_count, spheres
 
 
 def w(text):
@@ -205,9 +206,8 @@ def test_a_ball_too_large_to_scan_is_refused_before_its_sphere_is_built():
     for r, symbols, message in ((22, 2, "23 sites give 2^23 full"), (13, 3, "14 sites give 3^14 full")):
         with pytest.raises(ValidationError, match=re.escape(message)):
             sorted_ball(line, r, symbols)
-    # Sigma = {a1, a2}: the refusal comes before B_4's 16 words exist.
+    # Sigma = {a1, a2}: the first next() refuses, before any sphere is built.
     layers = spheres(GeneratorSet.from_signed((1, 2)), 6, 2)
-    assert [len(next(layers)) for _ in range(4)] == [1, 2, 4, 8]
     with pytest.raises(ValidationError, match="radius-6 ball is refused: its first 31 sites"):
         next(layers)
     # One symbol lists one pattern; its scan is held to the letters of its sites:
@@ -216,6 +216,59 @@ def test_a_ball_too_large_to_scan_is_refused_before_its_sphere_is_built():
     assert len(sorted_ball(tree, 16, 1)) == 2**17 - 1
     with pytest.raises(ValidationError, match="first 262143 sites give 4194306 letters"):
         sorted_ball(tree, 40, 1)
+
+
+SIGMAS = ((1,), (-1,), (1, -1), (1, 2), (1, -2), (1, -1, 2), (1, -1, 2, -2), (1, 2, 3),
+          (1, -1, 2, -2, 3, -3))
+
+
+def oracle_ball_sizes(signed):
+    """(sites, letters) of B_0, B_1, .. from words built sphere by sphere as tuples of
+    signed indices, up to the first ball past 2^22 letters, whose last sphere is
+    counted from the one before and not built."""
+    sphere, sizes = [()], [(1, 0)]
+    while sizes[-1][1] <= 2**22:
+        k, (sites, letters) = len(sizes), sizes[-1]
+        grown = sum(1 for w in sphere for x in signed if not w or w[0] != -x)
+        sizes.append((sites + grown, letters + k * grown))
+        if sizes[-1][1] <= 2**22:
+            sphere = [(x,) + w for x in signed for w in sphere if not w or w[0] != -x]
+    return sizes
+
+
+def test_ball_count_gives_the_sizes_and_refusals_of_a_sphere_by_sphere_build():
+    refusals = 0
+    for signed in SIGMAS:
+        gs, sizes = GeneratorSet.from_signed(signed), oracle_ball_sizes(signed)
+        for r in (*range(12), 17, 40, 3000, 10**9):
+            for n in (1, 2, 3, 5, 64):
+                # The first radius whose ball a scan over n symbols may not list.
+                over = next((k for k, (sites, letters) in enumerate(sizes[: r + 1])
+                             if (n ** sites if n > 1 else letters) > 2**22), None)
+                if over is None:
+                    assert ball_count(gs, r, n) == sizes[r]
+                    if sizes[r][0] <= 5000:
+                        words = sorted_ball(gs, r, n)
+                        assert (len(words), sum(map(len, words))) == sizes[r]
+                    continue
+                sites, letters = sizes[over]
+                held = f"{letters} letters" if n == 1 else f"{n}^{sites} full patterns"
+                refused = (f"a scan of the radius-{r} ball is refused: its first {sites} sites "
+                           f"give {held}, more than 4194304")
+                for build in (ball_count, sorted_ball, lambda *case: next(spheres(*case))):
+                    with pytest.raises(ValidationError) as caught:
+                        build(gs, r, n)
+                    assert str(caught.value) == refused
+                refusals += 1
+    assert refusals == 454  # of the 720 cases
+
+
+def test_a_ball_past_the_letter_bound_is_refused_before_a_word_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(algebra, "_reduced", lambda letters: built.append(letters))
+    with pytest.raises(ValidationError, match="first 262143 sites give 4194306 letters"):
+        ball(GeneratorSet.from_signed((1, 2)), 40)
+    assert built == []
 
 
 def test_tree_hull_examples():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -18,6 +19,7 @@ from semishift import (
     parse_word,
     window_measure,
 )
+from semishift import algebra
 from semishift.cli import execute, main
 from semishift.serialize import (
     automaton_in,
@@ -910,6 +912,27 @@ def test_a_find_morphism_trial_past_the_budget_exits_two_at_once():
         "it takes 3000000 x (words + letters) = 15000000 steps, more than 4194304"
     )
     assert time.process_time() - start < 1.0
+
+
+def test_find_morphism_builds_its_ball_once_and_only_for_a_trial(monkeypatch):
+    built, factorials = [], []
+    reduced, factorial = algebra._reduced, math.factorial
+    monkeypatch.setattr(algebra, "_reduced", lambda letters: built.append(letters) or reduced(letters))
+    monkeypatch.setattr(math, "factorial", lambda k: factorials.append(k) or factorial(k))
+    search = ["find-morphism", "--sigma", "1,2", "--seed", "1"]
+    for flags, code in (
+        (["--radius", "30", "--degree", "3"], 2),  # a ball past 2^22 letters
+        (["--radius", "16", "--degree", "2", "--budget", "1"], 1),  # 2! < |B_16|
+        (["--radius", "16", "--degree", "200"], 2),  # a trial past the budget
+        (["--radius", "1", "--degree", "4", "--budget", "0"], 1),  # no trial
+        (["--radius", "16", "--degree", "131070", "--budget", "0"], 1),  # 131070! is not formed
+    ):
+        assert execute([*search, *flags])[0] == code
+        assert built == []
+    assert factorials and max(factorials) <= 10
+    # B_2 over Sigma = {a1, a2} has 7 words; the identity is not built.
+    assert execute([*search, "--radius", "2", "--degree", "5"])[0] == 0
+    assert len(built) == 6
 
 
 def test_a_group_past_the_budget_is_refused_during_its_closure(tmp_path):

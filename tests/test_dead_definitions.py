@@ -1,8 +1,9 @@
 """No dead definitions: every top-level function, class and constant of the
-package is read somewhere in the package, the tests or the benchmark,
-outside its own definition.  Dunder hooks (``__getattr__``, ``__all__``,
-``__version__``) are exempt.  A read is a name or an attribute access;
-an import or a string naming the definition is not.
+package, and every method of its top-level classes, is read somewhere in the
+package, the tests or the benchmark, outside its own definition.  Dunder
+names (``__getattr__``, ``__all__``, ``__version__``, ``__post_init__``) are
+exempt.  A read is a name or an attribute access; an import or a string
+naming the definition is not.
 """
 
 import ast
@@ -26,6 +27,16 @@ def top_level_definitions(tree: ast.Module):
                         yield name.id, node
 
 
+def definitions(tree: ast.Module):
+    """(name, node) for each top-level definition and each method of a top-level class."""
+    for name, node in top_level_definitions(tree):
+        yield name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield method.name, method
+
+
 def read_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         return node.id
@@ -44,7 +55,7 @@ def test_every_package_definition_is_read_outside_itself():
                 reads.setdefault(name, []).append(node)
     dead = []
     for path in PACKAGE:
-        for name, node in top_level_definitions(trees[path]):
+        for name, node in definitions(trees[path]):
             if name.startswith("__") and name.endswith("__"):
                 continue
             inside = {id(n) for n in ast.walk(node)}

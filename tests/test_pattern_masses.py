@@ -550,6 +550,28 @@ def test_a_site_outside_s_is_refused_before_a_repeated_site():
             pattern_masses(m, [identity, identity])
 
 
+def test_sites_past_the_pattern_budget_are_refused_before_any_fold(monkeypatch):
+    rng = random.Random(1)
+    chain = random_invariant_chain(rng, (1, 2), 2)
+    measures = [build(kind, rng, (1, 2), 2)[0] for kind in KINDS]
+    oracle = OracleMeasure(chain)
+    for kind in (MarkovTreeChain, BernoulliMeasure, MixtureMeasure, OrbitAutomaton):
+        monkeypatch.setattr(kind, "masses", lambda *args: pytest.fail("a fold ran"))
+    words = sorted_ball(chain.gs, 4)  # 31 sites
+    for k in (23, 30):
+        for m in [*measures, *measures[2].orbits, oracle]:
+            with pytest.raises(ValidationError) as refused:
+                pattern_masses(m, words[:k])
+            assert str(refused.value) == (
+                f"the masses on {k} sites are refused: they give 2^{k} full patterns, more than 4194304"
+            )
+    assert oracle.calls == 0
+    # One symbol gives one pattern however many the sites.
+    one = BernoulliMeasure(chain.gs, ("x",), (F(1),))
+    monkeypatch.undo()
+    assert fractions(pattern_masses(one, words)) == [1]
+
+
 def test_library_calls_the_engine_by_its_public_name(monkeypatch):
     # ``import semishift.markovize as m`` binds the function: the package re-exports it.
     modules = [importlib.import_module(f"semishift.{name}") for name in ("measure", "markovize")]

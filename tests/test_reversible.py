@@ -1,10 +1,12 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from helpers import lattice_interval_eval
+from semishift import reversible
 from semishift import (
     LatticeBernoulli,
     LatticeMarkov,
@@ -135,10 +137,8 @@ def test_lower_bound_choice_immaterial():
 
 
 def test_window_consistency_examples():
-    assert window_consistency(bern(), [(0,)], [(-1,), (0,)], trials=16).ok
-    assert window_consistency(
-        chain(), [(-2,), (0,)], [(-2,), (-1,), (0,)], trials=16
-    ).ok
+    assert window_consistency(bern(), [(0,)], [(-1,), (0,)]).ok
+    assert window_consistency(chain(), [(-2,), (0,)], [(-2,), (-1,), (0,)]).ok
 
 
 def test_window_consistency_exhaustive_small():
@@ -146,20 +146,31 @@ def test_window_consistency_exhaustive_small():
         windows = [[(0,)], [(-1,), (1,)], [(-2,), (0,), (1,)]]
         for window in windows:
             cover = sorted(set(window) | {(3,)})
-            assert window_consistency(measure, window, cover, trials=64).ok
+            assert window_consistency(measure, window, cover).ok
 
 
 def test_window_consistency_requires_containment():
     with pytest.raises(ValidationError):
-        window_consistency(bern(), [(0,)], [(1,)], trials=4)
+        window_consistency(bern(), [(0,)], [(1,)])
 
 
-def test_window_consistency_refuses_more_patterns_than_trials():
-    # 2^3 = 8 window patterns: checking only 4 of them would prove nothing
-    window = [(0,), (1,), (2,)]
-    with pytest.raises(ValidationError, match="8 patterns"):
-        window_consistency(bern(), window, window + [(3,)], trials=4)
-    assert window_consistency(bern(), window, window + [(3,)], trials=8).ok
+def test_window_consistency_refuses_a_cover_past_the_pattern_budget():
+    # 2^23 window patterns and completions on 23 sites: past MAX_PATTERNS = 2^22.
+    window = [(t,) for t in range(22)]
+    with pytest.raises(ValidationError, match=re.escape(
+        "a consistency check on 23 sites is refused: they give 2^23 full patterns, more than 4194304"
+    )):
+        window_consistency(bern(), window, window + [(22,)])
+    assert window_consistency(bern(), window[:3], window[:3] + [(3,)]).ok
+
+
+def test_a_small_window_in_a_large_cover_is_refused_before_any_evaluation(monkeypatch):
+    # One window site has 2 patterns, but each has 2^30 completions on the cover.
+    calls = []
+    monkeypatch.setattr(reversible, "window_measure", lambda *args: calls.append(args))
+    with pytest.raises(ValidationError, match=re.escape("on 31 sites is refused: they give 2^31")):
+        window_consistency(bern(), [(0,)], [(t,) for t in range(31)])
+    assert calls == []
 
 
 def test_translation_invariance_examples():
@@ -204,7 +215,7 @@ def test_corrupted_oracle_fails_checks():
 
     # completing below the window shifts it to the other box position,
     # so the two site marginals are compared against each other
-    inconsistent = window_consistency(oracle, [(0,)], [(-1,), (0,)], trials=8)
+    inconsistent = window_consistency(oracle, [(0,)], [(-1,), (0,)])
     assert not inconsistent.ok
     assert inconsistent.witness
 
