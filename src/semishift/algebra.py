@@ -380,23 +380,19 @@ def ball(gs: GeneratorSet, r: int) -> frozenset[Word]:
     return frozenset(itertools.chain.from_iterable(spheres(gs, r)))
 
 
-def _hull(words: Iterable[Word], gs: GeneratorSet | None = None) -> tuple[list[int], list, list[int]]:
+def _hull(words: Iterable[Word]) -> tuple[list[int], list, list[int]]:
     """The sites' hull, closed under removing leading letters, as ``(parent, letter, site)``.
 
     Vertex 0 is the identity and vertex i > 0 is ``letter[i]`` times vertex
     ``parent[i] < i``; ``site[j]`` is the j-th word's vertex.  Each site is
     read once, right to left, one lookup per letter keyed by (parent, letter),
     and a vertex joins ``parent`` and ``letter`` as that lookup creates it.
-    Given gs, raises MembershipError for the first site outside S.
     """
     vertex: dict[tuple[int, Symbol], int] = {}
     parent: list[int] = [-1]
     letter: list = [None]
     site = []
-    inside = gs.sigma.issuperset if gs is not None else None
     for w in words:
-        if inside and not inside(w.letters):
-            require_in_semigroup(w, gs)
         v = 0
         for g in reversed(w.letters):
             new = len(parent)
@@ -428,7 +424,7 @@ class Sites(tuple):
     def __new__(cls, words: Iterable[Word]) -> "Sites":
         if type(words) is cls:
             return words
-        self = super().__new__(cls, words)
+        self = tuple.__new__(cls, words)
         parent, letter, site = _hull(self)
         self.parent, self.letter, self.site = tuple(parent), tuple(letter), tuple(site)
         self.letters = frozenset(letter[1:])
@@ -485,7 +481,9 @@ class Tree(Record):
 
 def tree_hull(words: Iterable[Word], gs: GeneratorSet) -> Tree:
     """The smallest tree rooted at the identity that contains the sites: their hull."""
-    parent, letter, _ = _hull(words, gs)
+    for w in (words := list(words)):
+        require_in_semigroup(w, gs)
+    parent, letter, _ = _hull(words)
     vertices, edges = [EPSILON], set()
     for up, g in zip(parent[1:], letter[1:]):
         vertices.append(Word((g,) + vertices[up].letters))

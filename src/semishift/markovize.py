@@ -24,6 +24,7 @@ from .measure import (
     CylinderMeasure,
     MarkovTreeChain,
     Pattern,
+    _Constraints,
     _pattern_at,
     eval_constrained,
     is_invariant_chain,
@@ -142,10 +143,7 @@ class MarkovizedMeasure(Record):
     def eval(self, pattern: Pattern) -> Fraction:
         """The pattern's mass; a base symbol no charged block shows gets 0."""
         require_pattern(pattern, self.gs, self.alphabet)
-        showing = self.showing
-        return eval_constrained(
-            self.result.chain, {w: showing.get(c, ()) for w, c in pattern.items()}
-        )
+        return eval_constrained(self.result.chain, _Constraints(pattern, lambda c: self.showing.get(c, ())))
 
 
 def consistency_masses(

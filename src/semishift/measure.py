@@ -25,8 +25,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul, sub
-from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence
+from operator import add, itemgetter, mul, sub
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .algebra import (
     GeneratorSet,
@@ -34,7 +34,6 @@ from .algebra import (
     Sites,
     Symbol,
     Word,
-    _hull,
     require_distinct_sites,
     require_in_semigroup,
     scan_layout,
@@ -87,10 +86,12 @@ class Pattern(Record):
     def _lookup(self) -> dict[Word, object]:
         return dict(self.entries)
 
-    @cached_property
+    @property
     def sites(self) -> Sites:
-        """The domain with its hull, built once per pattern."""
-        return Sites(self.domain())
+        """The domain with its hull, built once; set like a field, cheaper than a cached_property."""
+        if (kept := getattr(self, "_sites", None)) is None:
+            object.__setattr__(self, "_sites", kept := Sites(map(itemgetter(0), self.entries)))
+        return kept
 
     def __contains__(self, w: Word) -> bool:
         return w in self._lookup
@@ -424,36 +425,58 @@ def is_invariant_chain(chain: MarkovTreeChain) -> CheckResult:
     return CheckResult(True)
 
 
+class _Constraints(Mapping):
+    """A pattern's sites, each allowed ``allow(c)`` for its symbol c, or c alone."""
+
+    def __init__(self, pattern: Pattern, allow: Callable[[object], Collection] | None = None):
+        self.pattern, self.allow = pattern, allow
+
+    def __getitem__(self, w: Word) -> Collection:
+        return (self.pattern[w],) if self.allow is None else self.allow(self.pattern[w])
+
+    def __iter__(self) -> Iterator[Word]:
+        return iter(self.pattern.sites)
+
+    def __len__(self) -> int:
+        return len(self.pattern)
+
+
 def eval_constrained(
     chain: MarkovTreeChain, constraints: Mapping[Word, Collection]
 ) -> Fraction:
     """Measure of the event that each site's symbol lies in its allowed set.
 
     Generalizes cylinder evaluation; unordered sites not mentioned are
-    unconstrained hull vertices and get marginalized.  Every symbol and
-    site is checked before the fold.  A site with exactly one allowed
-    symbol is a fixed vertex, held as that symbol's index: an edge
-    between two fixed vertices multiplies the integer ``factor`` by one
-    entry of D*P[g], and one into a fixed parent by one dot product.
-    Every other vertex keeps a row, all ones until a child touches it;
-    a fixed child multiplies its parent's row by one column of D*P[g].
+    unconstrained hull vertices and get marginalized.  A ``_Constraints``
+    brings its pattern's kept ``Sites``.  Every symbol and site is checked
+    before the fold.  A site with one allowed symbol is a fixed vertex, held
+    as its index: an edge between two fixed vertices multiplies the integer
+    ``factor`` by one entry of D*P[g], and one into a fixed parent by one dot
+    product.  Every other vertex keeps a row, all ones until a child touches
+    it; a fixed child multiplies its parent's row by one column of D*P[g].
     """
     _require_valid(chain)
-    parent, letter, site = _hull(constraints, chain.gs)
+    if type(constraints) is _Constraints:
+        symbols = map(itemgetter(1), constraints.pattern.entries)
+        allowed = zip(symbols) if constraints.allow is None else map(constraints.allow, symbols)
+        sites = constraints.pattern.sites.within(chain.gs)
+    else:
+        sites, allowed = Sites(constraints).within(chain.gs), constraints.values()
+    parent, letter, site = sites.parent, sites.letter, sites.site
     scale, p, matrices = chain.integer_form
     n, index = len(p), chain.symbol_index
     fixed = [-1] * len(parent)
     # Each row is D^(size of its subtree - 1) times the exact row; None is all ones.
     rows: list[list[int] | None] = [None] * len(parent)
-    for v, allowed in zip(site, constraints.values()):
+    for v, ok in zip(site, allowed):
         try:
-            if len(allowed) == 1:
-                (c,) = allowed
+            if len(ok) == 1:
+                (c,) = ok
                 fixed[v] = index[c]
                 continue
-            ks = set(map(index.__getitem__, allowed))
+            ks = set(map(index.__getitem__, ok))
         except KeyError:
-            c = next(c for c in allowed if c not in index)
+            c = next(c for c in ok if c not in index)
             raise ValidationError(f"symbol {shown(c)} is not in the chain alphabet") from None
         if len(ks) == 1:
             fixed[v] = ks.pop()
@@ -489,7 +512,7 @@ def eval_constrained(
 
 def eval_cylinder(chain: MarkovTreeChain, pattern: Pattern) -> Fraction:
     """Exact measure of the cylinder fixing the pattern's sites."""
-    return eval_constrained(chain, {w: (c,) for w, c in pattern.items()})
+    return eval_constrained(chain, _Constraints(pattern))
 
 
 def _patterns(sites: Sequence[Word], alphabet: Sequence) -> Iterator[Pattern]:

@@ -297,7 +297,8 @@ def measure_out(measure: Any) -> dict:
     for tag, kind in MEASURE_KINDS.items():
         if type(measure) is kind.cls:
             return {"kind": tag, **kind.write(measure)}
-    raise ParseError(f"cannot serialize measure of type {type(measure).__name__}")
+    wrap = "; wrap the orbits in a PeriodicMeasure" if type(measure) is OrbitAutomaton else ""
+    raise ParseError(f"cannot serialize measure of type {type(measure).__name__}{wrap}")
 
 
 @_reader("measure")

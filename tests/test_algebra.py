@@ -27,7 +27,7 @@ from semishift import (
     word_to_string,
 )
 from semishift import algebra
-from semishift.algebra import _hull, ball_count, spheres
+from semishift.algebra import Sites, _hull, ball_count, spheres
 
 
 def w(text):
@@ -345,7 +345,7 @@ def test_hull_parent_array_matches_the_oracle():
     @hypothesis.given(cases())
     def check(case):
         gs, sites, stranger, at = case
-        parent, letter, site = _hull(sites, gs)
+        parent, letter, site = _hull(sites)
         assert len(parent) == len(letter) and len(site) == len(sites)
         vertices = [EPSILON]
         for i in range(1, len(parent)):
@@ -354,9 +354,11 @@ def test_hull_parent_array_matches_the_oracle():
         assert len(set(vertices)) == len(vertices)
         assert sorted(vertices, key=Word.key) == oracle_hull(sites)
         assert [vertices[v] for v in site] == sites
-        bad = Word((stranger,))
-        with pytest.raises(MembershipError):
-            _hull([*sites[:at], bad, *sites[at:]], gs)
+        bad = [*sites[:at], Word((stranger,)), *sites[at:]]
+        with pytest.raises(MembershipError, match=f"site {bad[at]} is not in"):
+            Sites(bad).within(gs)
+        with pytest.raises(MembershipError, match=f"site {bad[at]} is not in"):
+            tree_hull(bad, gs)
 
     check()
 

@@ -6,7 +6,9 @@ inverse pairs.  Constraints put allowed-symbol sets on up to four sites of depth
 up to four: single symbols, several, none (as ``MarkovizedMeasure.eval`` passes
 for a symbol no block shows), and tuples that repeat a symbol.
 Every value is compared with ``oracle_eval_constrained``, which sums over
-every admissible labelling of a hull it computes itself.
+every admissible labelling of a hull it computes itself.  A pattern keeps
+its hull once evaluated, so warm patterns are compared with fresh ones,
+across chains over different Sigma and alphabets.
 """
 
 from fractions import Fraction
@@ -30,6 +32,7 @@ from semishift import (
     eval_constrained,
     eval_cylinder,
 )
+from semishift.measure import _Constraints
 
 SIGNED = (1, -1, 2, -2)
 ALPHABET = ("x", "y", "z")
@@ -38,8 +41,9 @@ MAX_TERMS = 2048
 
 
 @st.composite
-def chains(draw):
-    signed = draw(st.lists(st.sampled_from(SIGNED), min_size=1, max_size=4, unique=True))
+def chains(draw, signed=None):
+    if signed is None:
+        signed = draw(st.lists(st.sampled_from(SIGNED), min_size=1, max_size=4, unique=True))
     gs = GeneratorSet.from_signed(signed)
     n = draw(st.sampled_from((2, 3, 1)))
     weights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
@@ -107,6 +111,22 @@ def test_eval_cylinder_matches_enumeration(case):
     assert value == eval_constrained(chain, constraints)
 
 
+@given(constrained())
+def test_a_pattern_view_folds_as_its_plain_mapping(case):
+    """``_Constraints(pattern, allow)`` stands for ``{w: allow(c)}``: it equals
+    that dict, lists the sites in the pattern's entry order, and folds to the
+    same mass on a cold pattern and on a warm one."""
+    chain, constraints = case
+    tags = {w: i for i, w in enumerate(constraints)}
+    allow = {i: constraints[w] for w, i in tags.items()}.__getitem__
+    pattern = Pattern.of(tags)
+    view = _Constraints(pattern, allow)
+    assert view == constraints and list(view) == list(pattern.domain())
+    value = oracle_eval_constrained(chain, constraints)
+    assert eval_constrained(chain, view) == value
+    assert eval_constrained(chain, _Constraints(pattern, allow)) == value
+
+
 @given(constrained(), st.data())
 def test_unknown_symbol_raises_validation_error(case, data):
     chain, constraints = case
@@ -116,19 +136,85 @@ def test_unknown_symbol_raises_validation_error(case, data):
         eval_constrained(chain, bad)
 
 
+def outside_site(data, gs):
+    """A reduced word of up to four letters whose first letter is outside gs."""
+    outside = [s for s in map(Symbol.from_signed, (*SIGNED, 3)) if s not in gs.sigma]
+    head = data.draw(st.sampled_from(outside))
+    tail = data.draw(words(gs.symbols(), max_len=3))
+    if tail.letters and tail.letters[0] == head.inverse():
+        tail = Word()
+    return Word((head, *tail.letters))
+
+
 @given(constrained(), st.data())
 def test_site_outside_semigroup_raises_membership_error(case, data):
     chain, constraints = case
-    outside = [s for s in map(Symbol.from_signed, (1, -1, 2, -2, 3)) if s not in chain.gs.sigma]
-    head = data.draw(st.sampled_from(outside))
-    tail = data.draw(words(chain.gs.symbols(), max_len=3))
-    if tail.letters and tail.letters[0] == head.inverse():
-        tail = Word()
-    site = Word((head, *tail.letters))
+    site = outside_site(data, chain.gs)
     with pytest.raises(MembershipError, match=f"site {site} is not in"):
         eval_constrained(chain, {**constraints, site: chain.alphabet[:1]})
     with pytest.raises(MembershipError):
         eval_cylinder(chain, Pattern.of({site: chain.alphabet[0]}))
+
+
+def outcome(chain, pattern):
+    """The pattern's mass, or the type and text of the error that refuses it."""
+    try:
+        return eval_cylinder(chain, pattern)
+    except ValidationError as error:
+        return type(error), str(error)
+
+
+@given(constrained(singletons=True), chains())
+def test_a_warm_pattern_evaluates_as_a_cold_one(case, other):
+    """A pattern keeps its hull from its first evaluation on:
+    every later one, by this chain or by a chain over another Sigma and
+    alphabet, gives what a fresh pattern gives."""
+    chain, constraints = case
+    entries = {w: c for w, (c,) in constraints.items()}
+    pattern = Pattern.of(entries)
+    value = eval_cylinder(chain, pattern)
+    assert value == oracle_eval_constrained(chain, constraints)
+    assert value == eval_constrained(chain, dict(constraints))
+    assert eval_cylinder(chain, pattern) == value
+    assert outcome(other, pattern) == outcome(other, Pattern.of(entries))
+    assert eval_cylinder(chain, pattern) == value
+
+
+@given(chains(signed=(1, 2)), chains(signed=(1,)), st.data())
+def test_a_pattern_read_under_a_larger_sigma_is_still_refused_under_a_smaller(wide, narrow, data):
+    a2 = Symbol.from_signed(2)
+    tail = data.draw(words(wide.gs.symbols(), max_len=3))
+    sites = {Word((a2, *tail.letters))}
+    sites.update(data.draw(st.lists(words(wide.gs.symbols(), max_len=3), max_size=3)))
+    pattern = Pattern.of({w: data.draw(st.sampled_from(wide.alphabet)) for w in sites})
+    value = eval_cylinder(wide, pattern)
+    first = next(w for w in pattern.domain() if a2 in w.letters)
+    for _ in range(2):
+        with pytest.raises(MembershipError, match=f"site {first} is not in"):
+            eval_cylinder(narrow, pattern)
+        assert eval_cylinder(wide, pattern) == value
+
+
+# Uniform over every letter that SIGNED and outside_site draw, and over ALPHABET and "unknown".
+EVERYTHING = MarkovTreeChain.make(
+    GeneratorSet.from_signed((*SIGNED, 3)),
+    (*ALPHABET, "unknown"),
+    (Fraction(1, 4),) * 4,
+    {s: [[Fraction(1, 4)] * 4] * 4 for s in (*SIGNED, 3)},
+)
+
+
+@given(constrained(singletons=True), st.booleans(), st.data())
+def test_a_site_outside_s_comes_before_an_unknown_symbol_warm_or_cold(case, warm, data):
+    chain, constraints = case
+    entries = {w: c for w, (c,) in constraints.items()}
+    entries[data.draw(st.sampled_from(sorted(entries, key=Word.key)))] = "unknown"
+    site = outside_site(data, chain.gs)
+    pattern = Pattern.of({**entries, site: chain.alphabet[0]})
+    if warm:
+        assert eval_cylinder(EVERYTHING, pattern) > 0
+    with pytest.raises(MembershipError, match=f"site {site} is not in"):
+        eval_cylinder(chain, pattern)
 
 
 # Sigma = {a1}; P[a1] never leads from x to y, so the edge from a fixed x

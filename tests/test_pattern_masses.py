@@ -17,9 +17,11 @@ The memoized scan layouts, and the hulls and chain fold plans their
 tuples, and stay within their bounds.
 """
 
+import copy
 import importlib
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -44,6 +46,7 @@ from semishift import (
     GeneratorSet,
     InvalidChain,
     MarkovTreeChain,
+    MarkovizedMeasure,
     MembershipError,
     MixtureMeasure,
     OrbitAutomaton,
@@ -54,6 +57,7 @@ from semishift import (
     Word,
     ball,
     extend_chain,
+    markovize,
     pushforward_check,
     shift_invariance_check,
     sorted_ball,
@@ -869,3 +873,34 @@ def test_a_periodic_measure_builds_one_hull_per_pattern(monkeypatch):
     pattern = Pattern.of({EPSILON: 0, Word((a1,)): 1, Word((a2, a1)): 0})
     assert measure.eval(pattern) == sum((o.eval(pattern) for o in orbits), F(0)) / 3
     assert len(hulls) == 1
+
+
+def test_every_chain_fold_reads_one_hull_per_pattern(monkeypatch):
+    """A chain, a mixture of two chains and a Bernoulli measure, and a
+    markovized measure read the one Sites their pattern keeps, however often
+    they evaluate it; a pickled or copied pattern gives the same masses."""
+    rng = random.Random(9)
+    chain, second = (random_invariant_chain(rng, (1, 2)) for _ in range(2))
+    bernoulli = BernoulliMeasure(chain.gs, chain.alphabet, (F(1, 3), F(2, 3)))
+    mixture = MixtureMeasure((chain, second, bernoulli), (F(1, 2), F(1, 4), F(1, 4)))
+    measures = (chain, mixture, MarkovizedMeasure(markovize(chain, 1)))
+    a1, a2 = Symbol(1, 1), Symbol(2, 1)
+    entries = {EPSILON: 0, Word((a1,)): 1, Word((a2, a1)): 0, Word((a1, a2)): 1}
+    expected = [m.eval(Pattern.of(entries)) for m in measures]
+    assert expected[0] == oracle_eval(chain, Pattern.of(entries))
+    hulls = []
+    hull = algebra._hull
+
+    def counting(*args):
+        hulls.append(args)
+        return hull(*args)
+
+    monkeypatch.setattr(algebra, "_hull", counting)
+    pattern = Pattern.of(entries)
+    for _ in range(3):
+        assert [m.eval(pattern) for m in measures] == expected
+    assert len(hulls) == 1
+    monkeypatch.undo()
+    for kept in (pickle.loads(pickle.dumps(pattern)), copy.deepcopy(pattern)):
+        assert kept == pattern and kept.sites == pattern.sites
+        assert [m.eval(kept) for m in measures] == expected

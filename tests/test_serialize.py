@@ -236,6 +236,18 @@ def test_automata_and_measures_read_back_equal():
     check()
 
 
+def test_a_bare_orbit_is_refused_with_the_wrapper_to_use():
+    """No measure kind holds a bare automaton, alone or in a mixture; the
+    refusal names the kind that does."""
+    orbit = swap_orbit()
+    mixture = MixtureMeasure((orbit, PeriodicMeasure((orbit,), (Fraction(1),))), (Fraction(1, 2),) * 2)
+    for measure in (orbit, mixture):
+        with pytest.raises(ParseError, match="^cannot serialize measure of type OrbitAutomaton; "
+                           "wrap the orbits in a PeriodicMeasure$"):
+            measure_out(measure)
+    assert measure_out(PeriodicMeasure((orbit,), (Fraction(1),)))["kind"] == "periodic"
+
+
 def test_morphism_round_trip():
     theta = find_separating_morphism(GS2, 1, 4, seed=5)
     back = morphism_in(through_json(morphism_out(theta)))
