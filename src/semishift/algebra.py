@@ -414,11 +414,12 @@ class Sites(tuple):
     """Sites in order, as a tuple of words, with their hull as ``_hull`` builds it.
 
     ``parent``, ``letter`` and ``site`` are the hull's tuples, ``letters`` the
-    set of letters the words use, and ``plans`` holds what a measure derives
-    from the hull alone, keyed as that measure chooses.  Vertices are made in
-    site order, so the first k sites' hull is the first vertices of this one.
-    Building one checks nothing: a measure reading it calls ``within`` on its
-    own generator set.  As with ``tuple``, the Sites of a Sites is itself.
+    set of letters the words use, ``repeated`` whether two sites are one hull
+    vertex, and ``plans`` holds what a measure derives from the hull alone,
+    keyed as that measure chooses.  Vertices are made in site order, so the
+    first k sites' hull is the first vertices of this one.  Building one
+    refuses nothing: a measure reading it calls ``within`` on its own
+    generator set.  As with ``tuple``, the Sites of a Sites is itself.
     """
 
     def __new__(cls, words: Iterable[Word]) -> "Sites":
@@ -428,6 +429,7 @@ class Sites(tuple):
         parent, letter, site = _hull(self)
         self.parent, self.letter, self.site = tuple(parent), tuple(letter), tuple(site)
         self.letters = frozenset(letter[1:])
+        self.repeated = len(set(site)) != len(site)  # distinct sites are distinct hull vertices
         self.plans = {}
         return self
 
@@ -437,7 +439,8 @@ class Sites(tuple):
         if not gs.sigma.issuperset(self.letters):
             for w in self:
                 require_in_semigroup(w, gs)
-        require_distinct_sites(self.site)  # distinct sites are distinct hull vertices
+        if self.repeated:
+            raise ValueError("pattern has a repeated site")
         return self
 
 

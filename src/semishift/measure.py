@@ -161,8 +161,8 @@ class CylinderMeasure(Protocol):
     int, in ``itertools.product`` order.  The masses are a consistent
     family: summing out the trailing sites, which vary fastest, sums
     blocks of consecutive entries, and the block sums over the same
-    denominator are the masses on the leading sites.  The ball scans read
-    any other measure through ``eval``, pattern by pattern, over the
+    denominator are the masses on the leading sites.  The ball scans list
+    any other measure's masses through ``eval``, every pattern over the
     denominator 1.
     """
 
@@ -526,14 +526,13 @@ def all_patterns(sites: Iterable[Word], alphabet: Sequence) -> Iterator[Pattern]
     yield from _patterns(sorted_words(sites), alphabet)
 
 
-def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[Iterable, int]:
+def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[list, int]:
     """The mass of every full pattern on the ordered sites, as ``(numerators, denominator)``.
 
     Patterns run in ``itertools.product(measure.alphabet, repeat=len(sites))``
     order, the first site varying slowest.  A measure's ``masses`` gives the
     whole list of ints over one denominator; any other measure is evaluated
-    pattern by pattern, lazily and over 1, so a scan that stops at its
-    first witness evaluates nothing after it.  A scan passes the ``Sites``
+    on every pattern, a list of exact masses over 1.  A scan passes the ``Sites``
     its layout keeps; a word list gets a Sites that no one keeps.  Past
     MAX_PATTERNS full patterns, ValidationError refuses the sites before any
     fold; then every built-in ``masses``, and the pattern-by-pattern path,
@@ -546,7 +545,7 @@ def pattern_masses(measure: CylinderMeasure, sites: Sequence[Word]) -> tuple[Ite
     batched = getattr(measure, "masses", None)
     if batched is not None:
         return batched(sites)
-    return map(measure.eval, _patterns(sites.within(measure.gs), measure.alphabet)), 1
+    return list(map(measure.eval, _patterns(sites.within(measure.gs), measure.alphabet))), 1
 
 
 def _pattern_at(sites: Sequence[Word], alphabet: Sequence, i: int) -> Pattern:
@@ -582,8 +581,9 @@ def _witness(lhs: tuple, rhs: tuple, sites: Sequence[Word], alphabet: Sequence, 
     ``(numerators, denominator)`` masses differ, or None.  Two lists are
     compared in C first.  The witness is then looked for on the prefixes of
     the sites of the given sizes, smallest first: the masses on k sites are
-    sums of blocks of n^(len(sites) - k) consecutive entries.  A lazy side
-    is walked once, so it comes with the one size ``len(sites)``.
+    sums of blocks of n^(len(sites) - k) consecutive entries.  Only the
+    name-matched path of ``pushforward_check`` passes lazy sides, which are
+    walked once, so they come with the one size ``len(sites)``.
     """
     (xs, dx), (ys, dy) = lhs, rhs
     if isinstance(xs, list) and isinstance(ys, list) and _agree(xs, dx, ys, dy):
@@ -605,32 +605,22 @@ def shift_invariance_check(
 
     The sorted B_rr is the sorted B_(rr-1) followed by the sorted sphere
     of radius rr, so B_rr and its translate are prefixes of the site
-    lists of B_r and its translate (``scan_layout``).  A measure with
-    ``masses`` is folded once per side, on B_r: its masses on B_rr are
-    block sums of those on B_r, so agreement on B_r settles every radius,
-    and ``_witness`` reads the smaller radii only when the sides differ,
-    from radius 0 up.  The witness is the one a radius by radius scan
-    reports.  An eval-only measure is scanned lazily, radius by radius,
-    and evaluates no pattern past its first witness.
+    lists of B_r and its translate (``scan_layout``).  Each side's masses
+    are listed once, on B_r: the masses on B_rr are block sums of those
+    on B_r, so agreement on B_r settles every radius, and ``_witness``
+    reads the smaller radii only when the sides differ, from radius 0
+    up.  The witness is the one a radius by radius scan reports.
     """
     sites, sizes, moved = scan_layout(measure.gs, r, len(measure.alphabet), a)
-    batched = getattr(measure, "masses", None) is not None
-    sides = [(sites, moved)] if batched else [(sites[:k], moved[:k]) for k in sizes]
-    for ball_sites, moved_sites in sides:
-        found = _witness(
-            pattern_masses(measure, ball_sites),
-            pattern_masses(measure, moved_sites),
-            ball_sites,
-            measure.alphabet,
-            sizes if batched else [len(ball_sites)],
-        )
-        if found is not None:
-            pattern, lhs, rhs = found
-            return CheckResult(
-                False,
-                f"pattern {pattern.render()} has measure {lhs}, its {a}-translate {rhs}",
-            )
-    return CheckResult(True)
+    found = _witness(
+        pattern_masses(measure, sites), pattern_masses(measure, moved), sites, measure.alphabet, sizes
+    )
+    if found is None:
+        return CheckResult(True)
+    pattern, lhs, rhs = found
+    return CheckResult(
+        False, f"pattern {pattern.render()} has measure {lhs}, its {a}-translate {rhs}"
+    )
 
 
 def extend_chain(chain: MarkovTreeChain) -> MarkovTreeChain:

@@ -251,12 +251,15 @@ def test_fallback_matches_batched_chain(signed, n, seed):
         assert fractions(pattern_masses(oracle, sites)) == fractions(pattern_masses(chain, sites))
 
 
-def test_fallback_is_lazy():
+def test_fallback_lists_the_masses_evaluating_each_pattern_once():
     oracle = OracleMeasure(random_invariant_chain(random.Random(5), (1, 2), 2))
-    masses, denominator = pattern_masses(oracle, sorted_words(ball(oracle.gs, 1)))
-    assert oracle.calls == 0 and denominator == 1
-    next(iter(masses))
-    assert oracle.calls == 1
+    sites = sorted_words(ball(oracle.gs, 1))
+    evaluated = []
+    oracle.eval = lambda pattern, eval=oracle.eval: evaluated.append(pattern) or eval(pattern)
+    masses, denominator = pattern_masses(oracle, sites)
+    assert type(masses) is list and denominator == 1
+    assert oracle.calls == len(masses) == 2 ** len(sites)
+    assert evaluated == list(patterns(sites, oracle.alphabet))
 
 
 @settings(max_examples=15)  # the reference evaluates every component pattern by pattern
@@ -405,16 +408,36 @@ def naive_pushforward(extended, original, r):
 
 
 @given(st.integers(0, 2**32))
-def test_oracle_scan_evaluates_no_pattern_past_its_witness(seed):
+def test_oracle_scan_evaluates_every_pattern_of_each_side_once(seed):
     rng = random.Random(seed)
     oracle = OracleMeasure(random_eigenvector_violation(rng, rng.choice(((1,), (1, 2))), 2))
+    size = len(sorted_ball(oracle.gs, 2))
     for a in oracle.gs.symbols():
-        oracle.calls = 0
         witness = naive_invariance(oracle, a, 2)
-        naive_calls, oracle.calls = oracle.calls, 0
+        oracle.calls = 0
         result = shift_invariance_check(oracle, a, 2)
         assert (result.ok, result.witness) == (witness is None, witness)
-        assert oracle.calls <= naive_calls
+        assert oracle.calls == 2 * 2**size
+
+
+@settings(max_examples=30)  # every scan evaluates its patterns one by one
+@given(st.booleans(), st.sampled_from(SIGMAS), st.integers(0, 2**32))
+def test_an_eval_only_measure_scans_as_its_one_component_mixture(invariant, signed, seed):
+    """Alone or wrapped, an eval-only measure gives the same verdicts,
+    witnesses, evaluation counts and distances."""
+    rng = random.Random(seed)
+    chain = (random_invariant_chain if invariant else random_eigenvector_violation)(rng, signed, 2)
+    alone, inner = OracleMeasure(chain), OracleMeasure(chain)
+    wrapped = MixtureMeasure((inner,), (F(1),))
+    other = random_invariant_chain(rng, signed, 2)
+    for r in range(3):
+        if 2 ** len(sorted_ball(chain.gs, r)) > MAX_PATTERNS // 2:
+            break
+        for a in chain.gs.symbols():
+            alone.calls = inner.calls = 0
+            assert shift_invariance_check(alone, a, r) == shift_invariance_check(wrapped, a, r)
+            assert alone.calls == inner.calls
+        assert weak_star_distance(alone, other, r) == weak_star_distance(wrapped, other, r)
 
 
 def skew_mixture(rng):
