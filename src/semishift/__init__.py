@@ -55,14 +55,11 @@ from .measure import (
     BernoulliMeasure,
     ChainDiagnostics,
     CheckResult,
-    CounterexampleReport,
     CylinderMeasure,
     MarkovTreeChain,
     MixtureMeasure,
     Pattern,
     all_patterns,
-    counterexample_analyze,
-    counterexample_chain,
     eval_constrained,
     eval_cylinder,
     extend_chain,
@@ -75,11 +72,13 @@ from .measure import (
 
 __version__ = "0.1.0"
 
-# The orbit and lattice names, each listed under its module and loaded on
-# first access (PEP 562), so that `import semishift` compiles only the chain path.
+# The Theorem-E, orbit and lattice names, each listed under its module and
+# loaded on first access (PEP 562), so that `import semishift` compiles only
+# the chain path.
 _LAZY = {
     name: module
     for module, names in {
+        "counterexample": ("CounterexampleReport", "counterexample_analyze", "counterexample_chain"),
         "orbit": (
             "OrbitAutomaton", "PeriodicMeasure", "find_separating_morphism",
             "is_periodic", "is_transitive", "lift_to_group", "minimized", "orbit_size",

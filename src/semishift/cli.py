@@ -14,7 +14,6 @@ counterexample) write it as JSON to ``--out``.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -28,9 +27,6 @@ from .markovize import consistency_masses, markovize
 from .measure import (
     CheckResult,
     MarkovTreeChain,
-    check_int_matrix,
-    counterexample_analyze,
-    counterexample_chain,
     extend_chain,
     is_invariant_chain,
     pushforward_check,
@@ -92,6 +88,8 @@ def _render(rows: list[Row], args: argparse.Namespace) -> str:
     # approx is "" without --human and for values that are not rationals
     records = [(key, _value_text(v), _approx_text(v) if args.human else "") for key, v in rows]
     if args.fmt == "csv":
+        import csv
+
         width = 3 if args.human else 2
         sink = io.StringIO()
         writer = csv.writer(sink, lineterminator="\n")
@@ -313,6 +311,8 @@ def _cmd_distance(args: argparse.Namespace) -> Report:
 
 
 def _load_matrices(source: str) -> list:
+    from .counterexample import check_int_matrix
+
     if source.lstrip().startswith("["):
         try:
             data = json.loads(source, parse_int=bounded_int)
@@ -334,6 +334,9 @@ def _load_matrices(source: str) -> list:
 
 def _cmd_counterexample(args: argparse.Namespace) -> Report:
     """non-extensible chain from linear maps and a kernel word"""
+    # The Theorem-E family calls no traced name, so it loads on first use.
+    from .counterexample import counterexample_analyze, counterexample_chain
+
     matrices = _load_matrices(args.matrices)
     word = parse_word(args.word)
     prime = args.prime
@@ -444,7 +447,12 @@ COMMANDS: dict[str, tuple[Handler, tuple]] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    A one-command parser names every subcommand in its choices' metavar, so
+    its usage and error lines read as the full parser's do.
+    """
     parser = argparse.ArgumentParser(
         prog="semishift",
         description=(
@@ -469,8 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append non-authoritative decimal approximations",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, specs) in COMMANDS.items():
+    # The full parser keeps argparse's metavar: a metavar would also rename
+    # a missing command in its error line.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        handler, specs = COMMANDS[name]
         p = sub.add_parser(name, parents=[common], help=handler.__doc__)
         for flag, options in specs:
             p.add_argument(flag, **options)
@@ -484,7 +496,9 @@ def execute(argv: Sequence[str] | None = None) -> tuple[int, str]:
     Python's int-to-text digit limit is lifted while the command runs and
     restored afterwards, so exact values of any size are read and printed.
     """
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Help, a missing or an unknown command needs the full parser.
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
         if limit is not None:

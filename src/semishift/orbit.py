@@ -17,6 +17,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .algebra import (
@@ -47,9 +48,17 @@ from .measure import (
 Perm = tuple[int, ...]
 
 
+def _composer(inner: Perm) -> Callable[[Perm], Perm]:
+    """The map ``outer -> compose(outer, inner)``."""
+    if len(inner) > 1:
+        return itemgetter(*inner)
+    # itemgetter refuses no index and returns a bare point for one
+    return lambda outer: tuple(outer[i] for i in inner)
+
+
 def compose(outer: Perm, inner: Perm) -> Perm:
     """Apply inner first, then outer."""
-    return tuple(map(outer.__getitem__, inner))
+    return _composer(inner)(outer)
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -242,9 +251,9 @@ def transformation_monoid(o: OrbitAutomaton) -> tuple[int, bool]:
     points in all, as soon as the walk that lists them finds one too many.
     """
     m = o.minimal
-    gens = [m.delta[s] for s in m.gs.symbols()]
+    after = [_composer(m.delta[s]) for s in m.gs.symbols()]
     monoid = _closure(
-        tuple(range(m.n_states())), lambda f: [compose(f, g) for g in gens],
+        tuple(range(m.n_states())), lambda f: [g(f) for g in after],
         m.n_states(), "the monoid of orbit maps", "transformations",
     )
     return len(monoid), _non_bijective(o) is None

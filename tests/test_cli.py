@@ -19,7 +19,7 @@ from semishift import (
     parse_word,
     window_measure,
 )
-from semishift import algebra
+from semishift import algebra, cli
 from semishift.cli import execute, main
 from semishift.serialize import (
     automaton_in,
@@ -487,6 +487,46 @@ def test_main_prints_report(capsys, chain_file):
     assert code == 0
     out = capsys.readouterr().out
     assert "invariant: true" in out
+
+
+def run_main(argv) -> object:
+    """main's exit code, or the one argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["bogus"],
+        ["eval"],
+        ["eval", "-h"],
+        ["eva", "--measure", "x"],
+        ["--format", "csv", "eval", "--measure", "{chain}", "--pattern", "{pattern}"],
+        ["eval", "--format", "csv", "--human", "--measure", "{chain}", "--pattern", "{pattern}"],
+        ["validate-chain", "--chain", "{chain}", "extra"],
+        ["invariance-check", "--measure", "{chain}", "--radius", "-1"],
+        ["validate-chain", "--chain", "{chain}"],
+    ],
+)
+def test_one_subparser_reads_and_refuses_as_the_full_parser(argv, chain_file, tmp_path, capsys,
+                                                            monkeypatch):
+    """``execute`` builds only the named command's subparser; every exit code,
+    report, usage and error line must be the full parser's."""
+    pattern = pattern_file(tmp_path, {"": 0, "a1": 1})
+    argv = [a.format(chain=chain_file, pattern=pattern) for a in argv]
+    seen = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: seen.append(command) or real(command))
+    one = run_main(argv), *capsys.readouterr()
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: real())
+    full = run_main(argv), *capsys.readouterr()
+    assert one == full
+    assert seen == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
 
 
 @pytest.mark.parametrize(

@@ -56,7 +56,7 @@ from semishift import (
     validate_chain,
     weak_star_distance,
 )
-from semishift.measure import _is_prime
+from semishift.counterexample import _is_prime
 
 F = Fraction
 GS2 = GeneratorSet.from_signed((1, 2))

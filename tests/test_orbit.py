@@ -365,3 +365,25 @@ def test_periodic_implies_transitive_and_group_monoid():
         if periodic:
             assert is_transitive(o)
         assert size >= 1
+
+
+def test_compose_agrees_with_the_map_definition_at_every_degree():
+    # itemgetter refuses no index and returns a bare point for one, so
+    # degrees 0 and 1 take their own path.
+    rng = random.Random(3001)
+    for degree in (0, 1, 2, 3, 8, 720):
+        for _ in range(4):
+            outer = tuple(rng.randrange(degree) for _ in range(degree))
+            inner = tuple(rng.sample(range(degree), degree))
+            assert semishift.orbit.compose(outer, inner) == tuple(map(outer.__getitem__, inner))
+            assert semishift.orbit.compose(inner, outer) == tuple(map(inner.__getitem__, outer))
+
+
+def test_one_state_orbits_and_degree_one_morphisms():
+    assert transformation_monoid(loop_orbit()) == (1, True)
+    symmetric = GeneratorSet.from_signed((1, -1))
+    one = OrbitAutomaton(symmetric, (0,), (0,), {A: (0,), A.inverse(): (0,)})
+    assert transformation_monoid(one) == (1, True)
+    point = theorem_a_point(Pattern.of({EPSILON: 1, w("a1"): 1}), {A: (0,), B: (0,)}, GS2, (0, 1))
+    assert point.n_states() == 1 and point.delta == {A: (0,), B: (0,)}
+    assert readout(point, w("a2a1")) == 1

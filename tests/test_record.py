@@ -267,6 +267,8 @@ def loaded_by(statement: str) -> set[str]:
 
 
 LAZY_MODULES = {"semishift.orbit", "semishift.reversible"}
+# The Theorem-E family: loaded on first use by the package and the CLI alike.
+ON_FIRST_USE = {"semishift.counterexample"}
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -276,12 +278,13 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     loaded = loaded_by("import semishift.cli")
     assert not {"dataclasses", "inspect"} & loaded
     assert LAZY_MODULES <= loaded
+    assert not ON_FIRST_USE & loaded
 
 
 def test_package_import_loads_only_the_chain_path():
     loaded = loaded_by("import semishift")
     assert {"semishift.algebra", "semishift.measure", "semishift.markovize"} <= loaded
-    assert not LAZY_MODULES & loaded
+    assert not (LAZY_MODULES | ON_FIRST_USE) & loaded
 
 
 @pytest.mark.parametrize(
@@ -294,6 +297,12 @@ def test_package_import_loads_only_the_chain_path():
             " [n for n in ss.__all__ if not hasattr(ss, n)],"
             " ss.minimized is ss.orbit.minimized, ss.LatticeTable is ss.reversible.LatticeTable)",
             "[] [] True True",
+        ),
+        (
+            "import semishift as ss\n"
+            "print(ss.counterexample_chain is ss.counterexample.counterexample_chain,"
+            " ss.CounterexampleReport.__module__)",
+            "True semishift.counterexample",
         ),
         (
             "from semishift import *\n"

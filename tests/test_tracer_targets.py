@@ -8,6 +8,8 @@ or a workload calls would pass the suite and only break a benchmark run.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,6 +37,17 @@ def test_every_traced_name_resolves():
             assert hasattr(owner, part), f"{name}: {module} has no {path}"
             owner = getattr(owner, part)
         assert callable(owner), f"{name}: {module}.{path} is not callable"
+
+
+def test_the_cli_loads_every_module_the_tracer_wraps():
+    """The tracer wraps names only in modules loaded when it is installed,
+    which a traced child does right after importing the CLI."""
+    modules = sorted({module for _, module, _, _ in traced_targets()})
+    code = f"import sys, semishift.cli; print([m for m in {modules!r} if m not in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr
 
 
 def package_reads(source: str) -> set[tuple[str, str]]:
