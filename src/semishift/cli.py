@@ -232,7 +232,7 @@ def _scalar(text: str, where: str) -> Any:
         return _symbol_in(json.loads(text, parse_int=bounded_int))
     except json.JSONDecodeError:
         return text
-    except ParseError as exc:
+    except (ParseError, RecursionError) as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 
@@ -318,7 +318,7 @@ def _load_matrices(source: str) -> list:
             data = json.loads(source, parse_int=bounded_int)
         except json.JSONDecodeError as exc:
             raise ParseError(f"--matrices: {exc.msg}") from exc
-        except ParseError as exc:
+        except (ParseError, RecursionError) as exc:
             raise ParseError(f"--matrices: {exc}") from None
     else:
         data = read_json(Path(source))

@@ -558,44 +558,40 @@ def _pattern_at(sites: Sequence[Word], alphabet: Sequence, i: int) -> Pattern:
     return Pattern(tuple(zip(sites, reversed(combo))))
 
 
-def _first_difference(xs: Iterable, dx: int, ys: Iterable, dy: int):
-    """(index, x/dx, y/dy) of the first entry where the two masses differ, or None."""
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        if x * dy != y * dx:
-            return i, Fraction(x, dx), Fraction(y, dy)
-    return None
+def _over_one_denominator(lhs: tuple, rhs: tuple) -> tuple[list, list, int]:
+    """Two ``(numerators, denominator)`` lists as ``(xs, ys, d)``, both over their lcm d."""
+    (xs, dx), (ys, dy) = lhs, rhs
+    d = math.lcm(dx, dy)
+    if d != dx:
+        xs = list(map(mul, xs, itertools.repeat(d // dx)))
+    if d != dy:
+        ys = list(map(mul, ys, itertools.repeat(d // dy)))
+    return xs, ys, d
 
 
-def _agree(xs: list, dx: int, ys: list, dy: int) -> bool:
-    """Is x/dx == y/dy for every pair of entries?  The lists are brought
-    over one denominator and compared in C."""
-    g = math.gcd(dx, dy)
-    if dy != g:
-        xs = list(map(mul, xs, itertools.repeat(dy // g)))
-    if dx != g:
-        ys = list(map(mul, ys, itertools.repeat(dx // g)))
-    return xs == ys
+def _first_difference(xs: Iterable, ys: Iterable):
+    """(index, x, y) of the first entry where the two lists differ, or None."""
+    return next(((i, x, y) for i, (x, y) in enumerate(zip(xs, ys)) if x != y), None)
 
 
 def _witness(lhs: tuple, rhs: tuple, sites: Sequence[Word], alphabet: Sequence, sizes: list):
     """(pattern, x, y) of the first full pattern on the sites whose two
-    ``(numerators, denominator)`` masses differ, or None.  Two lists are
-    compared in C first.  The witness is then looked for on the prefixes of
-    the sites of the given sizes, smallest first: the masses on k sites are
-    sums of blocks of n^(len(sites) - k) consecutive entries.  Only the
-    name-matched path of ``pushforward_check`` passes lazy sides, which are
-    walked once, so they come with the one size ``len(sites)``.
+    ``(numerators, denominator)`` masses differ, or None.  The lists are
+    brought over one denominator and compared in C first.  The witness is
+    then looked for on the prefixes of the sites of the given sizes, smallest
+    first: the masses on k sites are sums of blocks of n^(len(sites) - k)
+    consecutive entries.
     """
-    (xs, dx), (ys, dy) = lhs, rhs
-    if isinstance(xs, list) and isinstance(ys, list) and _agree(xs, dx, ys, dy):
+    xs, ys, d = _over_one_denominator(lhs, rhs)
+    if xs == ys:
         return None
     for size in sizes:
         block = len(alphabet) ** (len(sites) - size)
         xsums, ysums = (map(sum, zip(*[iter(zs)] * block)) for zs in (xs, ys))
-        diff = _first_difference(xsums, dx, ysums, dy)
+        diff = _first_difference(xsums, ysums)
         if diff is not None:
             i, x, y = diff
-            return _pattern_at(sites[:size], alphabet, i), x, y
+            return _pattern_at(sites[:size], alphabet, i), Fraction(x, d), Fraction(y, d)
     return None
 
 
@@ -655,34 +651,37 @@ def extend_chain(chain: MarkovTreeChain) -> MarkovTreeChain:
 def pushforward_check(
     extended: MarkovTreeChain, original: MarkovTreeChain, r: int
 ) -> CheckResult:
-    """Do the two chains agree on every full pattern over the original B_r?"""
-    sites = scan_layout(original.gs, r, len(original.alphabet))[0]
-    if tuple(extended.alphabet) == tuple(original.alphabet):
-        sides = [pattern_masses(m, sites) for m in (extended, original)]
-    else:
-        # Symbols are matched by name, pattern by pattern, as eval matches them.
-        sides = [(map(m.eval, _patterns(sites, original.alphabet)), 1) for m in (extended, original)]
-    found = _witness(*sides, sites, original.alphabet, [len(sites)])
+    """Do the two chains agree on every full pattern over the original B_r?  Each
+    is listed on B_r over its own alphabet; unless the two are equal, one gather
+    matches the extended side's symbols by name, as ``eval`` does."""
+    alphabet = original.alphabet
+    sites = scan_layout(original.gs, r, len(alphabet))[0]
+    xs, dx = pattern_masses(extended, sites)
+    if extended.alphabet != alphabet:
+        try:
+            digits = [extended.symbol_index[c] for c in alphabet]
+        except KeyError as missing:
+            raise ValidationError(f"symbol {shown(*missing.args)} is not in the chain alphabet") from None
+        at, width = [0], len(extended.alphabet)
+        for _ in sites:
+            at = [i * width + k for i in at for k in digits]
+        xs = list(map(xs.__getitem__, at))
+    found = _witness((xs, dx), pattern_masses(original, sites), sites, alphabet, [len(sites)])
     if found is None:
         return CheckResult(True)
     pattern, x, y = found
-    return CheckResult(
-        False, f"pattern {pattern.render()}: extended gives {x}, original {y}"
-    )
+    return CheckResult(False, f"pattern {pattern.render()}: extended gives {x}, original {y}")
 
 
-def weak_star_distance(
-    m1: CylinderMeasure, m2: CylinderMeasure, order: int
-) -> Fraction:
+def weak_star_distance(m1: CylinderMeasure, m2: CylinderMeasure, order: int) -> Fraction:
     """Total variation over full patterns on the order-ball of S."""
     if m1.gs != m2.gs:
         raise ValidationError("measures live over different generator sets")
     if tuple(m1.alphabet) != tuple(m2.alphabet):
         raise ValidationError("measures have different alphabets")
     sites = scan_layout(m1.gs, order, len(m1.alphabet))[0]
-    (xs, d1), (ys, d2) = pattern_masses(m1, sites), pattern_masses(m2, sites)
-    gaps = map(sub, map(mul, xs, itertools.repeat(d2)), map(mul, ys, itertools.repeat(d1)))
-    return Fraction(sum(map(abs, gaps)), d1 * d2)
+    xs, ys, d = _over_one_denominator(pattern_masses(m1, sites), pattern_masses(m2, sites))
+    return Fraction(sum(map(abs, map(sub, xs, ys))), d)
 
 
 class BernoulliMeasure(Record):

@@ -84,7 +84,7 @@ def read_json(path: str | Path) -> Any:
         return json.loads(text, parse_int=bounded_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ParseError as exc:
+    except (ParseError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
@@ -120,7 +120,7 @@ def _reader(default_where: str):
         def checked(data: Any, where: str = default_where):
             try:
                 return read(data, where)
-            except (ValueError, TypeError, KeyError, AttributeError, SemishiftError) as exc:
+            except (ValueError, TypeError, KeyError, AttributeError, RecursionError, SemishiftError) as exc:
                 if isinstance(exc, ParseError) and str(exc).startswith(f"{where}:"):
                     raise
                 raise ParseError(f"{where}: {exc}") from exc

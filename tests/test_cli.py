@@ -1095,3 +1095,43 @@ def test_integer_fields_are_read_exactly(tmp_path, argv, measure, pattern, messa
     assert code == 2
     assert text.startswith("error: ParseError: ")
     assert text.endswith(f"{message} is not an integer")
+
+
+def assert_one_parse_error_line(out, path):
+    assert (out.returncode, out.stderr) == (2, "")
+    assert out.stdout.startswith(f"error: ParseError: {path}: ")
+    assert out.stdout.count("\n") == 1
+
+
+def nested_mixture(levels):
+    measure = {**FAIR_CHAIN, "kind": "bernoulli", "probs": ["1/2", "1/2"]}
+    del measure["p"], measure["P"]
+    for _ in range(levels):
+        measure = {"kind": "mixture", "components": [measure], "weights": ["1"]}
+    return measure
+
+
+def test_a_json_file_nested_past_the_recursion_limit_exits_two(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert_one_parse_error_line(run_cli("validate-chain", "--chain", str(deep)), deep)
+
+
+def test_a_mixture_nested_past_the_recursion_limit_exits_two(tmp_path):
+    shallow, deep = tmp_path / "shallow.json", tmp_path / "deep.json"
+    write_json(shallow, nested_mixture(100))
+    write_json(deep, nested_mixture(200))
+    out = run_cli("invariance-check", "--measure", str(shallow), "--radius", "1")
+    assert (out.returncode, out.stdout) == (0, "method: ball\nradius: 1\ninvariant: true\n")
+    out = run_cli("invariance-check", "--measure", str(deep), "--radius", "1")
+    assert_one_parse_error_line(out, deep)
+
+
+def test_a_symbol_nested_past_the_recursion_limit_exits_two(tmp_path):
+    symbol = 0
+    for _ in range(600):
+        symbol = [symbol]
+    measure = tmp_path / "bern.json"
+    write_json(measure, {**nested_mixture(0), "alphabet": [symbol, 1]})
+    out = run_cli("invariance-check", "--measure", str(measure), "--radius", "1")
+    assert_one_parse_error_line(out, measure)

@@ -522,6 +522,59 @@ def test_a_failing_pushforward_across_reordered_alphabets_gives_the_naive_witnes
     assert (result.ok, result.witness) == (False, witness)
 
 
+def relabelled(chain, order, alphabet):
+    """The chain with its k-th symbol renamed ``alphabet[k]`` and its symbols listed in
+    ``order``: the same measure on the renamed symbols."""
+    matrices = {s: tuple(tuple(rows[k][l] for l in order) for k in order)
+                for s, rows in chain.transitions}
+    return type(chain).make(chain.gs, tuple(alphabet[k] for k in order),
+                            tuple(chain.p[k] for k in order), matrices)
+
+
+def test_a_reordered_pushforward_lists_each_chain_once_and_evaluates_no_pattern(monkeypatch):
+    module = importlib.import_module("semishift.measure")
+    listed, evaluated = [], []
+    monkeypatch.setattr(module, "pattern_masses",
+                        lambda m, sites: listed.append(m) or pattern_masses(m, sites))
+    monkeypatch.setattr(module, "eval_constrained", lambda *args: evaluated.append(args))
+    rng = random.Random(7)
+    original = random_invariant_chain(rng, (1, -1), 3)
+    other = extend_chain(random_invariant_chain(rng, (1,), 3))
+    for source, agrees in ((extend_chain(original), True), (other, False)):
+        extended = relabelled(source, (2, 0, 1), original.alphabet)
+        listed.clear()
+        result = pushforward_check(extended, original, 2)
+        assert (result.ok, listed, evaluated) == (agrees, [extended, original], [])
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(((1, -1), (1, 2))), st.integers(1, 2), st.integers(0, 2),
+       st.integers(0, 2**32))
+def test_a_pushforward_from_a_larger_alphabet_gives_the_naive_verdict_and_witness(
+    signed, extra, r, seed
+):
+    rng = random.Random(seed)
+    original = random_invariant_chain(rng, signed, 2)
+    n = 2 + extra
+    order = list(range(n))
+    rng.shuffle(order)
+    other = extend_chain(random_invariant_chain(rng, signed, n))
+    extended = relabelled(other, order, original.alphabet + tuple(f"x{k}" for k in range(extra)))
+    witness = naive_pushforward(extended, original, r)
+    result = pushforward_check(extended, original, r)
+    assert (result.ok, result.witness) == (witness is None, witness)
+
+
+def test_a_missing_symbol_is_refused_even_past_a_differing_pattern():
+    rng = random.Random(9)
+    original = random_invariant_chain(rng, (1, 2), 2)
+    lacking = relabelled(extend_chain(random_invariant_chain(rng, (1, 2), 2)), (0, 1), (0, "z"))
+    first = Pattern(tuple((w, 0) for w in sorted_words(ball(original.gs, 2))))
+    assert lacking.eval(first) != original.eval(first)
+    with pytest.raises(ValidationError, match="^symbol 1 is not in the chain alphabet$"):
+        pushforward_check(lacking, original, 2)
+
+
 @settings(max_examples=20)  # each example evaluates five measures pattern by pattern
 @given(st.sampled_from(SIGMAS), st.integers(1, 3), st.integers(0, 2**32))
 def test_distance_matches_naive_sum(signed, n, seed):
