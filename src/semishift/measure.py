@@ -11,6 +11,8 @@ is divided by D to the number of hull vertices once at the end, so it
 stays exact.  A vertex fixed to one symbol carries no row: the entries
 its edges pick out of the scaled matrices are multiplied into one
 integer ``factor``, or into its parent's row when the parent is free.
+A row may be one of the chain's own column tuples; no step writes a row
+in place.
 
 The invariance conditions are algebraic: p must be a left fixed vector
 of every transition matrix, and whenever Sigma contains a generator
@@ -390,8 +392,8 @@ def validate_chain(chain: MarkovTreeChain) -> ChainDiagnostics:
 
 
 def _require_valid(chain: MarkovTreeChain) -> None:
-    if not chain.diagnostics:
-        raise InvalidChain("; ".join(chain.diagnostics.problems))
+    if problems := chain.diagnostics.problems:
+        raise InvalidChain("; ".join(problems))
 
 
 def is_invariant_chain(chain: MarkovTreeChain) -> CheckResult:
@@ -454,12 +456,14 @@ def eval_constrained(
     as its index: an edge between two fixed vertices multiplies the integer
     ``factor`` by one entry of D*P[g], and one into a fixed parent by one dot
     product.  Every other vertex keeps a row, all ones until a child touches
-    it; a fixed child multiplies its parent's row by one column of D*P[g].
+    it.  A fixed child gives an untouched parent's row as the chain's own
+    column of D*P[g] (``integer_columns``), and multiplies a touched one by
+    it.  Every step builds a new list, so no row is written in place.
     """
     _require_valid(chain)
     if type(constraints) is _Constraints:
-        symbols = map(itemgetter(1), constraints.pattern.entries)
-        allowed = zip(symbols) if constraints.allow is None else map(constraints.allow, symbols)
+        entries, allow = constraints.pattern.entries, constraints.allow
+        allowed = None if allow is None else map(allow, map(itemgetter(1), entries))
         sites = constraints.pattern.sites.within(chain.gs)
     else:
         sites, allowed = Sites(constraints).within(chain.gs), constraints.values()
@@ -468,43 +472,39 @@ def eval_constrained(
     n, index = len(p), chain.symbol_index
     fixed = [-1] * len(parent)
     # Each row is D^(size of its subtree - 1) times the exact row; None is all ones.
-    rows: list[list[int] | None] = [None] * len(parent)
-    for v, ok in zip(site, allowed):
-        try:
-            if len(ok) == 1:
-                (c,) = ok
+    rows: list[Sequence[int] | None] = [None] * len(parent)
+    try:
+        if allowed is None:
+            for v, (_, c) in zip(site, entries):
                 fixed[v] = index[c]
-                continue
-            ks = set(map(index.__getitem__, ok))
-        except KeyError:
-            c = next(c for c in ok if c not in index)
-            raise ValidationError(f"symbol {shown(c)} is not in the chain alphabet") from None
-        if len(ks) == 1:
-            fixed[v] = ks.pop()
         else:
-            rows[v] = [int(k in ks) for k in range(n)]
-    columns = chain.integer_columns
-    factor = 1
+            for v, ok in zip(site, allowed):
+                ks = set(map(index.__getitem__, ok))
+                if len(ks) == 1:
+                    fixed[v] = ks.pop()
+                else:
+                    rows[v] = [int(k in ks) for k in range(n)]
+    except KeyError as missing:
+        raise ValidationError(f"symbol {shown(missing.args[0])} is not in the chain alphabet") from None
+    columns, factor = chain.integer_columns, 1
     # Leaves first: a child's index exceeds its parent's.
     for i in range(len(parent) - 1, 0, -1):
-        if not factor:
-            break
-        u, weights = parent[i], matrices[letter[i]]
-        c, b, up = fixed[i], fixed[u], rows[u]
-        if b >= 0:
-            factor *= weights[b][c] if c >= 0 else sum(map(mul, weights[b], rows[i]))
+        u, c = parent[i], fixed[i]
+        if (b := fixed[u]) >= 0:
+            row = matrices[letter[i]][b]
+            factor *= row[c] if c >= 0 else sum(map(mul, row, rows[i]))
+            if not factor:
+                break
         elif c >= 0:
-            column = columns[letter[i]][c]
-            rows[u] = list(column) if up is None else list(map(mul, up, column))
-        elif up is None:
-            rows[u] = [sum(map(mul, row, rows[i])) for row in weights]
+            column, up = columns[letter[i]][c], rows[u]
+            rows[u] = column if up is None else list(map(mul, up, column))
+        elif (up := rows[u]) is None:
+            sub = rows[i]
+            rows[u] = [sum(map(mul, row, sub)) for row in matrices[letter[i]]]
         else:
             sub = rows[i]
-            for k, x in enumerate(up):
-                if x:
-                    up[k] = x * sum(map(mul, weights[k], sub))
-    root = fixed[0]
-    if root >= 0:
+            rows[u] = [x and x * sum(map(mul, row, sub)) for x, row in zip(up, matrices[letter[i]])]
+    if (root := fixed[0]) >= 0:
         factor *= p[root]
     else:
         factor *= sum(p) if rows[0] is None else sum(map(mul, p, rows[0]))

@@ -112,7 +112,9 @@ def _reader(default_where: str):
     """Make every error of a reader a ParseError prefixed with its ``where``.
 
     A ParseError that already names ``where`` passes through unchanged, so
-    nested readers add no second prefix.
+    nested readers add no second prefix.  Input nested past the recursion
+    limit is named once instead: each reader the error leaves puts its own
+    ``where`` in place of the inner one's and counts one more level.
     """
 
     def wrap(read):
@@ -120,7 +122,11 @@ def _reader(default_where: str):
         def checked(data: Any, where: str = default_where):
             try:
                 return read(data, where)
-            except (ValueError, TypeError, KeyError, AttributeError, RecursionError, SemishiftError) as exc:
+            except RecursionError as exc:
+                raise _too_deep(where, 1, str(exc)) from None
+            except (ValueError, TypeError, KeyError, AttributeError, SemishiftError) as exc:
+                if (deep := getattr(exc, "too_deep", None)) is not None:
+                    raise _too_deep(where, deep[0] + 1, deep[1]) from None
                 if isinstance(exc, ParseError) and str(exc).startswith(f"{where}:"):
                     raise
                 raise ParseError(f"{where}: {exc}") from exc
@@ -128,6 +134,13 @@ def _reader(default_where: str):
         return checked
 
     return wrap
+
+
+def _too_deep(where: str, levels: int, reason: str) -> ParseError:
+    """The error for input nested past the recursion limit ``levels`` readers below ``where``."""
+    error = ParseError(f"{where}: {reason}" + (f" at nesting level {levels}" if levels > 1 else ""))
+    error.too_deep = levels, reason
+    return error
 
 
 def generator_set_out(gs: GeneratorSet) -> dict:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -1125,6 +1126,9 @@ def test_a_mixture_nested_past_the_recursion_limit_exits_two(tmp_path):
     assert (out.returncode, out.stdout) == (0, "method: ball\nradius: 1\ninvariant: true\n")
     out = run_cli("invariance-check", "--measure", str(deep), "--radius", "1")
     assert_one_parse_error_line(out, deep)
+    # The file and the depth are named once, not one prefix per level.
+    assert len(out.stdout.encode()) < 200
+    assert re.search(r" at nesting level \d+\n$", out.stdout)
 
 
 def test_a_symbol_nested_past_the_recursion_limit_exits_two(tmp_path):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_eval_constrained, oracle_hull
@@ -93,6 +93,7 @@ def constrained(draw, singletons=False):
     return chain, constraints
 
 
+@settings(max_examples=200, derandomize=True)
 @given(constrained())
 def test_eval_constrained_matches_enumeration(case):
     chain, constraints = case
@@ -101,6 +102,7 @@ def test_eval_constrained_matches_enumeration(case):
     assert value == oracle_eval_constrained(chain, constraints)
 
 
+@settings(max_examples=200, derandomize=True)
 @given(constrained(singletons=True))
 def test_eval_cylinder_matches_enumeration(case):
     chain, constraints = case
@@ -109,6 +111,53 @@ def test_eval_cylinder_matches_enumeration(case):
     assert type(value) is Fraction
     assert value == oracle_eval_constrained(chain, constraints)
     assert value == eval_constrained(chain, constraints)
+
+
+@st.composite
+def shared_parents(draw):
+    """A chain and constraints on two or more children of one hidden vertex w.
+
+    The last child listed is fixed: its vertex is the hull's newest, so the
+    leaves-first fold meets it first and w's row starts as the chain's own
+    column tuple.  Each other child is fixed too, allowed a set of symbols,
+    or left free with a fixed child of its own.
+    """
+    chain = draw(chains(signed=draw(st.sampled_from(((1, 2), (1, -1, 2), (1, 2, -2))))))
+    w = draw(words(chain.gs.symbols(), max_len=2)).letters
+    letters = [s for s in chain.gs.symbols() if not w or s != w[0].inverse()]
+    kids = draw(st.lists(st.sampled_from(letters), min_size=2, max_size=3, unique=True))
+    symbols = st.sampled_from(chain.alphabet)
+    constraints = {}
+    for g in kids[:-1]:
+        kind = draw(st.sampled_from(("fixed", "set", "grandchild")))
+        if kind == "fixed":
+            constraints[Word((g, *w))] = (draw(symbols),)
+        elif kind == "set":
+            constraints[Word((g, *w))] = draw(st.frozensets(symbols, min_size=1))
+        else:
+            h = draw(st.sampled_from([s for s in chain.gs.symbols() if s != g.inverse()]))
+            constraints[Word((h, g, *w))] = (draw(symbols),)
+    constraints[Word((kids[-1], *w))] = (draw(symbols),)
+    return chain, constraints
+
+
+@given(shared_parents())
+def test_a_row_taken_from_the_chain_is_never_written(case):
+    """A fixed child's column becomes its parent's row as it stands; later
+    children leave the chain's integer form and columns as a fresh equal
+    chain builds them, and every evaluation after them still agrees."""
+    chain, constraints = case
+    fresh = MarkovTreeChain(chain.gs, chain.alphabet, chain.p, chain.transitions)
+    cylinder = {w: (min(ok),) for w, ok in constraints.items()}
+    pattern = Pattern.of({w: c for w, (c,) in cylinder.items()})
+    values = eval_constrained(chain, constraints), eval_cylinder(chain, pattern)
+    assert chain.integer_form == fresh.integer_form
+    assert chain.integer_columns == fresh.integer_columns
+    assert values == (eval_constrained(chain, constraints), eval_cylinder(chain, pattern))
+    assert values == (
+        oracle_eval_constrained(chain, constraints),
+        oracle_eval_constrained(chain, cylinder),
+    )
 
 
 @given(constrained())
