@@ -241,22 +241,70 @@ def is_transitive(o: OrbitAutomaton) -> bool:
     return len(_closure(m.base, reverse.__getitem__)) == n
 
 
+def _regular(m: OrbitAutomaton) -> bool:
+    """Whether the group that m's bijective rows generate acts regularly.
+
+    Every state is reachable from the base, so the group G is transitive.
+    The maps commuting with G then form a semiregular group C, and C is
+    transitive exactly when G is regular (Dixon and Mortimer, Permutation
+    Groups, Thm 4.2A).  A map of C is fixed by its image of the base, so
+    one pass along a spanning tree builds the only candidate sending the
+    base to a state q, and the rows decide whether it commutes.  Each map
+    found at least doubles the part of C found so far, so at most
+    log2(n) + 1 maps of n points are built.
+    """
+    rows = [m.delta[s] for s in m.gs.symbols()]
+    n = m.n_states()
+    # (state, row, successor) arrows of a spanning tree, each state before its successors
+    tree = []
+    order = [m.base]
+    seen = {m.base}
+    for p in order:
+        for row in rows:
+            if row[p] not in seen:
+                seen.add(row[p])
+                order.append(row[p])
+                tree.append((p, row, row[p]))
+    maps: list[Perm] = []
+    reached = {m.base}
+    for q in range(n):
+        if q in reached:
+            continue
+        image = [0] * n
+        image[m.base] = q
+        for p, row, nxt in tree:
+            image[nxt] = row[image[p]]
+        phi = tuple(image)
+        if any(compose(phi, row) != compose(row, phi) for row in rows):
+            return False
+        maps.append(phi)
+        reached = _closure(m.base, lambda p: [f[p] for f in maps])
+    return True
+
+
 def transformation_monoid(o: OrbitAutomaton) -> tuple[int, bool]:
     """Size of the monoid of orbit maps induced by S, and whether it is a group.
 
     The monoid is a group exactly when every generator is a bijection:
     each generator lies in the monoid, and bijections of a finite set
-    compose to bijections whose inverses are positive powers.
-    ValidationError refuses a monoid whose maps hold more than MAX_PATTERNS
-    points in all, as soon as the walk that lists them finds one too many.
+    compose to bijections whose inverses are positive powers.  A group
+    that acts regularly on the n minimal states has n elements; ``_regular``
+    certifies that with at most log2(n) + 1 maps commuting with every
+    generator, and no element is listed.  Any other monoid is listed map
+    by map, and ValidationError refuses it when its maps hold more than
+    MAX_PATTERNS points in all, as soon as the walk that lists them finds
+    one too many.
     """
     m = o.minimal
+    group = _non_bijective(o) is None
+    if group and _regular(m):
+        return m.n_states(), True
     after = [_composer(m.delta[s]) for s in m.gs.symbols()]
     monoid = _closure(
         tuple(range(m.n_states())), lambda f: [g(f) for g in after],
         m.n_states(), "the monoid of orbit maps", "transformations",
     )
-    return len(monoid), _non_bijective(o) is None
+    return len(monoid), group
 
 
 def _morphism_image(theta: Mapping[Symbol, Perm], w: Word, degree: int) -> Perm:

@@ -16,8 +16,10 @@ from semishift import (
     BernoulliMeasure,
     GeneratorSet,
     LatticePattern,
+    Pattern,
     Symbol,
     parse_word,
+    theorem_a_point,
     window_measure,
 )
 from semishift import algebra, cli
@@ -990,19 +992,35 @@ def test_a_group_past_the_budget_is_refused_during_its_closure(tmp_path):
 
 
 def test_a_monoid_past_the_budget_is_refused_during_its_closure(tmp_path):
-    # A transposition, a 64-cycle and a merge of states 0 and 1 generate all
-    # 64^64 maps of 64 states; labels 1 then 0s keep the 64 states apart.
+    # A transposition and a 64-cycle act on 64 points as Sym(64), which is not
+    # regular, so its maps are listed; with a merge of states 0 and 1 they
+    # generate all 64^64 maps of 64 states.  Labels 1 then 0s keep the 64
+    # states apart.
     n = 64
-    write_json(tmp_path / "auto.json", {
-        "d": 3, "sigma": [1, 2, 3], "alphabet": [0, 1], "labels": [1] + [0] * (n - 1),
-        "base": 0, "delta": {"1": [1, 0, *range(2, n)], "2": [*range(1, n), 0],
-                             "3": [0, 0, *range(2, n)]},
-    })
-    out = run_cli("orbit-analyze", "--automaton", str(tmp_path / "auto.json"))
-    assert (out.returncode, out.stdout) == (
-        2, "error: ValidationError: the monoid of orbit maps is refused: it has more than "
-        "65536 transformations of degree 64, more than 4194304 entries\n"
-    )
+    group = {"1": [1, 0, *range(2, n)], "2": [*range(1, n), 0]}
+    for delta in (group, {**group, "3": [0, 0, *range(2, n)]}):
+        write_json(tmp_path / "auto.json", {
+            "d": len(delta), "sigma": [int(s) for s in delta], "alphabet": [0, 1],
+            "labels": [1] + [0] * (n - 1), "base": 0, "delta": delta,
+        })
+        out = run_cli("orbit-analyze", "--automaton", str(tmp_path / "auto.json"))
+        assert (out.returncode, out.stdout) == (
+            2, "error: ValidationError: the monoid of orbit maps is refused: it has more than "
+            "65536 transformations of degree 64, more than 4194304 entries\n"
+        )
+
+
+def test_a_regular_orbit_past_the_budget_is_certified(tmp_path):
+    # The Theorem-A point of Sym(7): 5040 states on which Sym(7) acts regularly.
+    # Listing its 5040 maps of 5040 states would pass the budget.
+    theta = {Symbol(1, 1): (1, 0, *range(2, 7)), Symbol(2, 1): (*range(1, 7), 0)}
+    point = theorem_a_point(Pattern.of({parse_word(""): 1}), theta, GS2, (0, 1))
+    write_json(tmp_path / "auto.json", automaton_out(point))
+    code, text = execute(["orbit-analyze", "--automaton", str(tmp_path / "auto.json")])
+    assert code == 0
+    for row in ("states_minimized: 5040", "periodic: true", "transitive: true",
+                "monoid_size: 5040", "monoid_is_group: true"):
+        assert row in text.splitlines()
 
 
 def test_a_lattice_chain_window_past_the_bit_budget_is_refused_at_once(tmp_path):

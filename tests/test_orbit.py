@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -111,10 +113,63 @@ def test_transformation_monoid_examples():
 
 
 def test_transformation_monoid_matches_oracle():
+    # Two draws in three are permutation automata, so both sides of the
+    # group case meet the oracle: a regular group is certified without
+    # listing, any other group is listed.
     rng = random.Random(501)
-    for _ in range(120):
-        o = random_automaton(rng, rng.randrange(1, 6), rng.random() < 0.5)
-        assert transformation_monoid(o) == oracle_monoid(o)
+    kinds = Counter()
+    for i in range(400):
+        o = random_automaton(rng, rng.randrange(1, 7), i % 3 != 0)
+        size, group = oracle_monoid(o)
+        assert transformation_monoid(o) == (size, group)
+        kinds["monoid" if not group else "regular" if size == orbit_size(o) else "non-regular"] += 1
+    assert min(kinds[kind] for kind in ("regular", "non-regular", "monoid")) >= 20, kinds
+
+
+def sym_point(k):
+    """The Theorem-A point of Sym(k) from a transposition and a k-cycle:
+    the identity labelled 1, every other permutation 0."""
+    theta = {A: (1, 0, *range(2, k)), B: (*range(1, k), 0)}
+    return theorem_a_point(Pattern.of({EPSILON: 1}), theta, GS2, (0, 1))
+
+
+def natural_action(a, b):
+    """The two permutations acting on their points, point 0 labelled 1 and the rest 0."""
+    return OrbitAutomaton(GS2, (0, 1), (1,) + (0,) * (len(a) - 1), {A: tuple(a), B: tuple(b)})
+
+
+def test_a_regular_group_has_one_map_per_state():
+    # Sym(k) acts on itself regularly, so its k! elements are the orbit's k! states.
+    for k in range(3, 8):
+        o = sym_point(k)
+        assert o.minimal.n_states() == math.factorial(k)
+        for orbit in (o, lift_to_group(o)):
+            assert transformation_monoid(orbit) == (math.factorial(k), True)
+    # a1 turns n points by one, a2 by four: the cyclic group of order n
+    for n in (1, 2, 5, 12):
+        cyclic = natural_action([(i + 1) % n for i in range(n)], [(i + 4) % n for i in range(n)])
+        assert orbit_size(cyclic) == n
+        for orbit in (cyclic, lift_to_group(cyclic)):
+            assert transformation_monoid(orbit) == (n, True)
+
+
+def test_a_group_that_is_not_regular_is_listed():
+    # Sym(k) on k points has k! elements, the dihedral group D_k (a rotation
+    # and a reflection fixing point 0) has 2k; neither is regular for k >= 3.
+    for k in range(3, 7):
+        sym = natural_action([1, 0, *range(2, k)], [*range(1, k), 0])
+        dihedral = natural_action([*range(1, k), 0], [-i % k for i in range(k)])
+        for orbit, size in ((sym, math.factorial(k)), (dihedral, 2 * k)):
+            assert orbit_size(orbit) == k
+            for o in (orbit, lift_to_group(orbit)):
+                assert transformation_monoid(o) == (size, True)
+
+
+def test_a_regular_orbit_is_certified_in_little_memory():
+    o = sym_point(6)
+    assert o.minimal.n_states() == 720
+    result, peak = traced_peak(lambda: transformation_monoid(o))
+    assert result == (720, True) and peak < 2**19
 
 
 def test_group_automaton_refuses_non_bijective_row():
