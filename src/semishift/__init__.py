@@ -40,6 +40,7 @@ from .errors import (
     SigmaIncomplete,
     ValidationError,
 )
+from .fold import ChainDiagnostics, eval_constrained, validate_chain
 # `markovize` is imported here, not on first use: importing the submodule
 # later would rebind the package attribute `semishift.markovize` from the
 # function to the module.
@@ -53,20 +54,17 @@ from .markovize import (
 )
 from .measure import (
     BernoulliMeasure,
-    ChainDiagnostics,
     CheckResult,
     CylinderMeasure,
     MarkovTreeChain,
     MixtureMeasure,
     Pattern,
     all_patterns,
-    eval_constrained,
     eval_cylinder,
     extend_chain,
     is_invariant_chain,
     pushforward_check,
     shift_invariance_check,
-    validate_chain,
     weak_star_distance,
 )
 

@@ -23,6 +23,7 @@ from typing import Any, Callable, Sequence
 
 from .algebra import GeneratorSet, ball_count, parse_word, word_to_string
 from .errors import BudgetExhausted, ParseError, SemishiftError, ValidationError, bounded_int
+from .fold import validate_chain
 from .markovize import consistency_masses, markovize
 from .measure import (
     CheckResult,
@@ -31,7 +32,6 @@ from .measure import (
     is_invariant_chain,
     pushforward_check,
     shift_invariance_check,
-    validate_chain,
     weak_star_distance,
 )
 from .orbit import (

@@ -17,16 +17,14 @@ from functools import cached_property
 
 from .algebra import EPSILON, GeneratorSet, Record, Word, in_semigroup, scan_layout
 from .errors import MAX_PATTERNS, MembershipError, OracleNotNormalized, ValidationError
+from .fold import ChainDiagnostics, _Constraints, eval_constrained
 from .measure import (
     ZERO,
     CheckResult,
-    ChainDiagnostics,
     CylinderMeasure,
     MarkovTreeChain,
     Pattern,
-    _Constraints,
     _pattern_at,
-    eval_constrained,
     is_invariant_chain,
     pattern_masses,
     require_distinct_symbols,

@@ -77,9 +77,11 @@ def _symbol_in(value: Any) -> Any:
 def read_json(path: str | Path) -> Any:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from None
     try:
         return json.loads(text, parse_int=bounded_int)
     except json.JSONDecodeError as exc:

@@ -117,6 +117,21 @@ def test_counterexample_example_no_delta():
     assert "cycle_length: 4" in text
 
 
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+def test_a_matrices_file_is_read_as_utf8(tmp_path, encoding):
+    path = tmp_path / "matrices.json"
+    path.write_bytes(MATRICES.encode(encoding))
+    code, text = execute(
+        ["counterexample", "--matrices", str(path), "--word", "a1a2A1A2", "--prime", "5"]
+    )
+    if encoding == "utf-8":
+        assert code == 0 and "cycle_length: 4" in text
+    else:
+        assert (code, text) == (
+            2, f"error: ParseError: {path}: not valid UTF-8 at byte 0: invalid start byte"
+        )
+
+
 def test_counterexample_with_a_large_prime():
     code, text = execute(
         ["counterexample", "--matrices", MATRICES, "--word", "a1a2A1A2",

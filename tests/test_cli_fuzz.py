@@ -5,7 +5,7 @@ it reads, then either replaces one leaf of that file with a value from a
 fixed list or deletes one object key, and runs the command in an empty
 directory.  Whatever the mutation, nothing may escape ``cli.execute``, the
 exit code is 0, 1 or 2, and a report whose error is a ``ParseError`` or a
-``ValidationError`` exits 2.
+``ValidationError`` exits 2.  A file whose bytes are not UTF-8 exits 2 too.
 """
 
 import json
@@ -36,6 +36,8 @@ INPUTS = sorted(
 )
 # the error row in text ("error: Kind: ...") or csv ("error,Kind: ..." or quoted) form
 ERROR_ROW = re.compile(r'^error(?:: |,"?)(\w+): ', re.MULTILINE)
+# an error row that names an input file
+FILE_ERROR = re.compile(r'^error(?:: |,"?)\w+: ([\w.]+\.json):', re.MULTILINE)
 
 
 def mutations(value, path=()):
@@ -78,8 +80,11 @@ def run_in_empty_directory(argv, files):
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in files.items():
-            text = content if isinstance(content, str) else json.dumps(content)
-            (Path(tmp) / name).write_text(text)
+            if isinstance(content, bytes):
+                (Path(tmp) / name).write_bytes(content)
+            else:
+                text = content if isinstance(content, str) else json.dumps(content)
+                (Path(tmp) / name).write_text(text)
         os.chdir(tmp)
         try:
             return execute(argv)
@@ -96,6 +101,34 @@ def test_mutated_golden_input_keeps_the_exit_contract(example):
     kind = getattr(errors, match.group(1), None) if match else None
     if isinstance(kind, type) and issubclass(kind, (errors.ParseError, errors.ValidationError)):
         assert code == 2, text
+
+
+# Two byte strings that are not UTF-8: the file as UTF-16 (it starts with
+# the byte-order mark 0xFF 0xFE), and the file with one stray 0xE9 byte.
+UNDECODABLE = {
+    "utf-16": lambda text: text.encode("utf-16"),
+    "stray-e9": lambda text: text[:1].encode() + b"\xe9" + text[1:].encode(),
+}
+
+
+@pytest.mark.parametrize("encoding", sorted(UNDECODABLE))
+def test_an_input_that_is_not_utf8_exits_two(encoding):
+    """Every JSON file a golden case reads, made undecodable, gives exit 2 and
+    one ``ParseError`` row that names the file; nothing escapes ``execute``.
+    A case that fails on another file first never reads it: its report
+    must stay as it was."""
+    wrong = []
+    for case, name in INPUTS:
+        raw = UNDECODABLE[encoding](json.dumps(FIXTURES[name]))
+        code, text = run_in_empty_directory(CASES[case], {**FIXTURES, name: raw})
+        rows = [line for line in text.splitlines() if ERROR_ROW.match(line)]
+        if code == 2 and len(rows) == 1 and f"ParseError: {name}: not valid UTF-8 at byte " in rows[0]:
+            continue
+        before = run_in_empty_directory(CASES[case], FIXTURES)
+        other = FILE_ERROR.search(before[1])
+        if not (other and other.group(1) != name and (code, text) == before):
+            wrong.append((case, name, code, text))
+    assert wrong == []
 
 
 def test_mutations_cover_every_leaf_and_key():

@@ -14,18 +14,21 @@ import sys
 from pathlib import Path
 
 from helpers import worked_chain
-from semishift import EPSILON, Pattern, Symbol, Word, measure
+from semishift import EPSILON, MarkovizedMeasure, Pattern, Symbol, Word, fold, markovize, measure
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def traced_targets():
+def tracer_module():
     sys.path.insert(0, str(PERFBENCH))
     try:
-        tracer = importlib.import_module("tracer")
+        return importlib.import_module("tracer")
     finally:
         sys.path.remove(str(PERFBENCH))
-    return tracer.TARGETS
+
+
+def traced_targets():
+    return tracer_module().TARGETS
 
 
 def test_every_traced_name_resolves():
@@ -100,3 +103,26 @@ def test_eval_cylinder_calls_eval_constrained_once_through_the_module(monkeypatc
     assert calls == [expected]
     assert chain.eval(pattern) == real(chain, expected)
     assert calls == [expected, expected]
+
+
+def test_the_tracer_counts_the_chain_folds_under_their_measure_names():
+    """The folds live in ``fold``; the tracer wraps them wherever a module
+    binds them, so cylinder, markovized and validation work is counted
+    under ``measure.eval_constrained`` and ``measure.validate_chain``."""
+    chain, fresh = worked_chain(2), worked_chain(2)
+    a1 = Symbol.from_signed(1)
+    pattern = Pattern.of({EPSILON: 0, Word((a1,)): 1})
+    pulled = MarkovizedMeasure(markovize(chain, 1))
+    expected = measure.eval_cylinder(chain, pattern), pulled.eval(pattern)
+    tracer = tracer_module().Tracer(child=True)
+    tracer.install()
+    try:
+        values = measure.eval_cylinder(chain, pattern), pulled.eval(pattern)
+        diagnostics = fresh.diagnostics
+    finally:
+        tracer.uninstall()
+    assert values == expected and diagnostics.ok
+    assert tracer.calls["measure.eval_constrained"] == len(values)
+    assert tracer.calls["measure.validate_chain"] >= 1
+    assert tracer.den_bits_max > 0
+    assert measure.eval_constrained is fold.eval_constrained
