@@ -22,7 +22,7 @@ import functools
 import itertools
 import re
 from operator import attrgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 from .errors import (MAX_PATTERNS, MembershipError, ParseError, ValidationError, bounded_int, shown,
                      too_many_patterns)
@@ -403,11 +403,6 @@ def _hull(words: Iterable[Word]) -> tuple[list[int], list, list[int]]:
             v = child
         site.append(v)
     return parent, letter, site
-
-
-def require_distinct_sites(sites: Sequence) -> None:
-    if len(set(sites)) != len(sites):
-        raise ValueError("pattern has a repeated site")
 
 
 class Sites(tuple):

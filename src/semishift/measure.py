@@ -28,7 +28,6 @@ from .algebra import (
     Sites,
     Symbol,
     Word,
-    require_distinct_sites,
     require_in_semigroup,
     scan_layout,
     sorted_words,
@@ -55,33 +54,48 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class Pattern(Record):
-    """A finite partial configuration: finitely many sites with symbols."""
+class PatternRecord(Record):
+    """Finitely many distinct sites with symbols, sorted by site.  A subclass says
+    what a site is: ``_site_order`` may sort its ``(site, symbol)`` entries another
+    way, and its ``__post_init__`` may check the sites further once none is repeated."""
 
-    entries: tuple[tuple[Word, object], ...]
+    entries: tuple
+    _site_order = itemgetter(0)
 
     def __post_init__(self) -> None:
-        require_distinct_sites([w for w, _ in self.entries])
-        canonical = tuple(sorted(self.entries, key=lambda e: e[0].key()))
-        object.__setattr__(self, "entries", canonical)
+        if len({v for v, _ in self.entries}) != len(self.entries):
+            raise ValueError("pattern has a repeated site")
+        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=self._site_order)))
 
     @classmethod
-    def of(cls, assignment: Mapping[Word, object] | Iterable[tuple[Word, object]]) -> "Pattern":
+    def of(cls, assignment: Mapping | Iterable[tuple]):
         items = assignment.items() if isinstance(assignment, Mapping) else assignment
         return cls(tuple(items))
 
-    def domain(self) -> tuple[Word, ...]:
-        return tuple(w for w, _ in self.entries)
+    def domain(self) -> tuple:
+        return tuple(v for v, _ in self.entries)
 
-    def items(self) -> tuple[tuple[Word, object], ...]:
+    def items(self) -> tuple:
         return self.entries
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @cached_property
-    def _lookup(self) -> dict[Word, object]:
+    def _lookup(self) -> dict:
         return dict(self.entries)
+
+    def __contains__(self, v: object) -> bool:
+        return v in self._lookup
+
+    def __getitem__(self, v: object) -> object:
+        return self._lookup[v]
+
+
+class Pattern(PatternRecord):
+    """A finite partial configuration: finitely many words with symbols, in ``Word.key`` order."""
+
+    _site_order = staticmethod(lambda e: e[0].key())
 
     @property
     def sites(self) -> Sites:
@@ -89,12 +103,6 @@ class Pattern(Record):
         if (kept := getattr(self, "_sites", None)) is None:
             object.__setattr__(self, "_sites", kept := Sites(map(itemgetter(0), self.entries)))
         return kept
-
-    def __contains__(self, w: Word) -> bool:
-        return w in self._lookup
-
-    def __getitem__(self, w: Word) -> object:
-        return self._lookup[w]
 
     def translated(self, a: Symbol) -> "Pattern":
         """Keys move to t*a: the pattern seen by the a-shifted configuration."""
@@ -140,13 +148,34 @@ def require_distribution(values: Sequence, what: str, positive: bool = False) ->
         raise ValidationError(f"{what} must be {sign} and sum to 1")
 
 
+def require_symbols(pattern: PatternRecord, alphabet: Collection) -> None:
+    """Refuse a symbol outside the alphabet (ValidationError)."""
+    for _, c in pattern.items():
+        if c not in alphabet:
+            raise ValidationError(f"symbol {shown(c)} is not in the alphabet")
+
+
 def require_pattern(pattern: Pattern, gs: GeneratorSet, alphabet: Collection) -> None:
     """Refuse a site outside S (MembershipError), then an unknown symbol (ValidationError)."""
     for w in pattern.domain():
         require_in_semigroup(w, gs)
+    require_symbols(pattern, alphabet)
+
+
+def require_product(alphabet: Sequence, probs: Sequence) -> None:
+    """Refuse a product measure's alphabet, then probabilities not one per symbol or no distribution."""
+    require_distinct_symbols(alphabet)
+    if len(probs) != len(alphabet):
+        raise ValidationError("one probability per alphabet symbol required")
+    require_distribution(probs, "probabilities")
+
+
+def product_mass(probs: Sequence[Fraction], index: Mapping, pattern: PatternRecord) -> Fraction:
+    """The product of the pattern's symbol probabilities; ``index`` maps a symbol to its position."""
+    out = ONE
     for _, c in pattern.items():
-        if c not in alphabet:
-            raise ValidationError(f"symbol {shown(c)} is not in the alphabet")
+        out *= probs[index[c]]
+    return out
 
 
 class CylinderMeasure(Protocol):
@@ -485,10 +514,7 @@ class BernoulliMeasure(Record):
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        require_distinct_symbols(self.alphabet)
-        if len(self.probs) != len(self.alphabet):
-            raise ValidationError("one probability per alphabet symbol required")
-        require_distribution(self.probs, "probabilities")
+        require_product(self.alphabet, self.probs)
 
     @cached_property
     def _index(self) -> dict[object, int]:
@@ -496,10 +522,7 @@ class BernoulliMeasure(Record):
 
     def eval(self, pattern: Pattern) -> Fraction:
         require_pattern(pattern, self.gs, self._index)
-        out = ONE
-        for _, c in pattern.items():
-            out *= self.probs[self._index[c]]
-        return out
+        return product_mass(self.probs, self._index, pattern)
 
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's mass on the sites: outer products of the

@@ -394,8 +394,9 @@ def find_separating_morphism(
     Deterministic for a fixed seed.  One permutation is drawn per
     generator index; when Sigma holds both signs, the negative one is the
     inverse, as any morphism into a group requires.  ValidationError
-    refuses a degree above MAX_PATTERNS, a ball ``ball_count`` refuses and a trial
-    taking more steps before any word is built; B_r is built once, for the trials.
+    refuses a degree above MAX_PATTERNS, a ball ``ball_count`` refuses, a trial
+    taking more steps, and then all ``budget`` trials taking more steps in all,
+    before any word is built; B_r is built once, for the trials.
     """
     if not 1 <= k <= MAX_PATTERNS:
         raise ValidationError(f"degree k must be between 1 and {MAX_PATTERNS}, got {shown(k)}")
@@ -409,6 +410,10 @@ def find_separating_morphism(
     if budget > 0 and (steps := k * (size + letters)) > MAX_PATTERNS:
         raise ValidationError(f"a trial of degree {k} on the {r}-ball is refused: it takes {k} x "
                               f"(words + letters) = {steps} steps, more than {MAX_PATTERNS}")
+    if budget > 0 and (total := budget * steps) > MAX_PATTERNS:
+        raise ValidationError(f"a search of {budget} trials is refused: {budget} x {steps} steps = "
+                              f"{total}, more than {MAX_PATTERNS}; a budget of at most "
+                              f"{MAX_PATTERNS // steps} is accepted")
     words = sorted_ball(gs, r) if budget > 0 else ()
     rng = random.Random(seed)
     indices = sorted({s.index for s in gs.sigma})

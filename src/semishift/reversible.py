@@ -13,63 +13,42 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import ClassVar, Collection, Iterable, Mapping, Protocol
+from operator import sub
+from typing import ClassVar, Collection, Protocol
 
-from .algebra import Record, require_distinct_sites
-from .errors import (MAX_PATTERNS, MAX_WINDOW_BITS, MembershipError, ValidationError, shown,
+from .algebra import Record
+from .errors import (MAX_PATTERNS, MAX_WINDOW_BITS, MembershipError, ValidationError,
                      too_many_patterns)
 from .measure import (
     ONE,
     ZERO,
     CheckResult,
     Matrix,
+    PatternRecord,
+    product_mass,
     require_distinct_symbols,
     require_distribution,
+    require_product,
+    require_symbols,
 )
 
 # Vectors in Z^d; membership in N^d means every coordinate is nonnegative.
 LatticeVector = tuple[int, ...]
 
 
-def vec_add(u: LatticeVector, v: LatticeVector) -> LatticeVector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: LatticeVector, v: LatticeVector) -> LatticeVector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-class LatticePattern(Record):
-    """Finitely many lattice sites with symbols."""
-
-    entries: tuple[tuple[LatticeVector, object], ...]
+class LatticePattern(PatternRecord):
+    """Finitely many lattice sites, tuples of one dimension, with symbols."""
 
     def __post_init__(self) -> None:
-        keys = [v for v, _ in self.entries]
-        require_distinct_sites(keys)
-        dims = {len(v) for v in keys}
-        if len(dims) > 1:
+        object.__setattr__(self, "entries", tuple((tuple(v), c) for v, c in self.entries))
+        super().__post_init__()
+        if len({len(v) for v, _ in self.entries}) > 1:
             raise ValueError("pattern sites have mixed dimensions")
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
-
-    @classmethod
-    def of(
-        cls, assignment: Mapping[LatticeVector, object] | Iterable[tuple[LatticeVector, object]]
-    ) -> "LatticePattern":
-        items = assignment.items() if isinstance(assignment, Mapping) else assignment
-        return cls(tuple((tuple(v), c) for v, c in items))
-
-    def domain(self) -> tuple[LatticeVector, ...]:
-        return tuple(v for v, _ in self.entries)
-
-    def items(self) -> tuple[tuple[LatticeVector, object], ...]:
-        return self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def translated(self, g: LatticeVector) -> "LatticePattern":
-        return LatticePattern(tuple((vec_add(v, g), c) for v, c in self.entries))
+        return LatticePattern(
+            tuple((tuple(a + b for a, b in zip(v, g, strict=True)), c) for v, c in self.entries)
+        )
 
     def render(self) -> str:
         return "{" + ", ".join(f"{v}={c!r}" for v, c in self.entries) + "}"
@@ -84,16 +63,14 @@ class LatticeMeasure(Protocol):
     def eval(self, pattern: LatticePattern) -> Fraction: ...
 
 
-def _check_pattern(pattern: LatticePattern, d: int, alphabet: tuple) -> None:
+def _check_pattern(pattern: LatticePattern, d: int, alphabet: Collection) -> None:
     """Refuse a site off the d-dimensional orthant, then a symbol off the alphabet."""
     for v, _ in pattern.items():
         if len(v) != d:
             raise ValidationError(f"site {v} does not have dimension {d}")
         if any(x < 0 for x in v):
             raise MembershipError(f"site {v} is outside the nonnegative orthant")
-    for _, c in pattern.items():
-        if c not in alphabet:
-            raise ValidationError(f"symbol {shown(c)} is not in the alphabet")
+    require_symbols(pattern, alphabet)
 
 
 class LatticeBernoulli(Record):
@@ -104,17 +81,15 @@ class LatticeBernoulli(Record):
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        require_distinct_symbols(self.alphabet)
-        if len(self.probs) != len(self.alphabet):
-            raise ValidationError("one probability per alphabet symbol required")
-        require_distribution(self.probs, "probabilities")
+        require_product(self.alphabet, self.probs)
+
+    @cached_property
+    def _index(self) -> dict[object, int]:
+        return {c: i for i, c in enumerate(self.alphabet)}
 
     def eval(self, pattern: LatticePattern) -> Fraction:
-        _check_pattern(pattern, self.d, self.alphabet)
-        out = ONE
-        for _, c in pattern.items():
-            out *= self.probs[self.alphabet.index(c)]
-        return out
+        _check_pattern(pattern, self.d, self._index)
+        return product_mass(self.probs, self._index, pattern)
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -211,13 +186,8 @@ class LatticeTable(Record):
         for v, _ in pattern.items():
             if any(x >= b for x, b in zip(v, self.box)):
                 raise ValidationError(f"site {v} is outside the declared box {self.box}")
-        wanted = dict(pattern.items())
-        total = ZERO
-        for pat, mass in self.table:
-            full = dict(pat.items())
-            if all(full[v] == c for v, c in wanted.items()):
-                total += mass
-        return total
+        wanted = pattern.items()
+        return sum((mass for pat, mass in self.table if all(pat[v] == c for v, c in wanted)), ZERO)
 
 
 def lower_bound(window: Collection[LatticeVector]) -> LatticeVector:
@@ -239,7 +209,7 @@ def window_measure(measure: LatticeMeasure, pattern: LatticePattern) -> Fraction
     if len(pattern) == 0:
         return ONE
     base = tuple(min(x, 0) for x in lower_bound(pattern.domain()))
-    moved = LatticePattern(tuple((vec_sub(v, base), c) for v, c in pattern.items()))
+    moved = LatticePattern(tuple((tuple(map(sub, v, base)), c) for v, c in pattern.items()))
     return measure.eval(moved)
 
 

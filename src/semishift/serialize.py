@@ -2,11 +2,11 @@
 
 Rationals are always written as ``num/den`` strings, never as decimals.
 Words use the letter syntax from ``algebra`` (empty string for the
-identity).  Alphabet symbols may be strings, integers, or integer pairs;
-pairs are written as two-element lists, and a JSON object is never a
-symbol.  Every record file is read and written field by field (``_record``);
-measure files carry a ``kind`` tag, which ``MEASURE_KINDS`` maps to its
-codec.  ``_by_generator`` reads every object keyed by signed generator.
+identity).  Alphabet symbols are strings, integers, or tuples of symbols,
+which are written as lists; no other JSON value is a symbol.  Every
+record file is read and written field by field (``_record``); measure
+files carry a ``kind`` tag, which ``MEASURE_KINDS`` maps to its codec.
+``_by_generator`` reads every object keyed by signed generator.
 
 Every public ``*_in`` reader raises ``ParseError`` for malformed input,
 prefixed with the ``where`` it was given.
@@ -69,9 +69,11 @@ def _symbol_out(value: Any) -> Any:
 def _symbol_in(value: Any) -> Any:
     if isinstance(value, list):
         return tuple(_symbol_in(v) for v in value)
+    if isinstance(value, str) or type(value) is int:
+        return value
     if isinstance(value, dict):
         raise ParseError(f"a JSON object cannot be a symbol: {json.dumps(value)}")
-    return value
+    raise ParseError(f"a symbol is a string, an integer or a list of symbols, not {json.dumps(value)}")
 
 
 def read_json(path: str | Path) -> Any:

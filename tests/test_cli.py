@@ -350,8 +350,17 @@ def thm_a_construct(tmp_path, *options):
         (["--alphabet", '0,1,{"x":1}'], 'ParseError: --alphabet: a JSON object cannot be a symbol'),
         (["--alphabet", "0,1", "--fill", '{"x":1}'], "ParseError: --fill: a JSON object"),
         (["--alphabet", "0,0,1"], "ValidationError: alphabet must be nonempty without repeats"),
+        (["--alphabet", "0,true"], "ParseError: --alphabet: a symbol is a string, an integer or "
+         "a list of symbols, not true"),
+        (["--alphabet", "null,1"], "ParseError: --alphabet: a symbol is a string, an integer or "
+         "a list of symbols, not null"),
+        (["--alphabet", "0,1", "--fill", "1.0"], "ParseError: --fill: a symbol is a string, "
+         "an integer or a list of symbols, not 1.0"),
+        (["--alphabet", "0,1", "--fill", "NaN"], "ParseError: --fill: a symbol is a string, "
+         "an integer or a list of symbols, not NaN"),
     ],
-    ids=["object-alphabet", "object-fill", "repeated"],
+    ids=["object-alphabet", "object-fill", "repeated", "bool-alphabet", "null-alphabet",
+         "float-fill", "nan-fill"],
 )
 def test_thm_a_construct_refuses_bad_symbols(tmp_path, options, message):
     out = tmp_path / "point.json"
@@ -1172,3 +1181,63 @@ def test_a_symbol_nested_past_the_recursion_limit_exits_two(tmp_path):
     write_json(measure, {**nested_mixture(0), "alphabet": [symbol, 1]})
     out = run_cli("invariance-check", "--measure", str(measure), "--radius", "1")
     assert_one_parse_error_line(out, measure)
+
+
+@pytest.mark.parametrize("value, shown", [(True, "true"), (1.0, "1.0")], ids=["true", "1.0"])
+@pytest.mark.parametrize("kind", ["chain", "bernoulli"])
+def test_a_bool_or_float_pattern_symbol_exits_two(tmp_path, kind, value, shown):
+    # Python equality matches True and 1.0 to the symbol 1.
+    measure = tmp_path / "measure.json"
+    write_json(measure, measure_out(worked_chain(2)) if kind == "chain" else BERNOULLI)
+    pattern = tmp_path / "pattern.json"
+    write_json(pattern, {"entries": [["a1", value]]})
+    code, text = execute(["eval", "--measure", str(measure), "--pattern", str(pattern)])
+    assert (code, text) == (
+        2, f"error: ParseError: pattern: a symbol is a string, an integer or a list of symbols, "
+        f"not {shown}"
+    )
+
+
+@pytest.mark.parametrize("alphabet, shown", [
+    ("[null, 0.5]", "null"), ("[NaN, 1]", "NaN"), ("[0, [1, true]]", "true"),
+], ids=["null", "NaN", "nested-true"])
+def test_a_measure_alphabet_of_non_symbols_exits_two(tmp_path, alphabet, shown):
+    # Python's json module reads NaN, which is not JSON, as a float.
+    measure = tmp_path / "bern.json"
+    measure.write_text(json.dumps({**BERNOULLI, "alphabet": "@"}).replace('"@"', alphabet))
+    code, text = execute(["invariance-check", "--measure", str(measure)])
+    assert (code, text) == (
+        2, f"error: ParseError: {measure}: a symbol is a string, an integer or a list of "
+        f"symbols, not {shown}"
+    )
+
+
+@pytest.mark.parametrize("command", ["orbit-analyze", "lift"])
+def test_bool_automaton_labels_exit_two(tmp_path, command):
+    # Python equality matched [true, false] to the alphabet [0, 1].
+    auto, lifted = tmp_path / "auto.json", tmp_path / "lift.json"
+    write_json(auto, {**automaton_out(swap_orbit()), "labels": [True, False]})
+    argv = [command, "--automaton", str(auto)]
+    if command == "lift":
+        argv += ["--out", str(lifted)]
+    code, text = execute(argv)
+    assert (code, text) == (
+        2, f"error: ParseError: {auto}: a symbol is a string, an integer or a list of symbols, "
+        "not true"
+    )
+    assert not lifted.exists()
+
+
+def test_a_find_morphism_search_past_the_budget_exits_two_at_once():
+    # Each trial of degree 7 on B_9 over Sigma = {a1, a2} takes 7 x (1023 + 8194) steps.
+    start = time.process_time()
+    search = ["find-morphism", "--sigma", "1,2", "--radius", "9", "--degree", "7", "--seed", "0"]
+    code, text = execute(search)
+    assert (code, text) == (
+        2, "error: ValidationError: a search of 10000 trials is refused: 10000 x 64519 steps = "
+        "645190000, more than 4194304; a budget of at most 65 is accepted"
+    )
+    assert time.process_time() - start < 1.0
+    assert execute([*search, "--budget", "66"])[0] == 2
+    code, text = execute([*search, "--budget", "65"])
+    assert code == 1 and text.endswith("reason: no separating morphism found in 65 trials")

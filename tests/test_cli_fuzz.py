@@ -27,17 +27,41 @@ from test_cli_golden import CASES, fixtures
 FIXTURES = fixtures()
 REPLACEMENTS = (1.5, True, None, "x", -1, 10**8, [], {})
 DELETE = object()
-# (case, file name) for every JSON file a golden case reads
-INPUTS = sorted(
-    (case, name)
-    for case, argv in CASES.items()
-    for name in argv
-    if name in FIXTURES and not isinstance(FIXTURES[name], str)
-)
+
+
+def run_in_empty_directory(argv, files):
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            if isinstance(content, bytes):
+                (Path(tmp) / name).write_bytes(content)
+            else:
+                text = content if isinstance(content, str) else json.dumps(content)
+                (Path(tmp) / name).write_text(text)
+        os.chdir(tmp)
+        try:
+            return execute(argv)
+        finally:
+            os.chdir(home)
+
+
+def read_inputs():
+    """(case, file name) for every JSON file a golden case names and reads:
+    the case's report changes when the file is missing.  A file named after
+    an input that fails first is never read, and a mutation of it tests nothing."""
+    found = []
+    for case, argv in sorted(CASES.items()):
+        names = sorted({name for name in argv if not isinstance(FIXTURES.get(name, ""), str)})
+        report = run_in_empty_directory(argv, FIXTURES) if names else None
+        for name in names:
+            if run_in_empty_directory(argv, {k: v for k, v in FIXTURES.items() if k != name}) != report:
+                found.append((case, name))
+    return found
+
+
+INPUTS = read_inputs()
 # the error row in text ("error: Kind: ...") or csv ("error,Kind: ..." or quoted) form
 ERROR_ROW = re.compile(r'^error(?:: |,"?)(\w+): ', re.MULTILINE)
-# an error row that names an input file
-FILE_ERROR = re.compile(r'^error(?:: |,"?)\w+: ([\w.]+\.json):', re.MULTILINE)
 
 
 def mutations(value, path=()):
@@ -76,22 +100,6 @@ def mutated_cases(draw):
     return case, name, mutated(FIXTURES[name], path, replacement)
 
 
-def run_in_empty_directory(argv, files):
-    home = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, content in files.items():
-            if isinstance(content, bytes):
-                (Path(tmp) / name).write_bytes(content)
-            else:
-                text = content if isinstance(content, str) else json.dumps(content)
-                (Path(tmp) / name).write_text(text)
-        os.chdir(tmp)
-        try:
-            return execute(argv)
-        finally:
-            os.chdir(home)
-
-
 @given(mutated_cases())
 def test_mutated_golden_input_keeps_the_exit_contract(example):
     case, name, content = example
@@ -114,21 +122,25 @@ UNDECODABLE = {
 @pytest.mark.parametrize("encoding", sorted(UNDECODABLE))
 def test_an_input_that_is_not_utf8_exits_two(encoding):
     """Every JSON file a golden case reads, made undecodable, gives exit 2 and
-    one ``ParseError`` row that names the file; nothing escapes ``execute``.
-    A case that fails on another file first never reads it: its report
-    must stay as it was."""
+    one ``ParseError`` row that names the file; nothing escapes ``execute``."""
     wrong = []
     for case, name in INPUTS:
         raw = UNDECODABLE[encoding](json.dumps(FIXTURES[name]))
         code, text = run_in_empty_directory(CASES[case], {**FIXTURES, name: raw})
         rows = [line for line in text.splitlines() if ERROR_ROW.match(line)]
-        if code == 2 and len(rows) == 1 and f"ParseError: {name}: not valid UTF-8 at byte " in rows[0]:
-            continue
-        before = run_in_empty_directory(CASES[case], FIXTURES)
-        other = FILE_ERROR.search(before[1])
-        if not (other and other.group(1) != name and (code, text) == before):
+        if not (code == 2 and len(rows) == 1
+                and f"ParseError: {name}: not valid UTF-8 at byte " in rows[0]):
             wrong.append((case, name, code, text))
     assert wrong == []
+
+
+def test_inputs_hold_only_files_their_command_reads():
+    """Each of these cases fails on another input before it reads the named file."""
+    unread = {("eval-lattice", "root.json"), ("measure-broken-json", "pat.json"),
+              ("measure-decimal", "pat.json"), ("measure-missing-file", "pat.json"),
+              ("measure-missing-key", "pat.json"), ("window-tree-measure", "win.json")}
+    assert all(name in CASES[case] for case, name in unread)
+    assert INPUTS and unread.isdisjoint(INPUTS)
 
 
 def test_mutations_cover_every_leaf_and_key():

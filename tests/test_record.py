@@ -49,6 +49,7 @@ from semishift import (
     tree_hull,
 )
 from semishift.algebra import Record
+from semishift.measure import PatternRecord
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HALF = (F(1, 2), F(1, 2))
@@ -85,6 +86,11 @@ CASES = {
     Pattern: (
         lambda: Pattern.of({EPSILON: 0, Word((A1,)): 1}),
         lambda: Pattern.of({EPSILON: 1, Word((A1,)): 1}),
+        True,
+    ),
+    PatternRecord: (
+        lambda: PatternRecord.of({1: "x", 0: "y"}),
+        lambda: PatternRecord.of({0: "x", 1: "y"}),
         True,
     ),
     CheckResult: (lambda: CheckResult(False, "w"), lambda: CheckResult(True), True),

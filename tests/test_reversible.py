@@ -267,3 +267,42 @@ def test_integer_entries_still_give_fraction_masses():
     ):
         mass = measure.eval(pattern)
         assert mass == 1 and type(mass) is F
+
+
+def test_lattice_bernoulli_on_a_line_is_bernoulli_on_one_generator():
+    """On d = 1 the window {(x,): c, ...} has the mass that the Bernoulli
+    measure over Sigma = {a1} gives the word pattern {a1^x: c, ...}."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from semishift import BernoulliMeasure, GeneratorSet, Pattern, Symbol, Word
+
+    a1 = Symbol.from_signed(1)
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 3))
+        weights = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+        probs = tuple(F(x, sum(weights)) for x in weights)
+        alphabet = tuple(draw(st.permutations(["x", 0, (1, 2)]))[:n])
+        window = draw(st.dictionaries(st.integers(0, 8), st.sampled_from(alphabet), max_size=6))
+        return alphabet, probs, window
+
+    @hypothesis.given(cases())
+    def check(case):
+        alphabet, probs, window = case
+        lattice = LatticeBernoulli(1, alphabet, probs)
+        tree = BernoulliMeasure(GeneratorSet.from_signed((1,)), alphabet, probs)
+        mass = tree.eval(Pattern.of({Word((a1,) * x): c for x, c in window.items()}))
+        pattern = lp({(x,): c for x, c in window.items()})
+        assert lattice.eval(pattern) == window_measure(lattice, pattern) == mass
+        assert window_measure(lattice, pattern.translated((-9,))) == mass
+
+    check()
+
+
+def test_a_repeated_site_is_refused_before_mixed_dimensions():
+    entries = (((0,), 0), ((0,), 1), ((0, 1), 0))
+    with pytest.raises(ValueError, match="^pattern has a repeated site$"):
+        LatticePattern(entries)
+    with pytest.raises(ValueError, match="^pattern sites have mixed dimensions$"):
+        LatticePattern(entries[1:])
