@@ -8,7 +8,9 @@ Rationals are printed as num/den; ``--human`` appends decimal
 approximations to six places, which are display-only and never
 authoritative.  Exact values print in full at any size.  Commands that
 build an object (extend, markovize, thm-a-construct, find-morphism, lift,
-counterexample) write it as JSON to ``--out``.
+counterexample) write it as JSON to ``--out``.  Importing this module loads
+every module the benchmark's tracer wraps; the Theorem-E module loads only
+when the ``counterexample`` command runs.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def _cmd_invariance_check(args: argparse.Namespace) -> Report:
 def _cmd_eval(args: argparse.Namespace) -> Report:
     """exact mass of one cylinder pattern"""
     measure = _read_measure(args.measure)
-    pattern = pattern_in(read_json(args.pattern))
+    pattern = pattern_in(read_json(args.pattern), str(args.pattern))
     mass = measure.eval(pattern)
     return 0, [("sites", len(pattern)), ("mass", mass)]
 
@@ -198,7 +200,7 @@ def _cmd_markovize(args: argparse.Namespace) -> Report:
 def _cmd_consistency(args: argparse.Namespace) -> Report:
     """does the markovization reproduce the measure on a ball pattern"""
     measure = _read_measure(args.measure)
-    pattern = pattern_in(read_json(args.pattern))
+    pattern = pattern_in(read_json(args.pattern), str(args.pattern))
     chain_mass, oracle_mass = consistency_masses(measure, args.order, pattern)
     consistent = chain_mass == oracle_mass
     rows: list[Row] = [
@@ -238,7 +240,7 @@ def _scalar(text: str, where: str) -> Any:
 
 def _cmd_thm_a_construct(args: argparse.Namespace) -> Report:
     """periodic point through a pattern, via a permutation morphism"""
-    pattern = pattern_in(read_json(args.pattern))
+    pattern = pattern_in(read_json(args.pattern), str(args.pattern))
     theta = morphism_in(read_json(args.morphism), str(args.morphism))
     gs = GeneratorSet.from_signed([s.signed for s in theta])
     if args.alphabet:
@@ -372,7 +374,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> Report:
 def _cmd_window_eval(args: argparse.Namespace) -> Report:
     """mass of a lattice-window pattern under an orthant oracle"""
     measure = _read_measure(args.measure, lattice=True)
-    pattern = lattice_pattern_in(read_json(args.pattern))
+    pattern = lattice_pattern_in(read_json(args.pattern), str(args.pattern))
     mass = window_measure(measure, pattern)
     return 0, [("sites", len(pattern)), ("mass", mass)]
 

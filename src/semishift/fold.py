@@ -15,7 +15,8 @@ the chain's own column tuples; no step writes a row in place.
 
 The ball fold lists every full pattern's mass on a list of sites at once,
 one weight per labelling of the live hull vertices.  Both folds refuse a
-chain that fails ``validate_chain``.
+chain that fails ``validate_chain``.  This module imports only ``algebra``
+and ``errors``.
 """
 
 from __future__ import annotations

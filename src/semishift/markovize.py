@@ -20,6 +20,7 @@ from .errors import MAX_PATTERNS, MembershipError, OracleNotNormalized, Validati
 from .fold import ChainDiagnostics, _Constraints, eval_constrained
 from .measure import (
     ZERO,
+    Alphabetic,
     CheckResult,
     CylinderMeasure,
     MarkovTreeChain,
@@ -27,8 +28,8 @@ from .measure import (
     _pattern_at,
     is_invariant_chain,
     pattern_masses,
-    require_distinct_symbols,
     require_pattern,
+    symbol_index,
 )
 
 
@@ -41,7 +42,7 @@ class BlockAlphabet(Record):
     masses: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        require_distinct_symbols(self.blocks, "blocks")
+        symbol_index(self.blocks, "blocks")  # refuses no block, or a repeated one
         if len(self.blocks) != len(self.masses):
             raise ValueError("one mass per block required")
         for b, m in zip(self.blocks, self.masses):
@@ -117,7 +118,7 @@ def markovize(measure: CylinderMeasure, order: int) -> MarkovizationResult:
     )
 
 
-class MarkovizedMeasure(Record):
+class MarkovizedMeasure(Alphabetic, Record):
     """The block chain pulled back through the sliding-window recoding."""
 
     result: MarkovizationResult
@@ -140,7 +141,7 @@ class MarkovizedMeasure(Record):
 
     def eval(self, pattern: Pattern) -> Fraction:
         """The pattern's mass; a base symbol no charged block shows gets 0."""
-        require_pattern(pattern, self.gs, self.alphabet)
+        require_pattern(pattern, self.gs, self.symbol_index)
         return eval_constrained(self.result.chain, _Constraints(pattern, lambda c: self.showing.get(c, ())))
 
 

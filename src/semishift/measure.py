@@ -10,7 +10,9 @@ The invariance conditions are algebraic: p must be a left fixed vector
 of every transition matrix, and whenever Sigma contains a generator
 together with its inverse, the two matrices must be in detailed balance
 through p.  These two conditions are a finite certificate for shift
-invariance of the whole measure.
+invariance of the whole measure.  Every ball scan reads a measure through
+``pattern_masses``, and every measure record reads a symbol's position
+from its ``symbol_index``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from operator import add, itemgetter, mul, sub
-from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .algebra import (
     GeneratorSet,
@@ -122,14 +124,33 @@ class Pattern(PatternRecord):
         return "{" + ", ".join(f"{w or 'e'}={c!r}" for w, c in self.entries) + "}"
 
 
-def require_distinct_symbols(symbols: Sequence, what: str = "alphabet") -> None:
-    """Refuse an empty list, an unhashable symbol or a repeated one."""
+def symbol_index(symbols: Sequence, what: str = "alphabet") -> dict[object, int]:
+    """Each symbol's position in the list, once ValidationError has refused an
+    empty list, an unhashable symbol or a repeated one: the one table from
+    which every measure reads a symbol's position."""
     try:
-        distinct = len(set(symbols)) == len(symbols)
+        index = {c: i for i, c in enumerate(symbols)}
     except TypeError as exc:
         raise ValidationError(f"{what} symbols must be hashable: {exc}") from None
-    if not (symbols and distinct):
+    if not (symbols and len(index) == len(symbols)):
         raise ValidationError(f"{what} must be nonempty without repeats")
+    return index
+
+
+class Alphabetic:
+    """A record over one alphabet: its ``__post_init__``, which a subclass calls
+    before its own checks, keeps the alphabet's ``symbol_index``."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "symbol_index", symbol_index(self.alphabet))
+
+
+def position(index: Mapping, c: object) -> int | None:
+    """c's position in a symbol table, or None when c is not in it, an unhashable c too."""
+    try:
+        return index.get(c)
+    except TypeError:
+        return None
 
 
 def require_exact(values: Sequence, what: str) -> None:
@@ -148,34 +169,41 @@ def require_distribution(values: Sequence, what: str, positive: bool = False) ->
         raise ValidationError(f"{what} must be {sign} and sum to 1")
 
 
-def require_symbols(pattern: PatternRecord, alphabet: Collection) -> None:
-    """Refuse a symbol outside the alphabet (ValidationError)."""
+def require_symbols(pattern: PatternRecord, index: Mapping) -> list[int]:
+    """Each pattern symbol's position, once ValidationError has refused one outside the alphabet."""
+    out = []
     for _, c in pattern.items():
-        if c not in alphabet:
+        if (k := position(index, c)) is None:
             raise ValidationError(f"symbol {shown(c)} is not in the alphabet")
+        out.append(k)
+    return out
 
 
-def require_pattern(pattern: Pattern, gs: GeneratorSet, alphabet: Collection) -> None:
-    """Refuse a site outside S (MembershipError), then an unknown symbol (ValidationError)."""
+def require_pattern(pattern: Pattern, gs: GeneratorSet, index: Mapping) -> list[int]:
+    """Each pattern symbol's position, once MembershipError has refused a site outside S
+    and then ValidationError a symbol outside the alphabet."""
     for w in pattern.domain():
         require_in_semigroup(w, gs)
-    require_symbols(pattern, alphabet)
+    return require_symbols(pattern, index)
 
 
-def require_product(alphabet: Sequence, probs: Sequence) -> None:
-    """Refuse a product measure's alphabet, then probabilities not one per symbol or no distribution."""
-    require_distinct_symbols(alphabet)
-    if len(probs) != len(alphabet):
-        raise ValidationError("one probability per alphabet symbol required")
-    require_distribution(probs, "probabilities")
+class Product(Alphabetic):
+    """A product measure over an ``alphabet`` with one of its ``probs`` per symbol."""
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(self.probs) != len(self.alphabet):
+            raise ValidationError("one probability per alphabet symbol required")
+        require_distribution(self.probs, "probabilities")
 
-def product_mass(probs: Sequence[Fraction], index: Mapping, pattern: PatternRecord) -> Fraction:
-    """The product of the pattern's symbol probabilities; ``index`` maps a symbol to its position."""
-    out = ONE
-    for _, c in pattern.items():
-        out *= probs[index[c]]
-    return out
+    def product(self, pattern: PatternRecord) -> Fraction:
+        """The product of the pattern's symbol probabilities, once ValidationError has refused
+        a symbol outside the alphabet; an unhashable one raises TypeError, as in the chain folds."""
+        try:
+            ks = [self.symbol_index[c] for _, c in pattern.items()]
+        except KeyError as missing:
+            raise ValidationError(f"symbol {shown(*missing.args)} is not in the alphabet") from None
+        return math.prod(map(self.probs.__getitem__, ks), start=ONE)
 
 
 class CylinderMeasure(Protocol):
@@ -217,7 +245,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 IntRows = tuple[tuple[int, ...], ...]
 
 
-class MarkovTreeChain(Record):
+class MarkovTreeChain(Alphabetic, Record):
     """Alphabet, initial vector p, and one transition matrix per generator."""
 
     gs: GeneratorSet
@@ -226,7 +254,7 @@ class MarkovTreeChain(Record):
     transitions: tuple[tuple[Symbol, Matrix], ...]
 
     def __post_init__(self) -> None:
-        require_distinct_symbols(self.alphabet)
+        super().__post_init__()
         n = len(self.alphabet)
         if len(self.p) != n:
             raise ValueError(f"p has length {len(self.p)}, alphabet has {n} symbols")
@@ -238,13 +266,8 @@ class MarkovTreeChain(Record):
                 raise ValueError(f"P[{s}] is not {n}x{n}")
 
     @classmethod
-    def make(
-        cls,
-        gs: GeneratorSet,
-        alphabet: Sequence,
-        p: Sequence,
-        matrices: Mapping,
-    ) -> "MarkovTreeChain":
+    def make(cls, gs: GeneratorSet, alphabet: Sequence, p: Sequence,
+             matrices: Mapping) -> "MarkovTreeChain":
         """Build a chain from int or Fraction entries (``validate_chain`` judges sums and signs)."""
         require_exact(p, "p")
         trans = []
@@ -264,10 +287,6 @@ class MarkovTreeChain(Record):
     @cached_property
     def matrix(self) -> dict[Symbol, Matrix]:
         return dict(self.transitions)
-
-    @cached_property
-    def symbol_index(self) -> dict[object, int]:
-        return {c: i for i, c in enumerate(self.alphabet)}
 
     @cached_property
     def integer_form(self) -> tuple[int, tuple[int, ...], dict[Symbol, IntRows]]:
@@ -417,9 +436,7 @@ def _witness(lhs: tuple, rhs: tuple, sites: Sequence[Word], alphabet: Sequence, 
     return None
 
 
-def shift_invariance_check(
-    measure: CylinderMeasure, a: Symbol, r: int
-) -> CheckResult:
+def shift_invariance_check(measure: CylinderMeasure, a: Symbol, r: int) -> CheckResult:
     """Compare every pattern on B_r with its a-translate, from radius 0 up.
 
     The sorted B_rr is the sorted B_(rr-1) followed by the sorted sphere
@@ -470,9 +487,7 @@ def extend_chain(chain: MarkovTreeChain) -> MarkovTreeChain:
     return MarkovTreeChain.make(full, chain.alphabet, chain.p, matrices)
 
 
-def pushforward_check(
-    extended: MarkovTreeChain, original: MarkovTreeChain, r: int
-) -> CheckResult:
+def pushforward_check(extended: MarkovTreeChain, original: MarkovTreeChain, r: int) -> CheckResult:
     """Do the two chains agree on every full pattern over the original B_r?  Each
     is listed on B_r over its own alphabet; unless the two are equal, one gather
     matches the extended side's symbols by name, as ``eval`` does."""
@@ -506,23 +521,17 @@ def weak_star_distance(m1: CylinderMeasure, m2: CylinderMeasure, order: int) -> 
     return Fraction(sum(map(abs, map(sub, xs, ys))), d)
 
 
-class BernoulliMeasure(Record):
+class BernoulliMeasure(Product, Record):
     """Product measure: independent sites, identical marginals."""
 
     gs: GeneratorSet
     alphabet: tuple
     probs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        require_product(self.alphabet, self.probs)
-
-    @cached_property
-    def _index(self) -> dict[object, int]:
-        return {c: i for i, c in enumerate(self.alphabet)}
-
     def eval(self, pattern: Pattern) -> Fraction:
-        require_pattern(pattern, self.gs, self._index)
-        return product_mass(self.probs, self._index, pattern)
+        for w in pattern.domain():
+            require_in_semigroup(w, self.gs)
+        return self.product(pattern)
 
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's mass on the sites: outer products of the
@@ -560,10 +569,7 @@ class MixtureMeasure(Record):
         return tuple(self.components[0].alphabet)
 
     def eval(self, pattern: Pattern) -> Fraction:
-        return sum(
-            (w * m.eval(pattern) for w, m in zip(self.weights, self.components)),
-            ZERO,
-        )
+        return sum((w * m.eval(pattern) for w, m in zip(self.weights, self.components)), ZERO)
 
     def masses(self, sites: Sequence[Word]) -> tuple[list, int]:
         """Every full pattern's mass: the components' numerators over one common

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -39,10 +38,12 @@ from .errors import (
     shown,
 )
 from .measure import (
+    Alphabetic,
     MixtureMeasure,
     Pattern,
-    require_distinct_symbols,
+    position,
     require_pattern,
+    symbol_index,
 )
 
 Perm = tuple[int, ...]
@@ -98,7 +99,7 @@ def _closure(
     return seen
 
 
-class OrbitAutomaton(Record):
+class OrbitAutomaton(Alphabetic, Record):
     """Deterministic, fully reachable, label-carrying transition system.
 
     Over a Sigma closed under inverses (``gs.symmetric``) every row is a
@@ -112,7 +113,7 @@ class OrbitAutomaton(Record):
     base: int = 0
 
     def __post_init__(self) -> None:
-        require_distinct_symbols(self.alphabet)
+        super().__post_init__()
         n = len(self.labels)
         if n == 0:
             raise ValidationError("automaton needs at least one state")
@@ -122,7 +123,7 @@ class OrbitAutomaton(Record):
             if len(row) != n or any(not (0 <= q < n) for q in row):
                 raise ValidationError(f"delta[{sym}] is not a total map on {n} states")
         for c in self.labels:
-            if c not in self.alphabet:
+            if position(self.symbol_index, c) is None:
                 raise ValidationError(f"label {c!r} is not in the alphabet")
         if not (0 <= self.base < n):
             raise ValidationError(f"base state {self.base} out of range")
@@ -146,36 +147,37 @@ class OrbitAutomaton(Record):
 
     def eval(self, pattern: Pattern) -> Fraction:
         """The uniform measure on the orbit: the share of its configurations showing the pattern."""
-        require_pattern(pattern, self.gs, self.alphabet)
+        code = 0
+        for k in require_pattern(pattern, self.gs, self.symbol_index):
+            code = code * len(self.alphabet) + k
         m = self.minimal
-        shown = tuple(c for _, c in pattern.items())
-        return Fraction(_shown(m, pattern.sites).count(shown), m.n_states())
+        return Fraction(_codes(m, pattern.sites).count(code), m.n_states())
 
     def masses(self, sites: Sequence[Word]) -> tuple[list[int], int]:
         """Every full pattern's count of minimal states showing it, over their number."""
         sites = Sites(sites).within(self.gs)
         m = self.minimal
-        index = {c: i for i, c in enumerate(self.alphabet)}
-        out = [0] * len(index) ** len(sites)
-        for shown, hits in Counter(_shown(m, sites)).items():
-            code = 0
-            for c in shown:
-                code = code * len(index) + index[c]
-            out[code] = hits
+        out = [0] * len(self.alphabet) ** len(sites)
+        for code in _codes(m, sites):
+            out[code] += 1
         return out, m.n_states()
 
 
-def _shown(o: OrbitAutomaton, sites: Sites) -> list[tuple]:
-    """What each state's configuration shows at the sites, state by state;
-    the caller has checked them against o's S."""
-    parent, letter, site = sites.parent, sites.letter, sites.site
+def _codes(o: OrbitAutomaton, sites: Sites) -> list[int]:
+    """The product-order code of what each state's configuration shows at the
+    sites: code times |A| plus the shown label's position, site by site.  The
+    caller has checked the sites against o's S."""
+    n, index = len(o.alphabet), o.symbol_index
+    digits = [index[c] for c in o.labels]
     # reached[v][q]: the state whose label q's configuration shows at vertex v
     reached: list[Sequence[int]] = [range(o.n_states())]
-    for up, g in zip(parent[1:], letter[1:]):
+    for up, g in zip(sites.parent[1:], sites.letter[1:]):
         row = o.delta[g]
         reached.append([row[q] for q in reached[up]])
-    columns = [[o.labels[q] for q in reached[v]] for v in site]
-    return list(zip(*columns)) if sites else [()] * o.n_states()
+    codes = [0] * o.n_states()
+    for v in sites.site:
+        codes = [code * n + digits[q] for code, q in zip(codes, reached[v])]
+    return codes
 
 
 def readout(o: OrbitAutomaton, w: Word) -> object:
@@ -206,9 +208,7 @@ def minimized(o: OrbitAutomaton) -> OrbitAutomaton:
     for q in range(n):
         rep.setdefault(block[q], q)
     labels = tuple(o.labels[rep[b]] for b in range(classes))
-    delta = {
-        s: tuple(block[o.delta[s][rep[b]]] for b in range(classes)) for s in syms
-    }
+    delta = {s: tuple(block[o.delta[s][rep[b]]] for b in range(classes)) for s in syms}
     return OrbitAutomaton(o.gs, o.alphabet, labels, delta, block[o.base])
 
 
@@ -335,13 +335,8 @@ def _validate_morphism(
     return out, degree
 
 
-def theorem_a_point(
-    pattern: Pattern,
-    theta: Mapping[Symbol, Perm],
-    gs: GeneratorSet,
-    alphabet: Sequence,
-    fill: object | None = None,
-) -> OrbitAutomaton:
+def theorem_a_point(pattern: Pattern, theta: Mapping[Symbol, Perm], gs: GeneratorSet,
+                    alphabet: Sequence, fill: object | None = None) -> OrbitAutomaton:
     """Periodic point through a finite pattern, via a permutation morphism.
 
     States are the finite group generated by the images of the
@@ -349,16 +344,19 @@ def theorem_a_point(
     pattern through theta and default to ``fill`` (the first alphabet
     symbol when omitted) elsewhere.  The construction requires the
     pattern to factor through theta: two sites with different symbols
-    must not collapse to the same group element.  ValidationError refuses
-    a group whose elements hold more than MAX_PATTERNS points in all, as
-    soon as the walk that lists them finds one too many.
+    must not collapse to the same group element.  The morphism is checked
+    first, then the alphabet (``symbol_index``), the fill and the pattern.
+    ValidationError refuses a group whose elements hold more than
+    MAX_PATTERNS points in all, as soon as the walk that lists them finds
+    one too many.
     """
     theta_map, degree = _validate_morphism(theta, gs)
     alphabet = tuple(alphabet)
+    table = symbol_index(alphabet)
     fill = alphabet[0] if fill is None else fill
-    if fill not in alphabet:
+    if position(table, fill) is None:
         raise ValidationError(f"fill symbol {shown(fill)} is not in the alphabet")
-    require_pattern(pattern, gs, alphabet)
+    require_pattern(pattern, gs, table)
     word_labels: dict[Perm, object] = {}
     for w, c in pattern.items():
         img = _morphism_image(theta_map, w, degree)
@@ -377,13 +375,8 @@ def theorem_a_point(
     states = sorted(group)
     index = {f: i for i, f in enumerate(states)}
     labels = tuple(word_labels.get(f, fill) for f in states)
-    delta = {
-        s: tuple(index[compose(theta_map[s], f)] for f in states)
-        for s in gs.symbols()
-    }
-    return OrbitAutomaton(
-        gs=gs, alphabet=alphabet, labels=labels, delta=delta, base=index[identity]
-    )
+    delta = {s: tuple(index[compose(theta_map[s], f)] for f in states) for s in gs.symbols()}
+    return OrbitAutomaton(gs, alphabet, labels, delta, index[identity])
 
 
 def find_separating_morphism(

@@ -22,13 +22,12 @@ from .errors import (MAX_PATTERNS, MAX_WINDOW_BITS, MembershipError, ValidationE
 from .measure import (
     ONE,
     ZERO,
+    Alphabetic,
     CheckResult,
     Matrix,
     PatternRecord,
-    product_mass,
-    require_distinct_symbols,
+    Product,
     require_distribution,
-    require_product,
     require_symbols,
 )
 
@@ -63,33 +62,25 @@ class LatticeMeasure(Protocol):
     def eval(self, pattern: LatticePattern) -> Fraction: ...
 
 
-def _check_pattern(pattern: LatticePattern, d: int, alphabet: Collection) -> None:
-    """Refuse a site off the d-dimensional orthant, then a symbol off the alphabet."""
+def _check_sites(pattern: LatticePattern, d: int) -> None:
+    """Refuse a site off the d-dimensional orthant; a measure checks the symbols next."""
     for v, _ in pattern.items():
         if len(v) != d:
             raise ValidationError(f"site {v} does not have dimension {d}")
         if any(x < 0 for x in v):
             raise MembershipError(f"site {v} is outside the nonnegative orthant")
-    require_symbols(pattern, alphabet)
 
 
-class LatticeBernoulli(Record):
+class LatticeBernoulli(Product, Record):
     """Product measure on the orthant."""
 
     d: int
     alphabet: tuple
     probs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        require_product(self.alphabet, self.probs)
-
-    @cached_property
-    def _index(self) -> dict[object, int]:
-        return {c: i for i, c in enumerate(self.alphabet)}
-
     def eval(self, pattern: LatticePattern) -> Fraction:
-        _check_pattern(pattern, self.d, self._index)
-        return product_mass(self.probs, self._index, pattern)
+        _check_sites(pattern, self.d)
+        return self.product(pattern)
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -113,7 +104,7 @@ def _matrix_power(rows: Matrix, n: int) -> Matrix:
     return out
 
 
-class LatticeMarkov(Record):
+class LatticeMarkov(Alphabetic, Record):
     """Stationary one-dimensional chain: p positive with p P = p."""
 
     alphabet: tuple
@@ -123,7 +114,7 @@ class LatticeMarkov(Record):
     d: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        require_distinct_symbols(self.alphabet)
+        super().__post_init__()
         n = len(self.alphabet)
         if len(self.p) != n or len(self.P) != n or any(len(r) != n for r in self.P):
             raise ValidationError("p and P must match the alphabet size")
@@ -142,10 +133,12 @@ class LatticeMarkov(Record):
     def eval(self, pattern: LatticePattern) -> Fraction:
         """ValidationError refuses a window whose span x step bits passes MAX_WINDOW_BITS
         before any power of P is formed; a 0/1 matrix has 0 step bits."""
-        _check_pattern(pattern, self.d, self.alphabet)
+        _check_sites(pattern, self.d)
+        ks = require_symbols(pattern, self.symbol_index)
         if len(pattern) == 0:
             return ONE
-        sites = sorted((v[0], self.alphabet.index(c)) for v, c in pattern.items())
+        # (coordinate, symbol position) of each site; the entries are sorted by site
+        sites = [(v[0], k) for (v, _), k in zip(pattern.items(), ks)]
         span = sites[-1][0] - sites[0][0]
         if span * self._step_bits > MAX_WINDOW_BITS:
             raise ValidationError(
@@ -158,7 +151,7 @@ class LatticeMarkov(Record):
         return math.prod((powers[t - s][k][l] for (s, k), (t, l) in pairs), start=first)
 
 
-class LatticeTable(Record):
+class LatticeTable(Alphabetic, Record):
     """User-supplied masses for the full patterns on a declared box."""
 
     d: int
@@ -167,7 +160,7 @@ class LatticeTable(Record):
     table: tuple[tuple[LatticePattern, Fraction], ...]
 
     def __post_init__(self) -> None:
-        require_distinct_symbols(self.alphabet)
+        super().__post_init__()
         if len(self.box) != self.d or any(b < 1 for b in self.box):
             raise ValidationError("box must list one positive extent per dimension")
         require_distribution([mass for _, mass in self.table], "table masses")
@@ -182,7 +175,8 @@ class LatticeTable(Record):
         return tuple(itertools.product(*map(range, self.box)))
 
     def eval(self, pattern: LatticePattern) -> Fraction:
-        _check_pattern(pattern, self.d, self.alphabet)
+        _check_sites(pattern, self.d)
+        require_symbols(pattern, self.symbol_index)
         for v, _ in pattern.items():
             if any(x >= b for x, b in zip(v, self.box)):
                 raise ValidationError(f"site {v} is outside the declared box {self.box}")
@@ -213,11 +207,8 @@ def window_measure(measure: LatticeMeasure, pattern: LatticePattern) -> Fraction
     return measure.eval(moved)
 
 
-def window_consistency(
-    measure: LatticeMeasure,
-    window: Collection[LatticeVector],
-    cover: Collection[LatticeVector],
-) -> CheckResult:
+def window_consistency(measure: LatticeMeasure, window: Collection[LatticeVector],
+                       cover: Collection[LatticeVector]) -> CheckResult:
     """Marginalizing the cover back down must reproduce the window mass.
 
     Every full pattern on the window is checked against its completions on the
@@ -256,7 +247,5 @@ def window_translation_invariance(
     lhs = window_measure(measure, pattern)
     rhs = window_measure(measure, pattern.translated(g))
     if lhs != rhs:
-        return CheckResult(
-            False, f"{pattern.render()} has mass {lhs}, its {g}-translate {rhs}"
-        )
+        return CheckResult(False, f"{pattern.render()} has mass {lhs}, its {g}-translate {rhs}")
     return CheckResult(True)

@@ -322,13 +322,13 @@ def random_automaton(
     )
 
 
-def oracle_monoid(o: OrbitAutomaton) -> tuple[int, bool]:
-    """Transformation monoid size and group flag, recomputed without minimized.
+def oracle_classes(o: OrbitAutomaton) -> tuple[list[int], list[int]]:
+    """Each state's configuration class and the first state of each class,
+    recomputed without minimized.
 
     Two states are one configuration iff their labels agree after every
     sequence of moves shorter than the number of states (Moore's bound).
-    The monoid is the closure of the generator maps on those classes,
-    and it is a group iff every one of its elements is a bijection.
+    Classes are numbered by first appearance.
     """
     n = o.n_states()
     rows = list(o.delta.values())
@@ -344,12 +344,22 @@ def oracle_monoid(o: OrbitAutomaton) -> tuple[int, bool]:
         return tuple(out)
 
     signatures = [signature(q) for q in range(n)]
-    classes = {sig: i for i, sig in enumerate(dict.fromkeys(signatures))}
-    reps = {classes[sig]: q for q, sig in reversed(list(enumerate(signatures)))}
-    k = len(classes)
-    maps = [
-        tuple(classes[signatures[row[reps[c]]]] for c in range(k)) for row in rows
-    ]
+    numbers = {sig: i for i, sig in enumerate(dict.fromkeys(signatures))}
+    classes = [numbers[sig] for sig in signatures]
+    firsts = {c: q for q, c in reversed(list(enumerate(classes)))}
+    return classes, [firsts[c] for c in range(len(numbers))]
+
+
+def oracle_monoid(o: OrbitAutomaton) -> tuple[int, bool]:
+    """Transformation monoid size and group flag, recomputed without minimized.
+
+    The monoid is the closure of the generator maps on the configuration
+    classes of ``oracle_classes``, and it is a group iff every one of its
+    elements is a bijection.
+    """
+    classes, reps = oracle_classes(o)
+    k = len(reps)
+    maps = [tuple(classes[row[reps[c]]] for c in range(k)) for row in o.delta.values()]
     identity = tuple(range(k))
     monoid = {identity}
     queue = [identity]
@@ -361,6 +371,27 @@ def oracle_monoid(o: OrbitAutomaton) -> tuple[int, bool]:
                 monoid.add(h)
                 queue.append(h)
     return len(monoid), all(sorted(f) == list(identity) for f in monoid)
+
+
+def oracle_shows(o: OrbitAutomaton, q: int, w: Word) -> object:
+    """State q's configuration's symbol at site w, walking w's letters right to left."""
+    for s in reversed(w.letters):
+        q = o.delta[s][q]
+    return o.labels[q]
+
+
+def oracle_orbit_masses(o: OrbitAutomaton, sites) -> tuple[list[int], int]:
+    """Each full pattern's count of distinct configurations showing it on the
+    sites, in product order over the alphabet, and their number: one state of
+    each ``oracle_classes`` class reads every site by hand."""
+    _, reps = oracle_classes(o)
+    counts = [0] * len(o.alphabet) ** len(sites)
+    for q in reps:
+        code = 0
+        for w in sites:
+            code = code * len(o.alphabet) + o.alphabet.index(oracle_shows(o, q, w))
+        counts[code] += 1
+    return counts, len(reps)
 
 
 def swap_orbit() -> OrbitAutomaton:

@@ -1193,9 +1193,29 @@ def test_a_bool_or_float_pattern_symbol_exits_two(tmp_path, kind, value, shown):
     write_json(pattern, {"entries": [["a1", value]]})
     code, text = execute(["eval", "--measure", str(measure), "--pattern", str(pattern)])
     assert (code, text) == (
-        2, f"error: ParseError: pattern: a symbol is a string, an integer or a list of symbols, "
-        f"not {shown}"
+        2, f"error: ParseError: {pattern}: a symbol is a string, an integer or a list of "
+        f"symbols, not {shown}"
     )
+
+
+@pytest.mark.parametrize("command, role", [
+    ("eval", "--measure"), ("consistency", "--measure"), ("thm-a-construct", "--morphism"),
+    ("window-eval", "--measure"),
+])
+def test_a_malformed_pattern_file_is_named_in_its_error(tmp_path, command, role):
+    other = tmp_path / "other.json"
+    if command == "thm-a-construct":
+        write_json(other, {"k": 2, "theta": {"1": [1, 0], "2": [1, 0]}})
+    elif command == "window-eval":
+        write_json(other, LATTICE_CHAIN)
+    else:
+        write_json(other, measure_out(worked_chain(2)))
+    pattern = tmp_path / "pattern.json"
+    site = [0] if command == "window-eval" else "a1"
+    write_json(pattern, {"entries": [[site, 0], [site, 1]]})
+    argv = [command, role, str(other), "--pattern", str(pattern)]
+    code, text = execute(argv + (["--order", "1"] if command == "consistency" else []))
+    assert (code, text) == (2, f"error: ParseError: {pattern}: pattern has a repeated site")
 
 
 @pytest.mark.parametrize("alphabet, shown", [

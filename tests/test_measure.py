@@ -53,6 +53,7 @@ from semishift import (
     parse_word,
     pushforward_check,
     shift_invariance_check,
+    theorem_a_point,
     validate_chain,
     weak_star_distance,
 )
@@ -410,6 +411,48 @@ def test_measure_kinds_refuse_an_unknown_symbol(kind):
     for pattern in (make({outside: 9}), make({site: 9, outside: 0}), make({site: 0, outside: 9})):
         with pytest.raises(MembershipError):
             measure.eval(pattern)
+
+
+def bad_symbol_refusals():
+    """(id, call, exception type, message) for every refusal of a bad symbol.  The
+    kinds that read a pattern symbol's position straight from the symbol table
+    (chain, Bernoulli, a mixture of Bernoulli components, lattice Bernoulli)
+    raise TypeError for an unhashable one; the others refuse it as a symbol
+    outside the alphabet."""
+    hashed = {"chain", "bernoulli", "mixture", "lattice-bernoulli"}
+    for kind in ("chain", "bernoulli", "mixture", "periodic", "markovized",
+                 "lattice-bernoulli", "lattice-markov", "lattice-table"):
+        make = SYMBOL_KINDS[kind]
+        site = (0,) if kind.startswith("lattice") else EPSILON
+        pattern = LatticePattern.of if kind.startswith("lattice") else Pattern.of
+        outside = "chain alphabet" if kind == "chain" else "alphabet"
+        yield (f"{kind}-unknown-symbol", lambda make=make, p=pattern({site: 9}): make((0, 1)).eval(p),
+               ValidationError, f"symbol 9 is not in the {outside}")
+        yield (f"{kind}-repeated-alphabet", lambda make=make: make((0, 0)),
+               ValidationError, "alphabet must be nonempty without repeats")
+        yield (f"{kind}-unhashable-alphabet", lambda make=make: make(([0], 1)),
+               ValidationError, "alphabet symbols must be hashable: unhashable type: 'list'")
+        unhashable = pattern({site: [0]})
+        yield (f"{kind}-unhashable-symbol", lambda make=make, p=unhashable: make((0, 1)).eval(p),
+               *((TypeError, "unhashable type: 'list'") if kind in hashed
+                 else (ValidationError, "symbol [0] is not in the alphabet")))
+    theta = {s: (0,) for s in GS2.sigma}
+    for label in (7, [0]):
+        yield (f"orbit-label-{label}", lambda label=label: OrbitAutomaton(
+            gs=GS2, alphabet=(0, 1), labels=(label,), delta=theta),
+            ValidationError, f"label {label!r} is not in the alphabet")
+        yield (f"theorem-fill-{label}",
+               lambda fill=label: theorem_a_point(Pattern.of({}), theta, GS2, (0, 1), fill),
+               ValidationError, f"fill symbol {label!r} is not in the alphabet")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(*row, id=name) for name, *row in bad_symbol_refusals()
+])
+def test_every_kind_refuses_a_bad_symbol(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 # each constructor that takes a distribution, given that distribution

@@ -32,8 +32,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    oracle_classes,
     oracle_eval,
     oracle_hull,
+    oracle_orbit_masses,
+    oracle_shows,
     positive_distribution,
     random_automaton,
     random_balance_violation,
@@ -57,6 +60,8 @@ from semishift import (
     Word,
     ball,
     extend_chain,
+    is_periodic,
+    lift_to_group,
     markovize,
     pushforward_check,
     shift_invariance_check,
@@ -67,7 +72,7 @@ from semishift import (
     word_mul,
 )
 from semishift import algebra
-from semishift.algebra import Sites
+from semishift.algebra import Sites, scan_layout
 from semishift.measure import pattern_masses
 
 F = Fraction
@@ -222,6 +227,34 @@ def test_orbit_and_periodic_eval_match_raw_state_counts(signed, n, seed):
         assert measure.eval(pattern) == reference(pattern)
         for o in measure.orbits:
             assert o.eval(pattern) == raw_share(o, pattern)
+
+
+@given(
+    st.integers(1, 5),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(("ball", "translate", "shuffled", "empty")),
+    st.integers(0, 2**32),
+)
+def test_orbit_masses_and_eval_count_what_each_configuration_shows(n, permutations, lift, layout,
+                                                                   seed):
+    """The code count against a hand walk of every site's word from one state
+    of each distinct configuration, on a random automaton or its group lift."""
+    rng = random.Random(seed)
+    o = random_automaton(rng, n, permutations)
+    if lift and is_periodic(o):
+        o = lift_to_group(o)
+    # Lifted: 4 generators, so radius 1 (5 sites); otherwise radius 2 (7 sites).
+    r = 1 if o.gs.symmetric else 2
+    sites, _, moved = scan_layout(o.gs, r, len(o.alphabet), rng.choice(o.gs.symbols()))
+    sites = {"ball": sites, "translate": moved, "shuffled": rng.sample(sites, len(sites)),
+             "empty": ()}[layout]
+    assert o.masses(sites) == oracle_orbit_masses(o, sites)
+    _, reps = oracle_classes(o)
+    for _ in range(4):
+        pattern = Pattern.of({w: rng.choice(o.alphabet) for w in sites if rng.random() < 0.6})
+        showing = sum(all(oracle_shows(o, q, w) == c for w, c in pattern.items()) for q in reps)
+        assert o.eval(pattern) == F(showing, len(reps))
 
 
 class OracleMeasure:
